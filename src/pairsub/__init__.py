@@ -52,6 +52,7 @@ from .errors import (
     GridMismatch,
     InstanceTooLarge,
     InvalidAlpha,
+    InvalidArgument,
     InvalidCurvature,
     MalformedSpec,
     NegativeDemand,

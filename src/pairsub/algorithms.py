@@ -3,8 +3,9 @@
 Every strategy emits a RunTrace recording, per iteration, the element chosen
 and the estimate value that won the argmax.  Ties always break toward the
 lowest element id, so runs are deterministic.  The pairwise strategies
-(optimistic, pessimistic) issue only size-1 and size-2 queries, at most
-m*(n+1) of them, via the incremental EstimateCache recursions.
+(optimistic, pessimistic) issue only size-1 and size-2 queries through the
+lazily refreshed EstimateCache; m*(n+1) is a ceiling on their count, which
+the optimistic strategy usually stays far below.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, inf
 
-from .errors import CardinalityTooLarge, InstanceTooLarge
+from .errors import CardinalityTooLarge, InstanceTooLarge, InvalidArgument, ParseError
 from .oracles import CountingOracle, EstimateCache, QueryCounts
 from .validation import check_cardinality
 
@@ -68,19 +69,36 @@ class RunTrace:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
+def _typed(value, kinds, field: str):
+    """value if it is one of kinds (never a bool), else ParseError."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ParseError(f"trace field {field!r} has the wrong type: {value!r}")
+    return value
+
+
 def trace_from_dict(doc: dict) -> RunTrace:
-    counts = QueryCounts(**doc.get("query_counts", {}))
-    return RunTrace(
-        algorithm=doc["algorithm"],
-        n=doc["n"],
-        selections=[
-            Selection(s["i"], s["element"], s["estimate"]) for s in doc["selections"]
-        ],
-        final_set=list(doc["final_set"]),
-        query_counts=counts,
-        true_marginals=doc.get("true_marginals"),
-        k=doc.get("k"),
-    )
+    """The RunTrace of a to_dict() document; ParseError if a field is missing
+    or has the wrong shape."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"a trace must be a JSON object, got {type(doc).__name__}")
+    try:
+        return RunTrace(
+            algorithm=doc["algorithm"],
+            n=_typed(doc["n"], int, "n"),
+            selections=[
+                Selection(_typed(s["i"], int, "i"), s["element"],
+                          _typed(s["estimate"], (int, float), "estimate"))
+                for s in doc["selections"]
+            ],
+            final_set=list(doc["final_set"]),
+            query_counts=QueryCounts(**doc.get("query_counts", {})),
+            true_marginals=doc.get("true_marginals"),
+            k=_typed(doc.get("k"), (int, type(None)), "k"),
+        )
+    except KeyError as exc:
+        raise ParseError(f"trace is missing the field {exc}") from None
+    except TypeError as exc:
+        raise ParseError(f"trace field has the wrong shape: {exc}") from None
 
 
 def _finish(algorithm, n, selections, view, k=None) -> RunTrace:
@@ -131,10 +149,12 @@ def greedy_uninformed(oracle, n: int) -> RunTrace:
 
 
 def greedy_optimistic(oracle, n: int) -> RunTrace:
-    """Maximize the pairwise upper estimate, updated incrementally.
+    """Maximize the pairwise upper estimate, refreshed lazily.
 
-    Issues exactly m size-1 queries plus at most one size-2 query per
-    remaining candidate per iteration: m*(n+1) queries total.
+    Issues exactly m size-1 queries, plus one size-2 query per selection a
+    candidate folds in.  Only candidates that reach the top of the stale
+    upper estimates are refreshed, so the total stays at or below the
+    eager count, itself under m*(n+1).
     """
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
@@ -153,7 +173,8 @@ def greedy_pessimistic(oracle, n: int) -> RunTrace:
 
     The raw, possibly negative estimate is compared; no clamping.  Sound
     under supermodularity of conditioning, which is the caller's
-    responsibility to have checked.
+    responsibility to have checked.  Every candidate is refreshed at every
+    iteration: m size-1 queries plus m-i size-2 queries after the i-th pick.
     """
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
@@ -176,7 +197,7 @@ def greedy_k_wise_optimistic(oracle, n: int, k: int) -> RunTrace:
     per-candidate cost grows as C(|S|, k-1).
     """
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise InvalidArgument(f"k must be >= 2, got {k}")
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
     current_min = {x: view.evaluate((x,)) for x in range(view.ground_size)}
@@ -240,13 +261,13 @@ def audit_trace(trace: RunTrace, full_oracle) -> RunTrace:
 def run_algorithm(name: str, oracle, n: int, k: int | None = None) -> RunTrace:
     """Dispatch by algorithm name; k is accepted only by the k-wise strategy."""
     if name not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {name!r}; expected one of {sorted(ALGORITHMS)}")
+        raise InvalidArgument(f"unknown algorithm {name!r}; expected one of {sorted(ALGORITHMS)}")
     if name == "k_wise_optimistic":
         if k is None:
-            raise ValueError("k_wise_optimistic requires k")
+            raise InvalidArgument("k_wise_optimistic requires k")
         return greedy_k_wise_optimistic(oracle, n, k)
     if k is not None:
-        raise ValueError(f"k applies to k_wise_optimistic only, not {name!r}")
+        raise InvalidArgument(f"k applies to k_wise_optimistic only, not {name!r}")
     return ALGORITHMS[name](oracle, n)
 
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .algorithms import run_algorithm
-from .errors import GridMismatch
+from .errors import GridMismatch, InvalidArgument
 from .oracles import QueryCounts
 
 CSV_HEADER = "algorithm,m,n,trials,mean_s,min_s,max_s,q1,q2,qother"
@@ -43,7 +43,7 @@ def time_algorithm(algorithm: str, oracle, n: int, trials: int,
                    k: int | None = None) -> TimingRecord:
     """Wall-clock statistics for one strategy at one cardinality."""
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise InvalidArgument(f"trials must be >= 1, got {trials}")
     warm = run_algorithm(algorithm, oracle, n, k=k)  # untimed warm-up
     times = []
     for _ in range(trials):
@@ -67,7 +67,7 @@ def scaling_sweep(algorithms, oracle, n_values, trials: int,
     """One record per (algorithm, n); n_values must be ascending."""
     n_values = list(n_values)
     if n_values != sorted(n_values):
-        raise ValueError(f"n_values must be ascending, got {n_values}")
+        raise InvalidArgument(f"n_values must be ascending, got {n_values}")
     records = []
     for algorithm in algorithms:
         for n in n_values:

@@ -35,11 +35,12 @@ from .errors import (
     DuplicateElement,
     InstanceTooLarge,
     InvalidAlpha,
+    InvalidArgument,
     InvalidCurvature,
     TraceMismatch,
 )
 from .oracles import CountingOracle, EstimateCache, k_wise_upper_estimate
-from .validation import near_zero
+from .validation import check_element_ids, near_zero
 
 CURVATURE_ENUM_LIMIT = 10**6
 
@@ -74,9 +75,9 @@ def bound_from_alphas(alphas, n: int) -> float:
     """gamma = 1 - exp(-(1/n) sum 1/alpha_i); always within [0, 1 - 1/e]."""
     alphas = list(alphas)
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidArgument(f"n must be >= 1, got {n}")
     if len(alphas) != n:
-        raise ValueError(f"expected {n} factors, got {len(alphas)}")
+        raise InvalidArgument(f"expected {n} factors, got {len(alphas)}")
     total = 0.0
     for a in alphas:
         if a != inf and a < 1.0:
@@ -122,7 +123,7 @@ def alphas_k_wise(trace, full_oracle, k: int) -> list[float]:
     """Factors for a k-wise optimistic run: 1 through iteration k, then the
     estimate/true ratio."""
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise InvalidArgument(f"k must be >= 2, got {k}")
     if trace.algorithm == "k_wise_optimistic":
         if trace.k is not None and trace.k != k:
             raise TraceMismatch(f"trace was produced with k={trace.k}, not k={k}")
@@ -157,15 +158,19 @@ def post_hoc_bound(solution, oracle, m: int | None = None) -> BoundReport:
     For each prefix, the factor is the best remaining upper estimate over
     the picked element's lower estimate (1 when both vanish, infinite when
     the lower estimate is non-positive under a positive numerator).  Only
-    size-<=2 queries are issued.
+    size-<=2 queries are issued, at most m*(n+1) and usually far fewer: the
+    numerator refreshes only the candidates that reach the top of the stale
+    upper estimates, the denominator refreshes only the pick, and nothing
+    is queried after the last factor.
     """
     solution = list(solution)
-    if len(set(solution)) != len(solution):
-        raise DuplicateElement(f"solution repeats an element: {solution}")
     view = CountingOracle(oracle)
     ground = view.ground_size
     if m is not None and m != ground:
-        raise ValueError(f"declared m={m} but the oracle has ground size {ground}")
+        raise InvalidArgument(f"declared m={m} but the oracle has ground size {ground}")
+    check_element_ids(solution, ground)
+    if len(set(solution)) != len(solution):
+        raise DuplicateElement(f"solution repeats an element: {solution}")
     if len(solution) > ground:
         raise CardinalityTooLarge(
             f"solution size {len(solution)} exceeds ground set size {ground}"
@@ -174,8 +179,7 @@ def post_hoc_bound(solution, oracle, m: int | None = None) -> BoundReport:
     alphas = []
     for x_i in solution:
         numerator = cache.max_upper()
-        if x_i not in cache.lower:
-            raise DuplicateElement(f"element {x_i} was already conditioned on")
+        cache.refresh(x_i)
         denom = cache.lower[x_i]
         if near_zero(denom):
             alphas.append(1.0 if near_zero(numerator) else inf)
@@ -231,7 +235,7 @@ def k_cardinality_curvature(oracle, k: int, limit: int = CURVATURE_ENUM_LIMIT) -
     costs one query per ordered pair.
     """
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise InvalidArgument(f"k must be >= 2, got {k}")
     m = oracle.ground_size
     pair_count = sum(
         len(list(combinations(range(m - 1), size))) for size in range(1, k)

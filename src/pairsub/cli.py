@@ -31,7 +31,7 @@ from .bounds import (
     post_hoc_bound,
 )
 from .data import KernelConfig, build_coverage_instance, load_districts
-from .errors import PairsubError
+from .errors import PairsubError, ParseError
 from .functions import AdversarialSpec, build_oracle, load_instance
 from .verify import ALL_CHECKS, check_normalized
 
@@ -123,7 +123,13 @@ def _ordered_solution(args):
     if (args.trace is None) == (args.solution is None):
         raise ConfigError("exactly one of --trace or --solution is required")
     if args.trace is not None:
-        trace = trace_from_dict(json.loads(Path(args.trace).read_text(encoding="utf-8")))
+        try:
+            doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{args.trace}: invalid JSON ({exc})") from None
+        trace = trace_from_dict(doc)
+        if not trace.selections:
+            raise ConfigError(f"{args.trace}: the trace selects no element")
         return trace, trace.selected_order
     try:
         ids = [int(tok) for tok in args.solution.split(",") if tok.strip() != ""]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DuplicateId, EmptyInput, NegativeDemand, ParseError
+from .errors import DuplicateId, EmptyInput, InvalidArgument, NegativeDemand, ParseError
 from .functions import ProbabilisticCoverageSpec
 
 HEADER = ("district_id", "x", "y", "demand")
@@ -35,14 +35,14 @@ class KernelConfig:
     r_s: float
 
     def __post_init__(self):
-        if not self.r_s > 0:
-            raise ValueError(f"r_s must be positive, got {self.r_s}")
+        if not 0 < self.r_s < math.inf:
+            raise InvalidArgument(f"r_s must be positive and finite, got {self.r_s}")
 
 
 def kernel_probability(d: float, cfg: KernelConfig) -> float:
     """exp(-d^2 / r_s^2); 1 at zero distance, strictly decreasing."""
     if d < 0:
-        raise ValueError(f"distance must be non-negative, got {d}")
+        raise InvalidArgument(f"distance must be non-negative, got {d}")
     return math.exp(-((d / cfg.r_s) ** 2))
 
 
@@ -71,12 +71,15 @@ def _parse_rows(reader, source: str) -> list[District]:
         numbers = []
         for col_no, (name, cell) in enumerate(zip(HEADER[1:], row[1:]), start=2):
             try:
-                numbers.append(float(cell))
+                number = float(cell)
             except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
                 raise ParseError(
                     f"{source}: row {row_no}, column {col_no} ({name}): "
-                    f"not a number: {cell!r}"
-                ) from None
+                    f"not a finite number: {cell!r}"
+                )
+            numbers.append(number)
         x, y, demand = numbers
         if district_id in seen:
             raise DuplicateId(f"{source}: row {row_no}: duplicate district_id "

@@ -5,6 +5,10 @@ class PairsubError(Exception):
     """Base class for every library-specific error."""
 
 
+class InvalidArgument(PairsubError, ValueError):
+    """An argument lies outside its valid range."""
+
+
 class BudgetExceeded(PairsubError):
     """A query asked for a set larger than the oracle's information budget."""
 

@@ -14,6 +14,7 @@ exactly after the spec dataclass fields.
 from __future__ import annotations
 
 import json
+from math import inf
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -63,8 +64,10 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
     index = {}
     for key, w in universe:
         w = float(w)
-        if w < 0:
-            raise MalformedSpec(f"negative weight {w} for universe element {key!r}")
+        if not 0.0 <= w < inf:  # NaN fails every comparison
+            raise MalformedSpec(
+                f"weight {w} for universe element {key!r} is negative or not finite"
+            )
         index[key] = len(weights)
         weights.append(w)
     cover_sets = []
@@ -100,8 +103,8 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     demands = []
     for key, v in demand_items:
         v = float(v)
-        if v < 0:
-            raise MalformedSpec(f"negative demand {v} for district {key!r}")
+        if not 0.0 <= v < inf:
+            raise MalformedSpec(f"demand {v} for district {key!r} is negative or not finite")
         district_index[key] = len(demands)
         demands.append(v)
     if not demands:
@@ -147,16 +150,19 @@ def build_adversarial(spec: AdversarialSpec) -> SetFunctionOracle:
     Every set of size at most k evaluates to its cardinality, so a budget-k
     view cannot distinguish V elements from V* elements.
     """
-    v_set = frozenset(int(x) for x in spec.V)
-    star_set = frozenset(int(x) for x in spec.V_star)
+    try:
+        v_set = frozenset(int(x) for x in spec.V)
+        star_set = frozenset(int(x) for x in spec.V_star)
+        k = int(spec.k)
+    except (ValueError, OverflowError) as exc:  # NaN and +-inf among them
+        raise MalformedSpec(f"V, V_star and k must be finite integers: {exc}") from None
     if v_set & star_set:
         raise MalformedSpec(f"V and V_star overlap: {sorted(v_set & star_set)}")
-    if spec.k < 1:
+    if k < 1:
         raise MalformedSpec(f"k must be >= 1, got {spec.k}")
     m = len(v_set) + len(star_set)
     if v_set | star_set != frozenset(range(m)):
         raise MalformedSpec("V and V_star must partition the dense ids 0..m-1")
-    k = int(spec.k)
 
     def _eval(s: frozenset) -> float:
         return float(min(len(s & v_set), k) + len(s & star_set))
@@ -170,8 +176,8 @@ def build_modular(spec: ModularSpec) -> SetFunctionOracle:
     if not weights:
         raise MalformedSpec("weights must declare at least one element")
     for i, w in enumerate(weights):
-        if w < 0:
-            raise MalformedSpec(f"negative weight {w} for element {i}")
+        if not 0.0 <= w < inf:
+            raise MalformedSpec(f"weight {w} for element {i} is negative or not finite")
 
     def _eval(s: frozenset) -> float:
         return sum(weights[x] for x in s)

@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, InvalidArgument
 from .validation import at_least, tolerance, values_close
 
 # Default exhaustive limits: two-set properties stay cheap through m=12,
@@ -87,7 +87,7 @@ def _mode_exhaustive(m: int, exhaustive_limit: int, mode: str) -> bool:
     if mode == "sampled":
         return False
     if mode != "auto":
-        raise ValueError(f"mode must be auto|exhaustive|sampled, got {mode!r}")
+        raise InvalidArgument(f"mode must be auto|exhaustive|sampled, got {mode!r}")
     return m <= exhaustive_limit
 
 

@@ -1,14 +1,16 @@
-"""From-scratch reference implementations of the pairwise greedy strategies.
+"""From-scratch references for the pairwise greedy strategies and Algorithm 1.
 
 These recompute every estimate from raw oracle queries at every iteration,
 with the same fold order as the incremental recursions, so a correct cached
-implementation must reproduce their selections bit for bit.  Intentionally
-independent of EstimateCache.
+implementation must reproduce their selections and certificates bit for
+bit.  Intentionally independent of EstimateCache.
 """
 
 from __future__ import annotations
 
-from math import inf
+from math import exp, inf
+
+from pairsub.validation import near_zero
 
 
 def _scratch_upper(oracle, x, selected):
@@ -52,3 +54,25 @@ def naive_greedy_optimistic(oracle, n):
 
 def naive_greedy_pessimistic(oracle, n):
     return _naive_greedy(oracle, n, _scratch_lower)
+
+
+def naive_post_hoc_bound(oracle, solution):
+    """Algorithm 1's factors and gamma, every estimate recomputed eagerly."""
+    m = oracle.ground_size
+    selected: list[int] = []
+    alphas = []
+    for x_i in solution:
+        numerator = max(_scratch_upper(oracle, x, selected)
+                        for x in range(m) if x not in selected)
+        denom = _scratch_lower(oracle, x_i, selected)
+        if near_zero(denom):
+            alphas.append(1.0 if near_zero(numerator) else inf)
+        elif denom < 0.0:
+            alphas.append(inf)
+        else:
+            alphas.append(max(1.0, numerator / denom))
+        selected.append(x_i)
+    total = 0.0
+    for a in alphas:
+        total += 0.0 if a == inf else 1.0 / a
+    return alphas, 1.0 - exp(-total / len(solution))

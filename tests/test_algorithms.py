@@ -4,12 +4,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsub import (
     AdversarialSpec,
     CardinalityTooLarge,
     InstanceTooLarge,
     ModularSpec,
+    SetFunctionOracle,
     WeightedCoverageSpec,
     audit_trace,
     brute_force_optimal,
@@ -21,12 +24,17 @@ from pairsub import (
     greedy_optimistic,
     greedy_pessimistic,
     greedy_uninformed,
+    post_hoc_bound,
     run_algorithm,
     trace_from_dict,
 )
 from pairsub.algorithms import PAIRWISE_ALGORITHMS
 
-from _reference import naive_greedy_optimistic, naive_greedy_pessimistic
+from _reference import (
+    naive_greedy_optimistic,
+    naive_greedy_pessimistic,
+    naive_post_hoc_bound,
+)
 from _synth import random_soc_oracle
 
 
@@ -196,10 +204,15 @@ class TestQueryBudget:
             m = rng.randint(5, 20)
             n = rng.randint(1, min(8, m))
             oracle = random_soc_oracle(rng, m)
+            # the eager refresh asked every remaining candidate after each
+            # pick but the last: m singletons plus m-i pairs after pick i
+            eager_pairs = sum(m - i for i in range(1, n))
             for runner in (greedy_optimistic, greedy_pessimistic):
                 counts = runner(oracle, n).query_counts
                 assert counts.other == 0
                 assert counts.size1 + counts.size2 <= m * (n + 1)
+                assert counts.size1 == m and counts.size2 <= eager_pairs
+            assert counts.size2 == eager_pairs  # pessimistic refreshes eagerly
 
     def test_pairwise_algorithms_run_on_budget_two_oracle(self):
         rng = random.Random(29)
@@ -232,6 +245,38 @@ class TestIncrementalEqualsNaive:
             ref_sel, ref_est = naive_greedy_pessimistic(oracle, n)
             assert fast.selected_order == ref_sel
             assert [s.estimate for s in fast.selections] == ref_est
+
+
+@st.composite
+def pair_tables(draw):
+    """A budget-2 oracle read from a table of small integers.
+
+    Nothing ties pair values to singletons, so the function is neither
+    submodular nor monotone in general, and values tie often.
+    """
+    m = draw(st.integers(min_value=2, max_value=8))
+    values = st.integers(min_value=0, max_value=5).map(float)
+    table = {frozenset(): 0.0}
+    for x in range(m):
+        table[frozenset((x,))] = draw(values)
+        for y in range(x):
+            table[frozenset((x, y))] = draw(values)
+    n = draw(st.integers(min_value=1, max_value=m))
+    return SetFunctionOracle(m, table.__getitem__, budget=2, name="table"), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_tables(), st.randoms(use_true_random=False))
+def test_lazy_refresh_equals_eager_reference_on_any_pair_table(case, rng):
+    oracle, n = case
+    fast = greedy_optimistic(oracle, n)
+    assert (fast.selected_order, [s.estimate for s in fast.selections]) == (
+        naive_greedy_optimistic(oracle, n))
+    m = oracle.ground_size
+    assert fast.query_counts.size2 <= sum(m - i for i in range(1, n))
+    solution = rng.sample(range(oracle.ground_size), n)
+    report = post_hoc_bound(solution, oracle)
+    assert (report.alphas, report.gamma) == naive_post_hoc_bound(oracle, solution)
 
 
 class TestTraces:

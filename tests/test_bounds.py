@@ -11,6 +11,7 @@ from pairsub import (
     InvalidAlpha,
     InvalidCurvature,
     ModularSpec,
+    SetFunctionOracle,
     TraceMismatch,
     WeightedCoverageSpec,
     alphas_k_wise,
@@ -32,7 +33,8 @@ from pairsub import (
     traditional_curvature,
 )
 
-from _synth import random_soc_oracle
+from _reference import naive_post_hoc_bound
+from _synth import city_oracle, random_soc_oracle
 
 INF = math.inf
 ONE_MINUS_1_OVER_E = 1.0 - math.exp(-1.0)
@@ -175,6 +177,43 @@ class TestPostHocBound:
         pairwise = chain_coverage.restricted(2)
         report = post_hoc_bound([0, 2, 1], pairwise)
         assert len(report.alphas) == 3
+
+    def test_matches_from_scratch_reference(self):
+        rng = random.Random(53)
+        for _ in range(30):
+            m = rng.randint(2, 20)
+            n = rng.randint(1, min(8, m))
+            oracle = random_soc_oracle(rng, m)
+            greedy = greedy_optimistic(oracle, n).selected_order
+            for solution in (greedy, rng.sample(range(m), n)):
+                report = post_hoc_bound(solution, oracle)
+                assert (report.alphas, report.gamma) == naive_post_hoc_bound(oracle, solution)
+
+    def test_matches_from_scratch_reference_on_city(self):
+        oracle = city_oracle(seed=9, count=60).restricted(2)
+        solution = greedy_optimistic(oracle, 6).selected_order
+        report = post_hoc_bound(solution, oracle)
+        assert (report.alphas, report.gamma) == naive_post_hoc_bound(oracle, solution)
+
+    def test_no_query_after_the_last_factor(self):
+        rng = random.Random(59)
+        inner = random_soc_oracle(rng, 12)
+        asked = []
+
+        def logged(s):
+            asked.append(s)
+            return inner.evaluate(s)
+
+        oracle = SetFunctionOracle(12, logged, budget=2)
+        post_hoc_bound([4], oracle)
+        assert sorted(len(s) for s in asked) == [1] * 12
+        asked.clear()
+        solution = [7, 2, 9, 0]
+        post_hoc_bound(solution, oracle)
+        pairs = [s for s in asked if len(s) == 2]
+        # the eager refresh asked m-i pairs after pick i, the last one included
+        assert len(pairs) <= sum(12 - i for i in range(1, len(solution)))
+        assert not [s for s in pairs if solution[-1] in s and not s <= set(solution)]
 
     def test_serialization_uses_inf_string(self, chain_coverage):
         trace = greedy_optimistic(chain_coverage, 3)

@@ -1,0 +1,118 @@
+"""Command-line front-end: bad input exits 2 with a one-line message, never a traceback."""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pairsub.cli import main
+
+MODULAR = {"type": "modular", "params": {"weights": [3, 1, 2, 5]}}
+DISTRICTS = "district_id,x,y,demand\na,0,0,1\nb,1,1,2\n"
+TRACE = {"algorithm": "optimistic", "n": 2, "final_set": [0, 3],
+         "selections": [{"i": 1, "element": 3, "estimate": 5.0},
+                        {"i": 2, "element": 0, "estimate": 3.0}]}
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inst.json").write_text(json.dumps(MODULAR), encoding="utf-8")
+    (tmp_path / "d.csv").write_text(DISTRICTS, encoding="utf-8")
+    return tmp_path
+
+
+def run_cli(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr()
+
+
+def test_valid_trace_is_certified(inputs, capsys):
+    (inputs / "trace.json").write_text(json.dumps(TRACE), encoding="utf-8")
+    code, out = run_cli(["bound", "--instance", "inst.json", "--trace", "trace.json"], capsys)
+    assert code == 0
+    assert json.loads(out.out)["method"] == "algorithm1"
+
+
+BAD_TRACES = {
+    "invalid_json": "{not json",
+    "missing_n": json.dumps({k: v for k, v in TRACE.items() if k != "n"}),
+    "not_an_object": "[1, 2]",
+    "selection_missing_element": json.dumps({**TRACE, "selections": [{"i": 1}]}),
+    "no_selections": json.dumps({**TRACE, "selections": []}),
+    "unknown_element": json.dumps(
+        {**TRACE, "selections": [{"i": 1, "element": 9, "estimate": 1.0}]}),
+    "element_is_a_list": json.dumps(
+        {**TRACE, "selections": [{"i": 1, "element": [1], "estimate": 1.0}]}),
+    "bad_query_counts": json.dumps({**TRACE, "query_counts": {"size9": 1}}),
+    "n_is_a_string": json.dumps({**TRACE, "n": "2"}),
+}
+
+
+@pytest.mark.parametrize("text", BAD_TRACES.values(), ids=BAD_TRACES.keys())
+def test_malformed_trace_exits_2(inputs, capsys, text):
+    (inputs / "trace.json").write_text(text, encoding="utf-8")
+    code, out = run_cli(["bound", "--instance", "inst.json", "--trace", "trace.json"], capsys)
+    assert code == 2
+    assert out.err.startswith("error: ") and out.out == ""
+
+
+BAD_FLAGS = {
+    "budget_zero": "run --instance inst.json --algo optimistic --n 2 --budget 0",
+    "budget_negative": "run --instance inst.json --algo optimistic --n 2 --budget -3",
+    "rs_zero": "run --districts d.csv --rs 0 --algo optimistic --n 1",
+    "rs_nan": "run --districts d.csv --rs nan --algo optimistic --n 1",
+    "rs_inf": "run --districts d.csv --rs inf --algo optimistic --n 1",
+    "k_below_two": "run --instance inst.json --algo k_wise_optimistic --n 2 --k 1",
+    "theorem5_n_zero": "bound --instance inst.json --solution 0,1 --method theorem5 --n 0",
+    "solution_unknown_id": "bound --instance inst.json --solution 0,9",
+    "trials_zero": "bench --instance inst.json --algos optimistic --n-grid 1,2 --trials 0",
+    "grid_descending": "bench --instance inst.json --algos optimistic --n-grid 2,1",
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_bad_flag_exits_2(inputs, capsys, argv):
+    code, out = run_cli(argv.split(), capsys)
+    assert code == 2
+    assert out.err.startswith("error: ") and out.out == ""
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["i", "element", "estimate", "size1", "x"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def trace_documents(draw):
+    """The fields of a valid trace, each kept, dropped or replaced."""
+    doc = {}
+    for key, value in TRACE.items():
+        choice = draw(st.sampled_from(["keep", "drop", "replace"]))
+        if choice == "keep":
+            doc[key] = value
+        elif choice == "replace":
+            doc[key] = draw(json_values)
+    return doc
+
+
+METHODS = (["--method", "algorithm1"], ["--method", "theorem2"],
+           ["--method", "theorem3", "--k", "2"], ["--method", "theorem5", "--tau2", "0.1"])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(trace_documents().map(json.dumps), st.text(max_size=30)),
+       st.sampled_from(METHODS))
+def test_fuzzed_trace_never_raises(inputs, capsys, text, method):
+    (inputs / "trace.json").write_text(text, encoding="utf-8")
+    code, out = run_cli(["bound", "--instance", "inst.json", "--trace", "trace.json", *method],
+                        capsys)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.err.startswith("error: ")

@@ -62,6 +62,15 @@ class TestLoadDistricts:
             parse_districts(text)
         assert "row 2" in str(err.value) and "y" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    def test_non_finite_number_rejected(self, cell, column):
+        row = ["a", "0", "0", "1"]
+        row[column] = cell
+        with pytest.raises(ParseError) as err:
+            parse_districts("district_id,x,y,demand\n" + ",".join(row) + "\n")
+        assert f"column {column + 1}" in str(err.value)
+
     def test_wrong_header(self):
         with pytest.raises(ParseError):
             parse_districts("id,x,y,demand\na,0,0,1\n")

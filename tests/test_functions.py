@@ -1,5 +1,6 @@
 """Built-in function families and the instance JSON schema."""
 
+import math
 import random
 
 import pytest
@@ -191,6 +192,24 @@ class TestModular:
     def test_negative_weight(self):
         with pytest.raises(MalformedSpec):
             build_modular(ModularSpec([1, -2]))
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("build", [
+    lambda bad: build_weighted_coverage(WeightedCoverageSpec({1: 1.0, 2: bad}, [{1}, {2}])),
+    lambda bad: build_probabilistic_coverage(ProbabilisticCoverageSpec([1.0, bad], [[0.5, 0.5]])),
+    lambda bad: build_probabilistic_coverage(ProbabilisticCoverageSpec([1.0], [[bad]])),
+    lambda bad: build_modular(ModularSpec([1.0, bad])),
+    lambda bad: build_adversarial(AdversarialSpec(V=[0], V_star=[bad], k=1)),
+    lambda bad: build_adversarial(AdversarialSpec(V=[0], V_star=[1], k=bad)),
+], ids=["coverage_weight", "demand", "probability", "modular_weight", "adversarial_id",
+        "adversarial_k"])
+def test_non_finite_numbers_rejected(build, bad):
+    with pytest.raises(MalformedSpec):
+        build(bad)
 
 
 def test_random_instances_pass_property_suite():
