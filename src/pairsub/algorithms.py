@@ -3,9 +3,8 @@
 Every strategy emits a RunTrace recording, per iteration, the element chosen
 and the estimate value that won the argmax.  Ties always break toward the
 lowest element id, so runs are deterministic.  The pairwise strategies
-(optimistic, pessimistic) issue only size-1 and size-2 queries through the
-lazily refreshed EstimateCache; m*(n+1) is a ceiling on their count, which
-the optimistic strategy usually stays far below.
+(optimistic, pessimistic) issue only size-1 and size-2 queries, at most
+m*(n+1) of them, via the incremental EstimateCache recursions.
 """
 
 from __future__ import annotations
@@ -149,12 +148,10 @@ def greedy_uninformed(oracle, n: int) -> RunTrace:
 
 
 def greedy_optimistic(oracle, n: int) -> RunTrace:
-    """Maximize the pairwise upper estimate, refreshed lazily.
+    """Maximize the pairwise upper estimate, updated incrementally.
 
-    Issues exactly m size-1 queries, plus one size-2 query per selection a
-    candidate folds in.  Only candidates that reach the top of the stale
-    upper estimates are refreshed, so the total stays at or below the
-    eager count, itself under m*(n+1).
+    Issues exactly m size-1 queries plus m-i size-2 queries after the i-th
+    pick, one per remaining candidate: under m*(n+1) queries total.
     """
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
@@ -173,8 +170,7 @@ def greedy_pessimistic(oracle, n: int) -> RunTrace:
 
     The raw, possibly negative estimate is compared; no clamping.  Sound
     under supermodularity of conditioning, which is the caller's
-    responsibility to have checked.  Every candidate is refreshed at every
-    iteration: m size-1 queries plus m-i size-2 queries after the i-th pick.
+    responsibility to have checked.  Queries as for greedy_optimistic.
     """
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)

@@ -158,10 +158,8 @@ def post_hoc_bound(solution, oracle, m: int | None = None) -> BoundReport:
     For each prefix, the factor is the best remaining upper estimate over
     the picked element's lower estimate (1 when both vanish, infinite when
     the lower estimate is non-positive under a positive numerator).  Only
-    size-<=2 queries are issued, at most m*(n+1) and usually far fewer: the
-    numerator refreshes only the candidates that reach the top of the stale
-    upper estimates, the denominator refreshes only the pick, and nothing
-    is queried after the last factor.
+    size-<=2 queries are issued: m singletons, then one pair per remaining
+    candidate after each pick but the last, since no factor follows it.
     """
     solution = list(solution)
     view = CountingOracle(oracle)
@@ -177,9 +175,8 @@ def post_hoc_bound(solution, oracle, m: int | None = None) -> BoundReport:
         )
     cache = EstimateCache(view)
     alphas = []
-    for x_i in solution:
+    for i, x_i in enumerate(solution, 1):
         numerator = cache.max_upper()
-        cache.refresh(x_i)
         denom = cache.lower[x_i]
         if near_zero(denom):
             alphas.append(1.0 if near_zero(numerator) else inf)
@@ -187,7 +184,8 @@ def post_hoc_bound(solution, oracle, m: int | None = None) -> BoundReport:
             alphas.append(inf)
         else:
             alphas.append(max(1.0, numerator / denom))
-        cache.condition_on(x_i, view)
+        if i < len(solution):
+            cache.condition_on(x_i, view)
     assert view.counts.other == 0, "post-hoc bound must stay pairwise"
     gamma = bound_from_alphas(alphas, len(solution))
     return BoundReport(alphas=alphas, gamma=gamma, method="algorithm1")

@@ -11,17 +11,15 @@ return f(x|S) are maintained on top of pairwise queries:
   redundancies, a pessimistic bound (valid under supermodularity of
   conditioning; may be negative).
 
-EstimateCache keeps the upper and lower estimates of every candidate and refreshes them
-lazily: a candidate folds in the selections it has not seen yet only when
-its value is read, at one pairwise query per selection.  So the pairwise
-greedy strategies issue at most m*(n+1) queries, and the optimistic one
-usually far fewer.
+EstimateCache keeps the current upper/lower value for every candidate and
+updates them in constant time per candidate when the partial solution grows,
+which is what makes the pairwise greedy strategies linear in the number of
+selections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -213,20 +211,11 @@ def lower_estimate(oracle, x: int, ids: Iterable[int]) -> float:
 
 
 class EstimateCache:
-    """Upper/lower marginal estimates for every unselected element, kept lazily.
+    """Current upper/lower marginal estimates for every unselected element.
 
-    base holds f(x) for all elements.  condition_on only records a pick;
-    refresh(x) folds the picks x has not seen yet into upper[x] and lower[x],
-    one pairwise query per pick, in pick order.  So upper and lower are plain
-    dicts holding each candidate's estimates as of its last refresh.
-
-    The upper estimate is a running minimum and can only fall as picks are
-    folded in, so a stale value bounds the fresh one from above.
-    argmax_upper and max_upper therefore keep a heap of possibly stale
-    values and refresh only the candidates that reach its top: the
-    accelerated greedy of Minoux (1978), in the CELF form of Leskovec et al.
-    (2007).  The lower estimate has no such order (rounding, or a
-    non-submodular input, can raise it), so argmax_lower refreshes every
+    base holds f(x) for all elements; upper and lower hold the estimates
+    conditioned on the current partial solution.  condition_on folds one new
+    selection into both estimates with a single pairwise query per remaining
     candidate.  Owned by a single run.
     """
 
@@ -237,108 +226,41 @@ class EstimateCache:
         self.lower = dict(self.base)
         self.conditioned_on: list[int] = []
         self._order = ids
-        self._oracle = oracle
-        self._folded = dict.fromkeys(ids, 0)  # picks folded into each candidate
-        # (-upper, id, picks folded): an entry is fresh while no pick follows
-        self._heap = [(-v, x, 0) for x, v in self.base.items()]
-        heapify(self._heap)
 
     def condition_on(self, x_i: int, oracle) -> None:
-        """Move x_i into the conditioning set.
-
-        No query is issued here: oracle answers the pair queries of every
-        pick that a later refresh folds in.
-        """
+        """Move x_i into the conditioning set and refresh all candidates."""
         if x_i not in self.upper:
             raise DuplicateElement(f"element {x_i} was already selected")
         self.upper.pop(x_i)
         self.lower.pop(x_i)
-        self._folded.pop(x_i)
         self._order.remove(x_i)
+        f_xi = self.base[x_i]
+        for x in self._order:
+            pm = oracle.evaluate((x, x_i)) - f_xi
+            if pm < self.upper[x]:
+                self.upper[x] = pm
+            self.lower[x] = self.lower[x] - (self.base[x] - pm)
         self.conditioned_on.append(x_i)
-        self._oracle = oracle
-
-    def refresh(self, x: int) -> None:
-        """Fold the picks candidate x has not seen yet into its estimates.
-
-        Picks are folded in pick order with the same arithmetic as the
-        from-scratch estimates, so the results match them bit for bit.
-        """
-        picks = self.conditioned_on
-        done = self._folded[x]
-        if done == len(picks):
-            return
-        base, oracle = self.base, self._oracle
-        f_x = base[x]
-        upper, lower = self.upper[x], self.lower[x]
-        for y in picks[done:]:
-            pm = oracle.evaluate((x, y)) - base[y]
-            if pm < upper:
-                upper = pm
-            lower = lower - (f_x - pm)
-        self.upper[x] = upper
-        self.lower[x] = lower
-        self._folded[x] = len(picks)
 
     def remaining(self) -> list[int]:
         return list(self._order)
 
     def argmax_upper(self) -> tuple[int, float]:
-        return self._top_upper()
-
-    def max_upper(self) -> float:
-        return self._top_upper()[1]
+        return self._argmax(self.upper)
 
     def argmax_lower(self) -> tuple[int, float]:
-        """Refresh every candidate and return the lowest-id maximiser.
+        return self._argmax(self.lower)
 
-        A candidate with one pick pending, the state every call leaves for
-        the next pick, is folded inline with refresh's arithmetic, which
-        keeps this pass as fast as an eager refresh.
-        """
-        order = self._order
-        if not order:
+    def max_upper(self) -> float:
+        return max(self.upper[x] for x in self._order)
+
+    def _argmax(self, table: dict) -> tuple[int, float]:
+        if not self._order:
             raise ValueError("no candidates remain")
-        picks = self.conditioned_on
-        n = len(picks)
-        one_pending = n - 1
-        base, upper, lower, folded = self.base, self.upper, self.lower, self._folded
-        evaluate, refresh = self._oracle.evaluate, self.refresh
-        if n:
-            y = picks[-1]
-            f_y = base[y]
         best_x = None
         best_v = float("-inf")
-        for x in order:  # ascending ids: ties go to the lowest id
-            if folded[x] == one_pending:
-                pm = evaluate((x, y)) - f_y
-                if pm < upper[x]:
-                    upper[x] = pm
-                lower[x] = v = lower[x] - (base[x] - pm)
-                folded[x] = n
-            else:
-                refresh(x)
-                v = lower[x]
+        for x in self._order:  # ascending ids: ties go to the lowest id
+            v = table[x]
             if v > best_v:
                 best_v, best_x = v, x
         return best_x, best_v
-
-    def _top_upper(self) -> tuple[int, float]:
-        """The lowest-id maximiser of the fresh upper estimate, and its value.
-
-        Every candidate keeps one heap entry whose value is at least its fresh
-        upper estimate, so a fresh entry on top beats every other candidate;
-        the key (-upper, id) sends ties to the lowest id.
-        """
-        heap, upper = self._heap, self.upper
-        picks = len(self.conditioned_on)
-        while heap:
-            neg, x, seen = heap[0]
-            if x not in upper:  # selected since it was pushed
-                heappop(heap)
-            elif seen == picks:
-                return x, -neg
-            else:
-                self.refresh(x)
-                heapreplace(heap, (-upper[x], x, picks))
-        raise ValueError("no candidates remain")

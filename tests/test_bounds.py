@@ -211,8 +211,8 @@ class TestPostHocBound:
         solution = [7, 2, 9, 0]
         post_hoc_bound(solution, oracle)
         pairs = [s for s in asked if len(s) == 2]
-        # the eager refresh asked m-i pairs after pick i, the last one included
-        assert len(pairs) <= sum(12 - i for i in range(1, len(solution)))
+        # m-i pairs after pick i, and none after the last
+        assert len(pairs) == sum(12 - i for i in range(1, len(solution)))
         assert not [s for s in pairs if solution[-1] in s and not s <= set(solution)]
 
     def test_serialization_uses_inf_string(self, chain_coverage):

@@ -157,9 +157,6 @@ class TestEstimateCache:
             cache.condition_on(x_i, oracle)
             conditioned.append(x_i)
             for x in cache.remaining():
-                stale_upper = cache.upper[x]
-                cache.refresh(x)
-                assert stale_upper >= cache.upper[x]
                 assert values_close(
                     cache.upper[x],
                     min(
