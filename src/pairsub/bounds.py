@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import exp, inf
+from math import comb, exp, inf
 
 from .errors import (
     CardinalityTooLarge,
@@ -235,9 +235,7 @@ def k_cardinality_curvature(oracle, k: int, limit: int = CURVATURE_ENUM_LIMIT) -
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
     m = oracle.ground_size
-    pair_count = sum(
-        len(list(combinations(range(m - 1), size))) for size in range(1, k)
-    ) * m
+    pair_count = sum(comb(m - 1, size) for size in range(1, k)) * m
     if pair_count > limit:
         raise InstanceTooLarge(
             f"tau_{k} scan needs {pair_count} conditioning sets, limit is {limit}"

@@ -176,6 +176,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     oracle = _load_oracle(args)
     if args.properties == "all":
         names = list(ALL_CHECKS)

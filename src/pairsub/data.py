@@ -128,11 +128,12 @@ def build_coverage_instance(districts, cfg: KernelConfig) -> ProbabilisticCovera
     if not districts:
         raise EmptyInput("no districts supplied")
     demands = {d.id: d.demand for d in districts}
+    points = [(e.id, e.x, e.y) for e in districts]
+    r_s, exp, hypot = cfg.r_s, math.exp, math.hypot
     probabilities = {}
-    for station in districts:
-        row = {}
-        for e in districts:
-            d = math.hypot(station.x - e.x, station.y - e.y)
-            row[e.id] = kernel_probability(d, cfg)
-        probabilities[station.id] = row
+    for station, sx, sy in points:
+        # kernel_probability(hypot(...), cfg) inlined; the same expression
+        probabilities[station] = {
+            key: exp(-((hypot(sx - x, sy - y) / r_s) ** 2)) for key, x, y in points
+        }
     return ProbabilisticCoverageSpec(demands=demands, probabilities=probabilities)

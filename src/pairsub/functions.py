@@ -7,6 +7,12 @@ Four families cover the test and experiment surface:
 * adversarial            f(S) = min{|S n V|, k} + |S n V*|
 * modular                f(S) = sum of per-element weights
 
+Both coverage families answer singletons and pairs, the only queries of the
+pairwise strategies, in closed form from tables built at set-up: a pair
+costs one product per district or one intersection of two covers, not a
+pass per member.  Larger sets keep the general loop over their members in
+id order, so every family returns the same float for any order of the ids.
+
 Instances serialize as {"type": <family>, "params": {...}} with params named
 exactly after the spec dataclass fields.
 """
@@ -14,8 +20,10 @@ exactly after the spec dataclass fields.
 from __future__ import annotations
 
 import json
-from math import inf
+from array import array
 from dataclasses import dataclass, fields
+from math import inf, sqrt
+from operator import mul
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -50,9 +58,9 @@ class ModularSpec:
 def _keyed_items(obj, what: str):
     """(key, value) pairs from a mapping (insertion order) or sequence."""
     if isinstance(obj, Mapping):
-        return list(obj.items())
+        return obj.items()
     if isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
-        return list(enumerate(obj))
+        return enumerate(obj)
     raise MalformedSpec(f"{what} must be a mapping or a sequence")
 
 
@@ -71,21 +79,32 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
         index[key] = len(weights)
         weights.append(w)
     cover_sets = []
+    single = []
     for key, cover in _keyed_items(spec.covers, "covers"):
-        members = set()
-        for u in cover:
-            if u not in index:
-                raise MalformedSpec(
-                    f"cover {key!r} references unknown universe element {u!r}"
-                )
-            members.add(index[u])
-        cover_sets.append(frozenset(members))
+        try:
+            members = frozenset(map(index.__getitem__, cover))
+        except KeyError as exc:
+            raise MalformedSpec(
+                f"cover {key!r} references unknown universe element {exc.args[0]!r}"
+            ) from None
+        cover_sets.append(members)
+        single.append(sum(map(weights.__getitem__, members)))
     if not cover_sets:
         raise MalformedSpec("covers must declare at least one element")
 
     def _eval(s: frozenset) -> float:
+        size = len(s)
+        if size == 2:
+            x, y = s  # + is commutative and the shared ids are summed sorted
+            shared = cover_sets[x] & cover_sets[y]
+            if not shared:
+                return single[x] + single[y]
+            return single[x] + single[y] - sum(weights[i] for i in sorted(shared))
+        if size == 1:
+            (x,) = s
+            return single[x]
         covered = set()
-        for x in s:
+        for x in sorted(s):  # the union's iteration order follows insertion order
             covered |= cover_sets[x]
         return sum(weights[i] for i in covered)
 
@@ -95,8 +114,13 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
 def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunctionOracle:
     """Oracle for probabilistic coverage over weighted demand districts.
 
-    Evaluation cost is linear in |S| times the number of districts, which is
-    the cost model the timing experiments rely on; keep this a plain loop.
+    Singletons and pairs take a closed form over the table
+    scaled[x][e] = sqrt(v_e) * p_x^e, built once at set-up:
+    f(x) = sum_e sqrt(v_e) * scaled[x][e] and
+    f({x,y}) = f(x) + f(y) - sum_e scaled[x][e] * scaled[y][e],
+    one product per district and symmetric bit for bit.  Larger sets
+    multiply the miss rows 1 - p_x^e in id order, so they cost time linear
+    in |S| times the number of districts.
     """
     demand_items = _keyed_items(spec.demands, "demands")
     district_index = {}
@@ -110,11 +134,16 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     if not demands:
         raise MalformedSpec("demands must declare at least one district")
 
-    rows = []
+    root_v = tuple(map(sqrt, demands))
+    no_miss = array("d", [1.0]) * len(demands)
+    rows = []    # 1 - p per district, as doubles
+    scaled = []  # sqrt(v) * p per district
     for station, probs in _keyed_items(spec.probabilities, "probabilities"):
-        row = [1.0] * len(demands)  # stores 1 - p per district
+        row = no_miss[:]
+        scale = [0.0] * len(demands)
         for key, p in _keyed_items(probs, f"probabilities[{station!r}]"):
-            if key not in district_index:
+            e = district_index.get(key)
+            if e is None:
                 raise MalformedSpec(
                     f"station {station!r} references unknown district {key!r}"
                 )
@@ -124,14 +153,24 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
                     f"probability {p} for station {station!r}, district {key!r} "
                     "outside [0, 1]"
                 )
-            row[district_index[key]] = 1.0 - p
-        rows.append(tuple(row))
+            row[e] = 1.0 - p
+            scale[e] = root_v[e] * p
+        rows.append(row)
+        scaled.append(tuple(scale))
     if not rows:
         raise MalformedSpec("probabilities must declare at least one station")
 
     v = tuple(demands)
+    single = [sum(map(mul, root_v, scale)) for scale in scaled]
 
     def _eval(s: frozenset) -> float:
+        size = len(s)
+        if size == 2:
+            x, y = s
+            return single[x] + single[y] - sum(map(mul, scaled[x], scaled[y]))
+        if size == 1:
+            (x,) = s
+            return single[x]
         if not s:
             return 0.0
         ordered = sorted(s)
@@ -180,7 +219,7 @@ def build_modular(spec: ModularSpec) -> SetFunctionOracle:
             raise MalformedSpec(f"weight {w} for element {i} is negative or not finite")
 
     def _eval(s: frozenset) -> float:
-        return sum(weights[x] for x in s)
+        return sum(weights[x] for x in sorted(s))
 
     return SetFunctionOracle(len(weights), _eval, name="modular", spec=spec)
 

@@ -96,7 +96,9 @@ class QueryCounts:
     """Oracle queries issued by one run, bucketed by set size.
 
     work_units accumulates max(1, |S|) per query: a machine-independent
-    proxy for evaluation cost when f costs time linear in |S|.
+    proxy for evaluation cost when f costs time linear in |S|.  The coverage
+    families answer singletons and pairs in closed form, so for them the
+    two units of a pair overstate its time.
     """
 
     size1: int = 0

@@ -77,18 +77,21 @@ def _submasks(mask: int) -> list[int]:
     return sorted(out)
 
 
-def _mode_exhaustive(m: int, exhaustive_limit: int, mode: str) -> bool:
+def _mode_exhaustive(m: int, exhaustive_limit: int, mode: str, samples: int) -> bool:
+    """Whether to enumerate; a check that samples must draw at least once."""
     if mode == "exhaustive":
         if m > exhaustive_limit:
             raise InstanceTooLarge(
                 f"exhaustive check requested for m={m} above limit {exhaustive_limit}"
             )
         return True
-    if mode == "sampled":
-        return False
-    if mode != "auto":
+    if mode not in ("auto", "sampled"):
         raise InvalidArgument(f"mode must be auto|exhaustive|sampled, got {mode!r}")
-    return m <= exhaustive_limit
+    if mode == "auto" and m <= exhaustive_limit:
+        return True
+    if samples < 1:
+        raise InvalidArgument(f"a sampled check needs samples >= 1, got {samples}")
+    return False
 
 
 def check_normalized(oracle) -> VerificationReport:
@@ -108,7 +111,7 @@ def check_monotone(
 ) -> VerificationReport:
     """f(A) <= f(B) along every single-element extension chain."""
     m = oracle.ground_size
-    if _mode_exhaustive(m, exhaustive_limit, mode):
+    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
         values = subset_values(oracle)
         checked = 0
         for mask in range(1 << m):
@@ -129,11 +132,13 @@ def check_monotone(
         return VerificationReport("monotone", True, None, checked)
 
     rng = random.Random(seed)
-    for i in range(samples):
+    checked = 0  # draws with A = X have no x to add and are not counted
+    for _ in range(samples):
         a_mask = rng.getrandbits(m)
         outside = [x for x in range(m) if not a_mask & (1 << x)]
         if not outside:
             continue
+        checked += 1
         x = rng.choice(outside)
         fa = oracle.evaluate(_bits(a_mask))
         fb = oracle.evaluate(_bits(a_mask | (1 << x)))
@@ -142,9 +147,9 @@ def check_monotone(
                 "monotone", False,
                 {"A": _bits(a_mask), "B": _bits(a_mask | (1 << x)),
                  "f_A": fa, "f_B": fb},
-                i + 1,
+                checked,
             )
-    return VerificationReport("monotone", True, None, samples)
+    return VerificationReport("monotone", True, None, checked)
 
 
 def check_submodular(
@@ -156,7 +161,7 @@ def check_submodular(
 ) -> VerificationReport:
     """Diminishing returns: f(x|A) >= f(x|B) for all A within B, x outside B."""
     m = oracle.ground_size
-    if _mode_exhaustive(m, exhaustive_limit, mode):
+    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
         values = subset_values(oracle)
         checked = 0
         for b_mask in range(1 << m):
@@ -179,11 +184,13 @@ def check_submodular(
         return VerificationReport("submodular", True, None, checked)
 
     rng = random.Random(seed)
-    for i in range(samples):
+    checked = 0  # draws with B = X have no x outside B and are not counted
+    for _ in range(samples):
         b_mask = rng.getrandbits(m)
         outside = [x for x in range(m) if not b_mask & (1 << x)]
         if not outside:
             continue
+        checked += 1
         x = rng.choice(outside)
         a_mask = rng.getrandbits(m) & b_mask
         xbit = 1 << x
@@ -194,9 +201,9 @@ def check_submodular(
                 "submodular", False,
                 {"A": _bits(a_mask), "B": _bits(b_mask), "x": x,
                  "marginal_given_A": lhs_a, "marginal_given_B": lhs_b},
-                i + 1,
+                checked,
             )
-    return VerificationReport("submodular", True, None, samples)
+    return VerificationReport("submodular", True, None, checked)
 
 
 def check_supermodularity_of_conditioning(
@@ -229,7 +236,7 @@ def check_supermodularity_of_conditioning(
             "C": _bits(c_mask), "lhs": lhs, "rhs": rhs,
         }
 
-    if _mode_exhaustive(m, exhaustive_limit, mode):
+    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
         values = subset_values(oracle)
         at = values.__getitem__
         checked = 0
@@ -298,7 +305,7 @@ def check_pairwise_redundancy_bound(
         return {"A": _bits(a_mask), "B": _bits(b_mask), "C": _bits(c_mask),
                 "lhs": lhs, "rhs": rhs}
 
-    if _mode_exhaustive(m, exhaustive_limit, mode):
+    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
         values = subset_values(oracle)
         at = values.__getitem__
         checked = 0
@@ -357,7 +364,7 @@ def check_marginal_lower_bound(
         return {"x": x, "S": _bits(s_mask),
                 "marginal": true_marginal, "lower_estimate": low}
 
-    if _mode_exhaustive(m, exhaustive_limit, mode):
+    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
         values = subset_values(oracle)
         at = values.__getitem__
         checked = 0
@@ -411,7 +418,7 @@ def check_nemhauser_inequality(
             return None
         return {"S": _bits(s_mask), "T": _bits(t_mask), "f_T": f_t, "bound": bound}
 
-    if _mode_exhaustive(m, exhaustive_limit, mode):
+    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
         values = subset_values(oracle)
         at = values.__getitem__
         checked = 0

@@ -2,12 +2,14 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from pairsub import (
     AdversarialSpec,
     DuplicateElement,
+    InstanceTooLarge,
     InvalidAlpha,
     InvalidCurvature,
     ModularSpec,
@@ -265,6 +267,24 @@ class TestCurvatures:
         rng = random.Random(3)
         oracle = random_soc_oracle(rng, 7).restricted(2)
         assert 0.0 <= k_cardinality_curvature(oracle, 2) <= 1.0
+
+    def test_tau_k_limit_counts_conditioning_sets_exactly(self):
+        oracle = random_soc_oracle(random.Random(4), 7)
+        needed = (6 + 15) * 7  # m * (C(6, 1) + C(6, 2)) for k=3
+        assert 0.0 <= k_cardinality_curvature(oracle, 3, limit=needed) <= 1.0
+        with pytest.raises(InstanceTooLarge):
+            k_cardinality_curvature(oracle, 3, limit=needed - 1)
+
+    def test_tau_k_refusal_allocates_nothing(self):
+        oracle = build_modular(ModularSpec([1.0] * 5000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceTooLarge):
+                k_cardinality_curvature(oracle, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_ordering_c_dominates(self):
         rng = random.Random(12)

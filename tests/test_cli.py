@@ -69,6 +69,8 @@ BAD_FLAGS = {
     "solution_unknown_id": "bound --instance inst.json --solution 0,9",
     "trials_zero": "bench --instance inst.json --algos optimistic --n-grid 1,2 --trials 0",
     "grid_descending": "bench --instance inst.json --algos optimistic --n-grid 2,1",
+    "samples_zero": "verify --instance inst.json --samples 0 --limit 2 --properties monotone",
+    "samples_negative": "verify --instance inst.json --samples -1",
 }
 
 

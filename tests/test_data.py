@@ -162,3 +162,15 @@ class TestBuildCoverageInstance:
                     (1 - (1 - p[x][e]) * (1 - p[y][e])) * v[e] for e in range(5)
                 )
                 assert oracle.evaluate([x, y]) == pytest.approx(expected, rel=1e-9)
+
+    def test_probabilities_are_the_kernel_of_the_distance(self):
+        districts = synthetic_districts(random.Random(8), 40)
+        for cfg in (KernelConfig(1.0), KernelConfig(0.37), KernelConfig(6.0)):
+            spec = build_coverage_instance(districts, cfg)
+            assert list(spec.probabilities) == [d.id for d in districts]
+            for s in districts:
+                row = spec.probabilities[s.id]
+                assert list(row) == [e.id for e in districts]
+                for e in districts:
+                    expected = kernel_probability(math.hypot(s.x - e.x, s.y - e.y), cfg)
+                    assert row[e.id] == expected  # bit for bit

@@ -1,9 +1,12 @@
 """Built-in function families and the instance JSON schema."""
 
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsub import (
     AdversarialSpec,
@@ -26,7 +29,14 @@ from pairsub import (
     upper_estimate,
 )
 
-from _synth import random_modular, random_probabilistic_coverage, random_weighted_coverage
+from pairsub.validation import tolerance
+
+from _synth import (
+    city_oracle,
+    random_modular,
+    random_probabilistic_coverage,
+    random_weighted_coverage,
+)
 
 
 class TestWeightedCoverage:
@@ -114,6 +124,85 @@ class TestProbabilisticCoverage:
         rng = random.Random(9)
         oracle = random_probabilistic_coverage(rng, 5)
         assert check_supermodularity_of_conditioning(oracle).holds
+
+
+probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+demand = st.just(0.0) | st.floats(0.0, 1e6)
+
+
+@st.composite
+def sparse_probabilistic_specs(draw):
+    """Keyed demands and sparse probability mappings listed in shuffled order."""
+    districts = draw(st.integers(1, 12))
+    stations = draw(st.integers(2, 5))
+    demands = {f"d{e}": draw(demand) for e in range(districts)}
+    probabilities = {}
+    for x in range(stations):
+        keys = draw(st.permutations(list(demands)))
+        keys = keys[:draw(st.integers(0, districts))]
+        probabilities[f"s{x}"] = {key: draw(probability) for key in keys}
+    return ProbabilisticCoverageSpec(demands, probabilities)
+
+
+class TestProbabilisticPairKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_probabilistic_specs())
+    def test_singles_and_pairs_match_an_exact_sum(self, spec):
+        oracle = build_probabilistic_coverage(spec)
+        v = spec.demands
+        p = [[row.get(key, 0.0) for key in v] for row in spec.probabilities.values()]
+        for x in range(len(p)):
+            single = math.fsum(px * ve for px, ve in zip(p[x], v.values()))
+            assert oracle.evaluate([x]) == pytest.approx(single, rel=1e-12, abs=1e-300)
+            for y in range(x + 1, len(p)):
+                pair = math.fsum((px + py - px * py) * ve
+                                 for px, py, ve in zip(p[x], p[y], v.values()))
+                assert oracle.evaluate([x, y]) == pytest.approx(pair, rel=1e-12, abs=1e-300)
+
+    def test_pair_path_agrees_with_the_product_loop(self):
+        # a station that reaches no district leaves the product loop's value exact,
+        # so f({x, y, idle}) is the loop's answer for the pair {x, y}
+        spec = city_oracle(count=60).spec
+        probabilities = {**spec.probabilities, "idle": {}}
+        oracle = build_probabilistic_coverage(
+            ProbabilisticCoverageSpec(spec.demands, probabilities))
+        idle = oracle.ground_size - 1
+        for x in range(idle):
+            for y in range(x + 1, idle):
+                pair = oracle.evaluate([x, y])
+                loop = oracle.evaluate([x, y, idle])
+                assert abs(pair - loop) <= tolerance(pair, loop)
+
+
+def _oracle_of(family, data):
+    m = data.draw(st.integers(3, 40), label="m")
+    if family == "adversarial":
+        ids = data.draw(st.permutations(range(m)))
+        cut = data.draw(st.integers(1, m - 1))
+        return build_adversarial(AdversarialSpec(ids[:cut], ids[cut:], 2))
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    if family == "weighted_coverage":
+        # ids far above the set's table size collide, so insertion order shows
+        universe = 4000
+        weights = {u: rng.uniform(0.0, 2.0) for u in range(universe)}
+        covers = [rng.sample(range(universe), rng.randint(0, 12)) for _ in range(m)]
+        return build_weighted_coverage(WeightedCoverageSpec(weights, covers))
+    if family == "probabilistic_coverage":
+        return random_probabilistic_coverage(rng, m, districts=8)
+    return random_modular(rng, m)
+
+
+@pytest.mark.parametrize(
+    "family", ["weighted_coverage", "probabilistic_coverage", "adversarial", "modular"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_value_does_not_depend_on_id_order(family, data):
+    oracle = _oracle_of(family, data)
+    # up to 4 ids: a frozenset of 5 grows to 32 slots, where ids below 40 rarely collide
+    ids = data.draw(st.lists(st.integers(0, oracle.ground_size - 1), min_size=1,
+                             max_size=4, unique=True), label="ids")
+    values = {oracle.evaluate(order) for order in itertools.permutations(ids)}
+    assert len(values) == 1
 
 
 class TestAdversarial:

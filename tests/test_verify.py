@@ -7,6 +7,7 @@ import pytest
 from pairsub import (
     AdversarialSpec,
     InstanceTooLarge,
+    InvalidArgument,
     ModularSpec,
     SetFunctionOracle,
     WeightedCoverageSpec,
@@ -21,6 +22,7 @@ from pairsub import (
     check_submodular,
     check_supermodularity_of_conditioning,
 )
+from pairsub.verify import ALL_CHECKS
 
 from _synth import random_probabilistic_coverage, random_soc_oracle, random_weighted_coverage
 
@@ -206,6 +208,27 @@ class TestConsistencyAndSampling:
         second = check_submodular(oracle, samples=200, seed=42)
         assert first.to_dict() == second.to_dict()
         assert first.instances_checked <= 200
+
+    @pytest.mark.parametrize("name", sorted(set(ALL_CHECKS) - {"normalized"}))
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sampling_nothing_is_rejected(self, name, samples):
+        oracle = build_modular(ModularSpec([1.0, 2.0, 3.0]))
+        with pytest.raises(InvalidArgument):
+            ALL_CHECKS[name](oracle, samples=samples, mode="sampled")
+        with pytest.raises(InvalidArgument):
+            ALL_CHECKS[name](oracle, samples=samples, exhaustive_limit=2)
+        assert ALL_CHECKS[name](oracle, samples=samples).holds  # exhaustive, no draws
+
+    def test_sampled_count_skips_degenerate_draws(self):
+        calls = []
+        oracle = SetFunctionOracle(1, lambda s: calls.append(s) or float(len(s)))
+        # a monotone draw asks f twice, a submodular draw four times
+        for check, per_draw in ((check_monotone, 2), (check_submodular, 4)):
+            calls.clear()
+            report = check(oracle, samples=200, seed=3, mode="sampled")
+            assert report.holds
+            assert 0 < report.instances_checked < 200
+            assert len(calls) == per_draw * report.instances_checked
 
     def test_sampled_mode_catches_gross_violation(self):
         report = check_submodular(squared_cardinality(14), samples=500, seed=1)
