@@ -229,8 +229,11 @@ def k_marginal_curvature(full_oracle, x: int, ids, k: int) -> float:
 def k_cardinality_curvature(oracle, k: int, limit: int = CURVATURE_ENUM_LIMIT) -> float:
     """tau_k = 1 - min over (x, |A| < k, f(x) > 0) of f(x|A)/f(x).
 
-    Needs only budget-k queries; the k=2 case is the production path and
-    costs one query per ordered pair.
+    Needs only budget-k queries and asks every set of size at most k once:
+    each T with 2 <= |T| <= k yields f(x|T minus x) for all of its members x,
+    with f(T minus x) taken from the memo of the smaller sets.  The k=2 case
+    is the production path and costs m singletons plus one query per
+    unordered pair.
     """
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
@@ -240,20 +243,18 @@ def k_cardinality_curvature(oracle, k: int, limit: int = CURVATURE_ENUM_LIMIT) -
         raise InstanceTooLarge(
             f"tau_{k} scan needs {pair_count} conditioning sets, limit is {limit}"
         )
-    singles = {x: oracle.evaluate((x,)) for x in range(m)}
+    memo: dict[tuple, float] = {(x,): oracle.evaluate((x,)) for x in range(m)}
     min_ratio = 1.0
-    subset_cache: dict[tuple, float] = {}
-    for x in range(m):
-        fx = singles[x]
-        if near_zero(fx):
-            continue
-        others = [e for e in range(m) if e != x]
-        for size in range(1, k):
-            for subset in combinations(others, size):
-                if subset not in subset_cache:
-                    subset_cache[subset] = oracle.evaluate(subset)
-                marg = oracle.evaluate(subset + (x,)) - subset_cache[subset]
-                ratio = marg / fx
+    for size in range(2, k + 1):
+        for t in combinations(range(m), size):
+            f_t = oracle.evaluate(t)
+            if size < k:
+                memo[t] = f_t
+            for j, x in enumerate(t):
+                fx = memo[(x,)]
+                if near_zero(fx):
+                    continue
+                ratio = (f_t - memo[t[:j] + t[j + 1:]]) / fx
                 if ratio < min_ratio:
                     min_ratio = ratio
     return min(1.0, max(0.0, 1.0 - min_ratio))

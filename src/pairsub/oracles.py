@@ -14,7 +14,10 @@ return f(x|S) are maintained on top of pairwise queries:
 EstimateCache keeps the current upper/lower value for every candidate and
 updates them in constant time per candidate when the partial solution grows,
 which is what makes the pairwise greedy strategies linear in the number of
-selections.
+selections.  Each growth step asks for one column of pairs {x, x_i} over the
+remaining candidates through evaluate_pairs, which still answers every pair
+through SetFunctionOracle.evaluate, with its id and budget checks, and counts
+the column once.
 """
 
 from __future__ import annotations
@@ -66,13 +69,27 @@ class SetFunctionOracle:
 
     def evaluate(self, ids: Iterable[int]) -> float:
         """f(S).  Rejects out-of-range ids and over-budget queries."""
-        s = as_id_set(ids)
-        check_element_ids(s, self.ground_size)
+        s = ids if isinstance(ids, frozenset) else frozenset(ids)
+        ground = self.ground_size
+        for x in s:  # plain in-range ints pass; anything else gets the full check
+            if type(x) is not int or not 0 <= x < ground:
+                check_element_ids(s, ground)
+                break
         if self.budget is not None and len(s) > self.budget:
             raise BudgetExceeded(
                 f"query of size {len(s)} exceeds information budget {self.budget}"
             )
         return float(self._eval(s))
+
+    def evaluate_pairs(self, x: int, ys: list[int]) -> list[float]:
+        """[f({y, x}) for y in ys], every pair answered by evaluate.
+
+        ys must not contain x, so that every query is a pair.
+        """
+        if x in ys:
+            raise DuplicateElement(f"element {x} cannot be paired with itself")
+        evaluate = self.evaluate
+        return [evaluate(frozenset((y, x))) for y in ys]
 
     def marginal(self, x: int, ids: Iterable[int]) -> float:
         """f(x|S) = f(S u {x}) - f(S)."""
@@ -106,14 +123,15 @@ class QueryCounts:
     other: int = 0
     work_units: int = 0
 
-    def record(self, size: int) -> None:
+    def record(self, size: int, times: int = 1) -> None:
+        """Count `times` answered queries of the given size."""
         if size == 1:
-            self.size1 += 1
+            self.size1 += times
         elif size == 2:
-            self.size2 += 1
+            self.size2 += times
         else:
-            self.other += 1
-        self.work_units += max(1, size)
+            self.other += times
+        self.work_units += max(1, size) * times
 
     @property
     def total(self) -> int:
@@ -149,6 +167,12 @@ class CountingOracle:
         value = self.inner.evaluate(s)
         self.counts.record(len(s))
         return value
+
+    def evaluate_pairs(self, x: int, ys: list[int]) -> list[float]:
+        """The inner oracle's column of pairs, counted once it is all answered."""
+        values = self.inner.evaluate_pairs(x, ys)
+        self.counts.record(2, times=len(values))
+        return values
 
     def marginal(self, x: int, ids: Iterable[int]) -> float:
         s = as_id_set(ids)
@@ -217,12 +241,13 @@ class EstimateCache:
 
     base holds f(x) for all elements; upper and lower hold the estimates
     conditioned on the current partial solution.  condition_on folds one new
-    selection into both estimates with a single pairwise query per remaining
-    candidate.  Owned by a single run.
+    selection into both estimates with one column of pairwise queries, asked
+    through oracle.evaluate_pairs, over the remaining candidates.  Owned by a
+    single run.
     """
 
-    def __init__(self, oracle, elements: Iterable[int] | None = None):
-        ids = sorted(range(oracle.ground_size) if elements is None else elements)
+    def __init__(self, oracle):
+        ids = list(range(oracle.ground_size))
         self.base = {x: oracle.evaluate((x,)) for x in ids}
         self.upper = dict(self.base)
         self.lower = dict(self.base)
@@ -230,18 +255,25 @@ class EstimateCache:
         self._order = ids
 
     def condition_on(self, x_i: int, oracle) -> None:
-        """Move x_i into the conditioning set and refresh all candidates."""
-        if x_i not in self.upper:
+        """Move x_i into the conditioning set and refresh all candidates.
+
+        The column is answered before anything changes, so a query the
+        oracle refuses leaves the cache as it was.
+        """
+        upper, lower, base = self.upper, self.lower, self.base
+        if x_i not in upper:
             raise DuplicateElement(f"element {x_i} was already selected")
-        self.upper.pop(x_i)
-        self.lower.pop(x_i)
-        self._order.remove(x_i)
-        f_xi = self.base[x_i]
-        for x in self._order:
-            pm = oracle.evaluate((x, x_i)) - f_xi
-            if pm < self.upper[x]:
-                self.upper[x] = pm
-            self.lower[x] = self.lower[x] - (self.base[x] - pm)
+        order = list(self._order)
+        order.remove(x_i)
+        pairs = oracle.evaluate_pairs(x_i, order)
+        del upper[x_i], lower[x_i]
+        f_xi = base[x_i]
+        for x, f_pair in zip(order, pairs):
+            pm = f_pair - f_xi
+            if pm < upper[x]:
+                upper[x] = pm
+            lower[x] -= base[x] - pm
+        self._order = order
         self.conditioned_on.append(x_i)
 
     def remaining(self) -> list[int]:

@@ -1,4 +1,5 @@
-"""From-scratch references for the pairwise greedy strategies and Algorithm 1.
+"""From-scratch references for the pairwise greedy strategies, Algorithm 1
+and the tau_k scan.
 
 These recompute every estimate from raw oracle queries at every iteration,
 with the same fold order as the incremental recursions, so a correct cached
@@ -8,6 +9,7 @@ bit.  Intentionally independent of EstimateCache.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import exp, inf
 
 from pairsub.validation import near_zero
@@ -76,3 +78,21 @@ def naive_post_hoc_bound(oracle, solution):
     for a in alphas:
         total += 0.0 if a == inf else 1.0 / a
     return alphas, 1.0 - exp(-total / len(solution))
+
+
+def naive_k_cardinality_curvature(oracle, k):
+    """tau_k by the ordered scan: every x with f(x) not near zero against
+    every A with 1 <= |A| < k, both f(A + x) and f(A) asked afresh."""
+    m = oracle.ground_size
+    min_ratio = 1.0
+    for x in range(m):
+        fx = oracle.evaluate((x,))
+        if near_zero(fx):
+            continue
+        others = [y for y in range(m) if y != x]
+        for size in range(1, k):
+            for a in combinations(others, size):
+                ratio = (oracle.evaluate(a + (x,)) - oracle.evaluate(a)) / fx
+                if ratio < min_ratio:
+                    min_ratio = ratio
+    return min(1.0, max(0.0, 1.0 - min_ratio))

@@ -8,6 +8,7 @@ import pytest
 
 from pairsub import (
     AdversarialSpec,
+    CountingOracle,
     DuplicateElement,
     InstanceTooLarge,
     InvalidAlpha,
@@ -35,7 +36,7 @@ from pairsub import (
     traditional_curvature,
 )
 
-from _reference import naive_post_hoc_bound
+from _reference import naive_k_cardinality_curvature, naive_post_hoc_bound
 from _synth import city_oracle, random_soc_oracle
 
 INF = math.inf
@@ -274,6 +275,24 @@ class TestCurvatures:
         assert 0.0 <= k_cardinality_curvature(oracle, 3, limit=needed) <= 1.0
         with pytest.raises(InstanceTooLarge):
             k_cardinality_curvature(oracle, 3, limit=needed - 1)
+
+    def test_tau_k_equals_ordered_scan(self):
+        rng = random.Random(61)
+        oracles = [random_soc_oracle(rng, rng.randint(2, 8)) for _ in range(12)]
+        oracles.append(city_oracle(seed=8, count=25))
+        for oracle in oracles:
+            for k in (2, 3):
+                assert k_cardinality_curvature(oracle, k) == naive_k_cardinality_curvature(
+                    oracle, k
+                )
+
+    def test_tau_k_asks_each_set_once(self):
+        oracle = random_soc_oracle(random.Random(67), 7)
+        for k in (2, 3, 4):
+            view = CountingOracle(oracle)
+            k_cardinality_curvature(view, k)
+            assert view.counts.total == sum(math.comb(7, s) for s in range(1, k + 1))
+            assert (view.counts.size1, view.counts.size2) == (7, math.comb(7, 2))
 
     def test_tau_k_refusal_allocates_nothing(self):
         oracle = build_modular(ModularSpec([1.0] * 5000))

@@ -1,6 +1,7 @@
 """Core oracle, budget, and marginal-estimate behavior."""
 
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from pairsub import (
     BudgetExceeded,
+    CountingOracle,
     DuplicateElement,
     EstimateCache,
     ModularSpec,
@@ -16,13 +18,17 @@ from pairsub import (
     WeightedCoverageSpec,
     build_modular,
     build_weighted_coverage,
+    greedy_optimistic,
+    greedy_pessimistic,
     k_wise_upper_estimate,
     lower_estimate,
+    post_hoc_bound,
     upper_estimate,
 )
+from pairsub import bounds
 from pairsub.validation import values_close
 
-from _synth import random_soc_oracle
+from _synth import city_oracle, random_soc_oracle
 
 
 @pytest.fixture
@@ -64,6 +70,30 @@ class TestEvaluate:
             chain_coverage.evaluate([0, 3])
         with pytest.raises(UnknownElement):
             chain_coverage.evaluate([-1])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (True, "element ids must be integers, got True"),
+            (1.0, "element ids must be integers, got 1.0"),
+            (-1, "element id -1 outside ground set [0, 3)"),
+            (3, "element id 3 outside ground set [0, 3)"),
+        ],
+        ids=["bool", "float", "negative", "ground_size"],
+    )
+    def test_bad_id_messages(self, chain_coverage, bad, message):
+        for ids in ([bad], frozenset([bad]), (0, bad)):
+            with pytest.raises(UnknownElement) as info:
+                chain_coverage.evaluate(ids)
+            assert str(info.value) == message
+
+    def test_int_enum_ids_accepted(self, chain_coverage):
+        class Station(IntEnum):
+            FIRST = 0
+            LAST = 2
+
+        assert chain_coverage.evaluate([Station.LAST]) == chain_coverage.evaluate([2])
+        assert chain_coverage.evaluate((Station.FIRST, 1)) == chain_coverage.evaluate((0, 1))
 
     def test_order_independent(self, chain_coverage):
         assert chain_coverage.evaluate([2, 0, 1]) == chain_coverage.evaluate([0, 1, 2])
@@ -181,6 +211,76 @@ class TestEstimateCache:
         cache.condition_on(0, chain_coverage)
         assert cache.conditioned_on == [2, 0]
         assert cache.remaining() == [1]
+
+    def test_refused_column_leaves_cache_unchanged(self, chain_coverage):
+        view = CountingOracle(chain_coverage.restricted(1))
+        cache = EstimateCache(view)
+        before = (dict(cache.upper), dict(cache.lower), cache.remaining())
+        with pytest.raises(BudgetExceeded):
+            cache.condition_on(1, view)
+        assert (cache.upper, cache.lower, cache.remaining()) == before
+        assert cache.conditioned_on == []
+        assert view.counts.total == 3
+
+
+class TestPairColumn:
+    def test_counter_sees_every_pair(self, monkeypatch):
+        rng = random.Random(71)
+        inner = random_soc_oracle(rng, 15)
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return inner.evaluate(s)
+
+        oracle = SetFunctionOracle(15, counted, budget=2)
+        for runner in (greedy_optimistic, greedy_pessimistic):
+            calls.clear()
+            counts = runner(oracle, 6).query_counts
+            assert len(calls) == counts.total
+
+        views = []
+
+        class Recorded(CountingOracle):
+            def __init__(self, inner):
+                super().__init__(inner)
+                views.append(self)
+
+        monkeypatch.setattr(bounds, "CountingOracle", Recorded)
+        calls.clear()
+        post_hoc_bound([3, 9, 0, 14], oracle)
+        assert len(views) == 1
+        assert len(calls) == views[0].counts.total == 15 + 14 + 13 + 12
+
+    @pytest.mark.parametrize("make", [lambda: random_soc_oracle(random.Random(73), 12),
+                                      lambda: city_oracle(seed=5, count=30)],
+                             ids=["soc", "city"])
+    def test_column_equals_per_pair_evaluate(self, make):
+        oracle = make()
+        m = oracle.ground_size
+        for x in (0, m // 2, m - 1):
+            ys = [y for y in range(m) if y != x]
+            view = CountingOracle(oracle)
+            column = view.evaluate_pairs(x, ys)
+            expected = [oracle.evaluate((y, x)) for y in ys]
+            assert [v.hex() for v in column] == [v.hex() for v in expected]
+            counts = view.counts
+            assert (counts.size1, counts.size2, counts.other) == (0, len(ys), 0)
+            assert counts.work_units == 2 * len(ys)
+
+    def test_budget_one_view_raises_and_counts_nothing(self, chain_coverage):
+        view = CountingOracle(chain_coverage.restricted(1))
+        with pytest.raises(BudgetExceeded):
+            view.evaluate_pairs(0, [1, 2])
+        assert (view.counts.total, view.counts.work_units) == (0, 0)
+
+    def test_column_checks_ids(self, chain_coverage):
+        view = CountingOracle(chain_coverage)
+        with pytest.raises(UnknownElement):
+            view.evaluate_pairs(0, [1, 3])
+        with pytest.raises(DuplicateElement):
+            view.evaluate_pairs(1, [0, 1])
+        assert view.counts.total == 0
 
 
 @st.composite
