@@ -61,14 +61,6 @@ from .errors import (
     TraceMismatch,
     UnknownElement,
 )
-from .estimators import (
-    FullGreedy,
-    KWiseOptimisticGreedy,
-    OptimisticGreedy,
-    PessimisticGreedy,
-    SubsetSelector,
-    UninformedGreedy,
-)
 from .functions import (
     AdversarialSpec,
     ModularSpec,
@@ -91,7 +83,6 @@ from .oracles import (
     SetFunctionOracle,
     k_wise_upper_estimate,
     lower_estimate,
-    marginal,
     upper_estimate,
 )
 from .verify import (

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, inf
 
-from .errors import CardinalityTooLarge, InstanceTooLarge, InvalidArgument, ParseError
-from .oracles import CountingOracle, EstimateCache, QueryCounts
+from .errors import InstanceTooLarge, InvalidArgument, ParseError
+from .oracles import CountingOracle, EstimateCache, QueryCounts, argmax
 from .validation import check_cardinality
 
 BRUTE_FORCE_LIMIT = 10**6
@@ -138,13 +138,24 @@ def greedy_uninformed(oracle, n: int) -> RunTrace:
     remaining = sorted(singles)
     selections = []
     for i in range(1, n + 1):
-        best_x, best_v = None, -inf
-        for x in remaining:
-            if singles[x] > best_v:
-                best_v, best_x = singles[x], x
-        selections.append(Selection(i, best_x, best_v))
-        remaining.remove(best_x)
+        x, value = argmax(remaining, singles)
+        selections.append(Selection(i, x, value))
+        remaining.remove(x)
     return _finish("uninformed", n, selections, view)
+
+
+def _pairwise_greedy(algorithm, oracle, n: int, pick) -> RunTrace:
+    """Take pick(cache) n times, folding each pick but the last into the cache."""
+    check_cardinality(n, oracle.ground_size)
+    view = CountingOracle(oracle)
+    cache = EstimateCache(view)
+    selections = []
+    for i in range(1, n + 1):
+        x, value = pick(cache)
+        selections.append(Selection(i, x, value))
+        if i < n:
+            cache.condition_on(x, view)
+    return _finish(algorithm, n, selections, view)
 
 
 def greedy_optimistic(oracle, n: int) -> RunTrace:
@@ -153,16 +164,7 @@ def greedy_optimistic(oracle, n: int) -> RunTrace:
     Issues exactly m size-1 queries plus m-i size-2 queries after the i-th
     pick, one per remaining candidate: under m*(n+1) queries total.
     """
-    check_cardinality(n, oracle.ground_size)
-    view = CountingOracle(oracle)
-    cache = EstimateCache(view)
-    selections = []
-    for i in range(1, n + 1):
-        x, value = cache.argmax_upper()
-        selections.append(Selection(i, x, value))
-        if i < n:
-            cache.condition_on(x, view)
-    return _finish("optimistic", n, selections, view)
+    return _pairwise_greedy("optimistic", oracle, n, EstimateCache.argmax_upper)
 
 
 def greedy_pessimistic(oracle, n: int) -> RunTrace:
@@ -172,16 +174,7 @@ def greedy_pessimistic(oracle, n: int) -> RunTrace:
     under supermodularity of conditioning, which is the caller's
     responsibility to have checked.  Queries as for greedy_optimistic.
     """
-    check_cardinality(n, oracle.ground_size)
-    view = CountingOracle(oracle)
-    cache = EstimateCache(view)
-    selections = []
-    for i in range(1, n + 1):
-        x, value = cache.argmax_lower()
-        selections.append(Selection(i, x, value))
-        if i < n:
-            cache.condition_on(x, view)
-    return _finish("pessimistic", n, selections, view)
+    return _pairwise_greedy("pessimistic", oracle, n, EstimateCache.argmax_lower)
 
 
 def greedy_k_wise_optimistic(oracle, n: int, k: int) -> RunTrace:
@@ -201,10 +194,7 @@ def greedy_k_wise_optimistic(oracle, n: int, k: int) -> RunTrace:
     selected: list[int] = []
     selections = []
     for i in range(1, n + 1):
-        best_x, best_v = None, -inf
-        for x in order:
-            if current_min[x] > best_v:
-                best_v, best_x = current_min[x], x
+        best_x, best_v = argmax(order, current_min)
         selections.append(Selection(i, best_x, best_v))
         order.remove(best_x)
         if i == n:

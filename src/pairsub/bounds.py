@@ -41,6 +41,7 @@ from .errors import (
 )
 from .oracles import CountingOracle, EstimateCache, k_wise_upper_estimate
 from .validation import check_element_ids, near_zero
+from .verify import subset_values
 
 CURVATURE_ENUM_LIMIT = 10**6
 
@@ -201,16 +202,17 @@ def traditional_curvature(full_oracle, limit: int = CURVATURE_ENUM_LIMIT) -> flo
         raise InstanceTooLarge(
             f"curvature scan needs {m * 2 ** (m - 1)} pairs, limit is {limit}"
         )
-    values = _subset_values(full_oracle)
+    values = subset_values(full_oracle)
     min_ratio = 1.0
     for x in range(m):
-        fx = values[1 << x]
+        xbit = 1 << x
+        fx = values[xbit]
         if near_zero(fx):
             continue  # ratio defined as 1; cannot lower the min
-        others = [e for e in range(m) if e != x]
-        for mask in _masks_over(others):
-            marg = values[mask | (1 << x)] - values[mask]
-            ratio = marg / fx
+        for mask in range(1 << m):
+            if mask & xbit:
+                continue
+            ratio = (values[mask | xbit] - values[mask]) / fx
             if ratio < min_ratio:
                 min_ratio = ratio
     # float noise in the marginals can push the ratio a hair outside [0, 1]
@@ -272,22 +274,3 @@ def curvature_report(full_oracle, k: int, marginal_queries=()) -> CurvatureRepor
         marginal=marginal,
     )
 
-
-def _subset_values(oracle) -> list[float]:
-    """f over every subset, indexed by bitmask."""
-    m = oracle.ground_size
-    members: list[tuple] = [()] * (1 << m)
-    values = [0.0] * (1 << m)
-    values[0] = oracle.evaluate(())
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        members[mask] = members[mask ^ low] + (low.bit_length() - 1,)
-        values[mask] = oracle.evaluate(members[mask])
-    return values
-
-
-def _masks_over(elements) -> list[int]:
-    masks = [0]
-    for e in elements:
-        masks += [mask | (1 << e) for mask in masks]
-    return sorted(masks)

@@ -92,10 +92,6 @@ def _add_instance_args(parser, with_budget: bool = False):
 def cmd_run(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
-    if args.algo != "k_wise_optimistic" and args.k is not None:
-        raise ConfigError("--k applies to the k_wise_optimistic algorithm only")
-    if args.algo == "k_wise_optimistic" and args.k is None:
-        raise ConfigError("k_wise_optimistic requires --k")
     oracle = _load_oracle(args)
     spec = getattr(oracle, "spec", None)
     if isinstance(spec, AdversarialSpec) and args.n != len(spec.V_star):

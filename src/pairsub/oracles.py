@@ -22,8 +22,9 @@ the column once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, DuplicateElement, InvalidArgument
@@ -174,16 +175,7 @@ class CountingOracle:
         self.counts.record(2, times=len(values))
         return values
 
-    def marginal(self, x: int, ids: Iterable[int]) -> float:
-        s = as_id_set(ids)
-        if x in s:
-            raise DuplicateElement(f"element {x} already in the conditioning set")
-        return self.evaluate(s | {x}) - self.evaluate(s)
-
-
-def marginal(oracle, x: int, ids: Iterable[int]) -> float:
-    """Marginal return of x given S; equals f(x) when S is empty."""
-    return oracle.marginal(x, ids)
+    marginal = SetFunctionOracle.marginal
 
 
 def upper_estimate(oracle, x: int, ids: Iterable[int]) -> float:
@@ -236,6 +228,22 @@ def lower_estimate(oracle, x: int, ids: Iterable[int]) -> float:
     return value
 
 
+def argmax(order: list[int], table) -> tuple[int, float]:
+    """The id in order with the highest table value, and that value.
+
+    Ties go to the id that comes first, the lowest id when order ascends.
+    """
+    if not order:
+        raise InvalidArgument("no candidates remain")
+    best_x = None
+    best_v = -inf
+    for x in order:
+        v = table[x]
+        if v > best_v:
+            best_v, best_x = v, x
+    return best_x, best_v
+
+
 class EstimateCache:
     """Current upper/lower marginal estimates for every unselected element.
 
@@ -280,21 +288,11 @@ class EstimateCache:
         return list(self._order)
 
     def argmax_upper(self) -> tuple[int, float]:
-        return self._argmax(self.upper)
+        return argmax(self._order, self.upper)
 
     def argmax_lower(self) -> tuple[int, float]:
-        return self._argmax(self.lower)
+        return argmax(self._order, self.lower)
 
     def max_upper(self) -> float:
-        return max(self.upper[x] for x in self._order)
+        return argmax(self._order, self.upper)[1]
 
-    def _argmax(self, table: dict) -> tuple[int, float]:
-        if not self._order:
-            raise ValueError("no candidates remain")
-        best_x = None
-        best_v = float("-inf")
-        for x in self._order:  # ascending ids: ties go to the lowest id
-            v = table[x]
-            if v > best_v:
-                best_v, best_x = v, x
-        return best_x, best_v

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, InvalidArgument
-from .validation import at_least, tolerance, values_close
+from .validation import at_least, values_close
 
 # Default exhaustive limits: two-set properties stay cheap through m=12,
 # four-set tuple spaces (SoC, redundancy bound) blow up past m=8.
@@ -102,6 +102,47 @@ def check_normalized(oracle) -> VerificationReport:
     return VerificationReport("normalized", holds, witness, 1)
 
 
+def _run(name, oracle, exhaustive_limit, mode, samples, seed, space, draw,
+         violation, memo=True) -> VerificationReport:
+    """Check violation(at, t) on every tuple of space(m), or on samples draws.
+
+    Enumeration reads f from one table over all subsets.  A draw is
+    draw(rng, m), or None when it has nothing to check; None draws are not
+    counted.  Sampled checks memoise f per bitmask unless memo is off, in
+    which case every lookup asks the oracle afresh.
+    """
+    m = oracle.ground_size
+    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
+        at = subset_values(oracle).__getitem__
+        tuples = space(m)
+    else:
+        if memo:
+            cache: dict[int, float] = {}
+
+            def at(mask: int) -> float:
+                if mask not in cache:
+                    cache[mask] = oracle.evaluate(_bits(mask))
+                return cache[mask]
+        else:
+            def at(mask: int) -> float:
+                return oracle.evaluate(_bits(mask))
+        rng = random.Random(seed)
+        tuples = (t for t in (draw(rng, m) for _ in range(samples)) if t is not None)
+    checked = 0
+    for t in tuples:
+        checked += 1
+        w = violation(at, t)
+        if w is not None:
+            return VerificationReport(name, False, w, checked)
+    return VerificationReport(name, True, None, checked)
+
+
+def _outside(rng, mask: int, m: int):
+    """A uniform element outside mask, or None when mask is everything."""
+    outside = [x for x in range(m) if not mask & (1 << x)]
+    return rng.choice(outside) if outside else None
+
+
 def check_monotone(
     oracle,
     exhaustive_limit: int = LIMIT_TWO_SET,
@@ -110,46 +151,28 @@ def check_monotone(
     mode: str = "auto",
 ) -> VerificationReport:
     """f(A) <= f(B) along every single-element extension chain."""
-    m = oracle.ground_size
-    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
-        values = subset_values(oracle)
-        checked = 0
-        for mask in range(1 << m):
-            fa = values[mask]
-            for x in range(m):
-                if mask & (1 << x):
-                    continue
-                checked += 1
-                fb = values[mask | (1 << x)]
-                if not at_least(fb, fa):
-                    return VerificationReport(
-                        "monotone",
-                        False,
-                        {"A": _bits(mask), "B": _bits(mask | (1 << x)),
-                         "f_A": fa, "f_B": fb},
-                        checked,
-                    )
-        return VerificationReport("monotone", True, None, checked)
 
-    rng = random.Random(seed)
-    checked = 0  # draws with A = X have no x to add and are not counted
-    for _ in range(samples):
+    def space(m):
+        for a_mask in range(1 << m):
+            for x in range(m):
+                if not a_mask & (1 << x):
+                    yield a_mask, a_mask | (1 << x)
+
+    def draw(rng, m):  # A = X has no x to add
         a_mask = rng.getrandbits(m)
-        outside = [x for x in range(m) if not a_mask & (1 << x)]
-        if not outside:
-            continue
-        checked += 1
-        x = rng.choice(outside)
-        fa = oracle.evaluate(_bits(a_mask))
-        fb = oracle.evaluate(_bits(a_mask | (1 << x)))
-        if not at_least(fb, fa):
-            return VerificationReport(
-                "monotone", False,
-                {"A": _bits(a_mask), "B": _bits(a_mask | (1 << x)),
-                 "f_A": fa, "f_B": fb},
-                checked,
-            )
-    return VerificationReport("monotone", True, None, checked)
+        x = _outside(rng, a_mask, m)
+        return None if x is None else (a_mask, a_mask | (1 << x))
+
+    def violation(at, t):
+        a_mask, b_mask = t
+        fa = at(a_mask)
+        fb = at(b_mask)
+        if at_least(fb, fa):
+            return None
+        return {"A": _bits(a_mask), "B": _bits(b_mask), "f_A": fa, "f_B": fb}
+
+    return _run("monotone", oracle, exhaustive_limit, mode, samples, seed,
+                space, draw, violation, memo=False)
 
 
 def check_submodular(
@@ -160,50 +183,32 @@ def check_submodular(
     mode: str = "auto",
 ) -> VerificationReport:
     """Diminishing returns: f(x|A) >= f(x|B) for all A within B, x outside B."""
-    m = oracle.ground_size
-    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
-        values = subset_values(oracle)
-        checked = 0
+
+    def space(m):
         for b_mask in range(1 << m):
             subs = _submasks(b_mask)
             for x in range(m):
-                xbit = 1 << x
-                if b_mask & xbit:
-                    continue
-                lhs_b = values[b_mask | xbit] - values[b_mask]
-                for a_mask in subs:
-                    checked += 1
-                    lhs_a = values[a_mask | xbit] - values[a_mask]
-                    if not at_least(lhs_a, lhs_b):
-                        return VerificationReport(
-                            "submodular", False,
-                            {"A": _bits(a_mask), "B": _bits(b_mask), "x": x,
-                             "marginal_given_A": lhs_a, "marginal_given_B": lhs_b},
-                            checked,
-                        )
-        return VerificationReport("submodular", True, None, checked)
+                if not b_mask & (1 << x):
+                    for a_mask in subs:
+                        yield a_mask, b_mask, x
 
-    rng = random.Random(seed)
-    checked = 0  # draws with B = X have no x outside B and are not counted
-    for _ in range(samples):
+    def draw(rng, m):  # B = X has no x outside B
         b_mask = rng.getrandbits(m)
-        outside = [x for x in range(m) if not b_mask & (1 << x)]
-        if not outside:
-            continue
-        checked += 1
-        x = rng.choice(outside)
-        a_mask = rng.getrandbits(m) & b_mask
+        x = _outside(rng, b_mask, m)
+        return None if x is None else (rng.getrandbits(m) & b_mask, b_mask, x)
+
+    def violation(at, t):
+        a_mask, b_mask, x = t
         xbit = 1 << x
-        lhs_a = oracle.evaluate(_bits(a_mask | xbit)) - oracle.evaluate(_bits(a_mask))
-        lhs_b = oracle.evaluate(_bits(b_mask | xbit)) - oracle.evaluate(_bits(b_mask))
-        if not at_least(lhs_a, lhs_b):
-            return VerificationReport(
-                "submodular", False,
-                {"A": _bits(a_mask), "B": _bits(b_mask), "x": x,
-                 "marginal_given_A": lhs_a, "marginal_given_B": lhs_b},
-                checked,
-            )
-    return VerificationReport("submodular", True, None, checked)
+        lhs_a = at(a_mask | xbit) - at(a_mask)
+        lhs_b = at(b_mask | xbit) - at(b_mask)
+        if at_least(lhs_a, lhs_b):
+            return None
+        return {"A": _bits(a_mask), "B": _bits(b_mask), "x": x,
+                "marginal_given_A": lhs_a, "marginal_given_B": lhs_b}
+
+    return _run("submodular", oracle, exhaustive_limit, mode, samples, seed,
+                space, draw, violation, memo=False)
 
 
 def check_supermodularity_of_conditioning(
@@ -219,14 +224,33 @@ def check_supermodularity_of_conditioning(
     The definition leaves S unconstrained; require_disjoint additionally
     skips tuples where S overlaps B u C.
     """
-    m = oracle.ground_size
-    full = (1 << m) - 1
 
-    def violation(values_at, s_mask, a_mask, b_mask, c_mask):
-        f_sa = values_at(s_mask | a_mask) - values_at(a_mask)
-        f_sac = values_at(s_mask | a_mask | c_mask) - values_at(a_mask | c_mask)
-        f_sb = values_at(s_mask | b_mask) - values_at(b_mask)
-        f_sbc = values_at(s_mask | b_mask | c_mask) - values_at(b_mask | c_mask)
+    def space(m):
+        full = (1 << m) - 1
+        for b_mask in range(1 << m):
+            c_masks = _submasks(full ^ b_mask)
+            for a_mask in _submasks(b_mask):
+                for c_mask in c_masks:
+                    for s_mask in range(1 << m):
+                        if not (require_disjoint and s_mask & (b_mask | c_mask)):
+                            yield s_mask, a_mask, b_mask, c_mask
+
+    def draw(rng, m):
+        full = (1 << m) - 1
+        b_mask = rng.getrandbits(m)
+        a_mask = rng.getrandbits(m) & b_mask
+        c_mask = rng.getrandbits(m) & (full ^ b_mask)
+        s_mask = rng.getrandbits(m)
+        if require_disjoint:
+            s_mask &= full ^ (b_mask | c_mask)
+        return s_mask, a_mask, b_mask, c_mask
+
+    def violation(at, t):
+        s_mask, a_mask, b_mask, c_mask = t
+        f_sa = at(s_mask | a_mask) - at(a_mask)
+        f_sac = at(s_mask | a_mask | c_mask) - at(a_mask | c_mask)
+        f_sb = at(s_mask | b_mask) - at(b_mask)
+        f_sbc = at(s_mask | b_mask | c_mask) - at(b_mask | c_mask)
         lhs = f_sa - f_sac
         rhs = f_sb - f_sbc
         if at_least(lhs, rhs):
@@ -236,49 +260,8 @@ def check_supermodularity_of_conditioning(
             "C": _bits(c_mask), "lhs": lhs, "rhs": rhs,
         }
 
-    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
-        values = subset_values(oracle)
-        at = values.__getitem__
-        checked = 0
-        for b_mask in range(1 << m):
-            a_masks = _submasks(b_mask)
-            c_masks = _submasks(full ^ b_mask)
-            for a_mask in a_masks:
-                for c_mask in c_masks:
-                    for s_mask in range(1 << m):
-                        if require_disjoint and s_mask & (b_mask | c_mask):
-                            continue
-                        checked += 1
-                        w = violation(at, s_mask, a_mask, b_mask, c_mask)
-                        if w is not None:
-                            return VerificationReport(
-                                "supermodularity_of_conditioning", False, w, checked
-                            )
-        return VerificationReport(
-            "supermodularity_of_conditioning", True, None, checked
-        )
-
-    rng = random.Random(seed)
-    cache: dict[int, float] = {}
-
-    def at(mask: int) -> float:
-        if mask not in cache:
-            cache[mask] = oracle.evaluate(_bits(mask))
-        return cache[mask]
-
-    for i in range(samples):
-        b_mask = rng.getrandbits(m)
-        a_mask = rng.getrandbits(m) & b_mask
-        c_mask = rng.getrandbits(m) & (full ^ b_mask)
-        s_mask = rng.getrandbits(m)
-        if require_disjoint:
-            s_mask &= full ^ (b_mask | c_mask)
-        w = violation(at, s_mask, a_mask, b_mask, c_mask)
-        if w is not None:
-            return VerificationReport(
-                "supermodularity_of_conditioning", False, w, i + 1
-            )
-    return VerificationReport("supermodularity_of_conditioning", True, None, samples)
+    return _run("supermodularity_of_conditioning", oracle, exhaustive_limit, mode,
+                samples, seed, space, draw, violation)
 
 
 def check_pairwise_redundancy_bound(
@@ -289,10 +272,23 @@ def check_pairwise_redundancy_bound(
     mode: str = "auto",
 ) -> VerificationReport:
     """f(A|B) - f(A|B,C) <= sum over c in C of f(c) - f(c|A), disjoint A,B,C."""
-    m = oracle.ground_size
-    full = (1 << m) - 1
 
-    def violation(at, a_mask, b_mask, c_mask):
+    def space(m):
+        full = (1 << m) - 1
+        for a_mask in range(1 << m):
+            rest = full ^ a_mask
+            for b_mask in _submasks(rest):
+                for c_mask in _submasks(rest ^ b_mask):
+                    yield a_mask, b_mask, c_mask
+
+    def draw(rng, m):
+        full = (1 << m) - 1
+        a_mask = rng.getrandbits(m)
+        b_mask = rng.getrandbits(m) & (full ^ a_mask)
+        return a_mask, b_mask, rng.getrandbits(m) & (full ^ a_mask ^ b_mask)
+
+    def violation(at, t):
+        a_mask, b_mask, c_mask = t
         lhs = (at(a_mask | b_mask) - at(b_mask)) - (
             at(a_mask | b_mask | c_mask) - at(b_mask | c_mask)
         )
@@ -305,38 +301,8 @@ def check_pairwise_redundancy_bound(
         return {"A": _bits(a_mask), "B": _bits(b_mask), "C": _bits(c_mask),
                 "lhs": lhs, "rhs": rhs}
 
-    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
-        values = subset_values(oracle)
-        at = values.__getitem__
-        checked = 0
-        for a_mask in range(1 << m):
-            rest = full ^ a_mask
-            for b_mask in _submasks(rest):
-                for c_mask in _submasks(rest ^ b_mask):
-                    checked += 1
-                    w = violation(at, a_mask, b_mask, c_mask)
-                    if w is not None:
-                        return VerificationReport(
-                            "pairwise_redundancy_bound", False, w, checked
-                        )
-        return VerificationReport("pairwise_redundancy_bound", True, None, checked)
-
-    rng = random.Random(seed)
-    cache: dict[int, float] = {}
-
-    def at(mask: int) -> float:
-        if mask not in cache:
-            cache[mask] = oracle.evaluate(_bits(mask))
-        return cache[mask]
-
-    for i in range(samples):
-        a_mask = rng.getrandbits(m)
-        b_mask = rng.getrandbits(m) & (full ^ a_mask)
-        c_mask = rng.getrandbits(m) & (full ^ a_mask ^ b_mask)
-        w = violation(at, a_mask, b_mask, c_mask)
-        if w is not None:
-            return VerificationReport("pairwise_redundancy_bound", False, w, i + 1)
-    return VerificationReport("pairwise_redundancy_bound", True, None, samples)
+    return _run("pairwise_redundancy_bound", oracle, exhaustive_limit, mode,
+                samples, seed, space, draw, violation)
 
 
 def check_marginal_lower_bound(
@@ -347,55 +313,31 @@ def check_marginal_lower_bound(
     mode: str = "auto",
 ) -> VerificationReport:
     """f(x|S) >= f(x) - sum over S of (f(x) - f(x|x_j))."""
-    m = oracle.ground_size
 
-    def lower(at, x, s_mask):
-        fx = at(1 << x)
-        value = fx
-        for y in _bits(s_mask):
-            value -= fx - (at((1 << x) | (1 << y)) - at(1 << y))
-        return value
+    def space(m):
+        for x in range(m):
+            for s_mask in range(1 << m):
+                if not s_mask & (1 << x):
+                    yield x, s_mask
 
-    def violation(at, x, s_mask):
+    def draw(rng, m):
+        x = rng.randrange(m)
+        return x, rng.getrandbits(m) & ~(1 << x)
+
+    def violation(at, t):
+        x, s_mask = t
         true_marginal = at(s_mask | (1 << x)) - at(s_mask)
-        low = lower(at, x, s_mask)
+        fx = at(1 << x)
+        low = fx
+        for y in _bits(s_mask):
+            low -= fx - (at((1 << x) | (1 << y)) - at(1 << y))
         if at_least(true_marginal, low):
             return None
         return {"x": x, "S": _bits(s_mask),
                 "marginal": true_marginal, "lower_estimate": low}
 
-    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
-        values = subset_values(oracle)
-        at = values.__getitem__
-        checked = 0
-        for x in range(m):
-            xbit = 1 << x
-            for s_mask in range(1 << m):
-                if s_mask & xbit:
-                    continue
-                checked += 1
-                w = violation(at, x, s_mask)
-                if w is not None:
-                    return VerificationReport(
-                        "marginal_lower_bound", False, w, checked
-                    )
-        return VerificationReport("marginal_lower_bound", True, None, checked)
-
-    rng = random.Random(seed)
-    cache: dict[int, float] = {}
-
-    def at(mask: int) -> float:
-        if mask not in cache:
-            cache[mask] = oracle.evaluate(_bits(mask))
-        return cache[mask]
-
-    for i in range(samples):
-        x = rng.randrange(m)
-        s_mask = rng.getrandbits(m) & ~(1 << x)
-        w = violation(at, x, s_mask)
-        if w is not None:
-            return VerificationReport("marginal_lower_bound", False, w, i + 1)
-    return VerificationReport("marginal_lower_bound", True, None, samples)
+    return _run("marginal_lower_bound", oracle, exhaustive_limit, mode,
+                samples, seed, space, draw, violation)
 
 
 def check_nemhauser_inequality(
@@ -407,9 +349,17 @@ def check_nemhauser_inequality(
 ) -> VerificationReport:
     """f(T) <= f(S) + sum over x in T\\S of f(x|S); characterizes monotone
     submodularity."""
-    m = oracle.ground_size
 
-    def violation(at, s_mask, t_mask):
+    def space(m):
+        for s_mask in range(1 << m):
+            for t_mask in range(1 << m):
+                yield s_mask, t_mask
+
+    def draw(rng, m):
+        return rng.getrandbits(m), rng.getrandbits(m)
+
+    def violation(at, t):
+        s_mask, t_mask = t
         f_t = at(t_mask)
         bound = at(s_mask)
         for x in _bits(t_mask & ~s_mask):
@@ -418,33 +368,8 @@ def check_nemhauser_inequality(
             return None
         return {"S": _bits(s_mask), "T": _bits(t_mask), "f_T": f_t, "bound": bound}
 
-    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
-        values = subset_values(oracle)
-        at = values.__getitem__
-        checked = 0
-        for s_mask in range(1 << m):
-            for t_mask in range(1 << m):
-                checked += 1
-                w = violation(at, s_mask, t_mask)
-                if w is not None:
-                    return VerificationReport(
-                        "nemhauser_inequality", False, w, checked
-                    )
-        return VerificationReport("nemhauser_inequality", True, None, checked)
-
-    rng = random.Random(seed)
-    cache: dict[int, float] = {}
-
-    def at(mask: int) -> float:
-        if mask not in cache:
-            cache[mask] = oracle.evaluate(_bits(mask))
-        return cache[mask]
-
-    for i in range(samples):
-        w = violation(at, rng.getrandbits(m), rng.getrandbits(m))
-        if w is not None:
-            return VerificationReport("nemhauser_inequality", False, w, i + 1)
-    return VerificationReport("nemhauser_inequality", True, None, samples)
+    return _run("nemhauser_inequality", oracle, exhaustive_limit, mode,
+                samples, seed, space, draw, violation)
 
 
 ALL_CHECKS = {

@@ -1,5 +1,5 @@
-"""From-scratch references for the pairwise greedy strategies, Algorithm 1
-and the tau_k scan.
+"""From-scratch references for the pairwise greedy strategies, Algorithm 1,
+the tau_k scan and the traditional curvature.
 
 These recompute every estimate from raw oracle queries at every iteration,
 with the same fold order as the incremental recursions, so a correct cached
@@ -91,6 +91,24 @@ def naive_k_cardinality_curvature(oracle, k):
             continue
         others = [y for y in range(m) if y != x]
         for size in range(1, k):
+            for a in combinations(others, size):
+                ratio = (oracle.evaluate(a + (x,)) - oracle.evaluate(a)) / fx
+                if ratio < min_ratio:
+                    min_ratio = ratio
+    return min(1.0, max(0.0, 1.0 - min_ratio))
+
+
+def naive_traditional_curvature(oracle):
+    """c by the ordered scan: every x with f(x) not near zero against every
+    A without x, both f(A + x) and f(A) asked afresh."""
+    m = oracle.ground_size
+    min_ratio = 1.0
+    for x in range(m):
+        fx = oracle.evaluate((x,))
+        if near_zero(fx):
+            continue
+        others = [y for y in range(m) if y != x]
+        for size in range(m):
             for a in combinations(others, size):
                 ratio = (oracle.evaluate(a + (x,)) - oracle.evaluate(a)) / fx
                 if ratio < min_ratio:

@@ -36,7 +36,11 @@ from pairsub import (
     traditional_curvature,
 )
 
-from _reference import naive_k_cardinality_curvature, naive_post_hoc_bound
+from _reference import (
+    naive_k_cardinality_curvature,
+    naive_post_hoc_bound,
+    naive_traditional_curvature,
+)
 from _synth import city_oracle, random_soc_oracle
 
 INF = math.inf
@@ -285,6 +289,16 @@ class TestCurvatures:
                 assert k_cardinality_curvature(oracle, k) == naive_k_cardinality_curvature(
                     oracle, k
                 )
+
+    def test_traditional_equals_ordered_scan(self):
+        rng = random.Random(71)
+        oracles = [random_soc_oracle(rng, rng.randint(1, 8)) for _ in range(12)]
+        table = {0: 0.0}
+        for mask in range(1, 1 << 6):  # not submodular: c lands inside (0, 1)
+            table[mask] = bin(mask).count("1") + rng.uniform(0.0, 0.5)
+        oracles.append(SetFunctionOracle(6, lambda s: table[sum(1 << x for x in s)]))
+        for oracle in oracles:
+            assert traditional_curvature(oracle) == naive_traditional_curvature(oracle)
 
     def test_tau_k_asks_each_set_once(self):
         oracle = random_soc_oracle(random.Random(67), 7)

@@ -65,6 +65,8 @@ BAD_FLAGS = {
     "rs_nan": "run --districts d.csv --rs nan --algo optimistic --n 1",
     "rs_inf": "run --districts d.csv --rs inf --algo optimistic --n 1",
     "k_below_two": "run --instance inst.json --algo k_wise_optimistic --n 2 --k 1",
+    "k_with_optimistic": "run --instance inst.json --algo optimistic --n 2 --k 3",
+    "k_wise_without_k": "run --instance inst.json --algo k_wise_optimistic --n 2",
     "theorem5_n_zero": "bound --instance inst.json --solution 0,1 --method theorem5 --n 0",
     "solution_unknown_id": "bound --instance inst.json --solution 0,9",
     "trials_zero": "bench --instance inst.json --algos optimistic --n-grid 1,2 --trials 0",

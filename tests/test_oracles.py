@@ -12,6 +12,7 @@ from pairsub import (
     CountingOracle,
     DuplicateElement,
     EstimateCache,
+    InvalidArgument,
     ModularSpec,
     SetFunctionOracle,
     UnknownElement,
@@ -221,6 +222,14 @@ class TestEstimateCache:
         assert (cache.upper, cache.lower, cache.remaining()) == before
         assert cache.conditioned_on == []
         assert view.counts.total == 3
+
+    def test_no_candidates_is_a_typed_error(self, chain_coverage):
+        cache = EstimateCache(chain_coverage)
+        for x in range(chain_coverage.ground_size):
+            cache.condition_on(x, chain_coverage)
+        for empty in (cache.argmax_upper, cache.argmax_lower, cache.max_upper):
+            with pytest.raises(InvalidArgument, match="no candidates remain"):
+                empty()
 
 
 class TestPairColumn:

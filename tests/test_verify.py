@@ -240,3 +240,165 @@ class TestConsistencyAndSampling:
         report = check_monotone(coverage)
         doc = json.loads(report.to_json())
         assert set(doc) == {"property", "holds", "witness", "instances_checked"}
+
+
+def _table(seed, m):
+    """A seeded integer table over bitmasks: normalized, neither monotone nor
+    submodular."""
+    rng = random.Random(seed)
+    values = {0: 0.0}
+    for mask in range(1, 1 << m):
+        values[mask] = float(rng.randint(0, 6) + bin(mask).count("1"))
+    return SetFunctionOracle(m, lambda s: values[sum(1 << x for x in s)])
+
+
+GOLDEN_INSTANCES = {
+    "coverage": lambda: build_weighted_coverage(WeightedCoverageSpec(
+        {0: 3.0, 1: 1.0, 2: 2.0, 3: 5.0, 4: 4.0},
+        [{0, 1}, {1, 2}, {3}, {0, 3, 4}, {2, 4}])),
+    "squared": lambda: squared_cardinality(5),
+    "negated": lambda: negated_cardinality(5),
+    "table": lambda: _table(11, 4),
+}
+GOLDEN_RUNS = {"exhaustive": {}, "sampled": {"mode": "sampled", "samples": 60, "seed": 5}}
+GOLDEN_CHECKS = {name: (name, {}) for name in ALL_CHECKS}
+GOLDEN_CHECKS["soc_disjoint"] = ("supermodularity_of_conditioning", {"require_disjoint": True})
+
+# (check, instance, run) -> (holds, instances_checked, oracle calls, witness),
+# recorded once and kept: any change to a checker's enumeration order, its
+# sampling, its counting or its memo shows here.
+GOLDEN = {
+    ('normalized', 'coverage', 'exhaustive'):
+        (True, 1, 1, None),
+    ('monotone', 'coverage', 'exhaustive'):
+        (True, 80, 32, None),
+    ('monotone', 'coverage', 'sampled'):
+        (True, 59, 118, None),
+    ('submodular', 'coverage', 'exhaustive'):
+        (True, 405, 32, None),
+    ('submodular', 'coverage', 'sampled'):
+        (True, 58, 232, None),
+    ('supermodularity_of_conditioning', 'coverage', 'exhaustive'):
+        (True, 32768, 32, None),
+    ('supermodularity_of_conditioning', 'coverage', 'sampled'):
+        (True, 60, 32, None),
+    ('pairwise_redundancy_bound', 'coverage', 'exhaustive'):
+        (True, 1024, 32, None),
+    ('pairwise_redundancy_bound', 'coverage', 'sampled'):
+        (True, 60, 32, None),
+    ('marginal_lower_bound', 'coverage', 'exhaustive'):
+        (True, 80, 32, None),
+    ('marginal_lower_bound', 'coverage', 'sampled'):
+        (True, 60, 31, None),
+    ('nemhauser_inequality', 'coverage', 'exhaustive'):
+        (True, 1024, 32, None),
+    ('nemhauser_inequality', 'coverage', 'sampled'):
+        (True, 60, 32, None),
+    ('soc_disjoint', 'coverage', 'exhaustive'):
+        (True, 3125, 32, None),
+    ('soc_disjoint', 'coverage', 'sampled'):
+        (True, 60, 32, None),
+    ('normalized', 'squared', 'exhaustive'):
+        (True, 1, 1, None),
+    ('monotone', 'squared', 'exhaustive'):
+        (True, 80, 32, None),
+    ('monotone', 'squared', 'sampled'):
+        (True, 59, 118, None),
+    ('submodular', 'squared', 'exhaustive'):
+        (False, 6, 32, {'A': [], 'B': [0], 'x': 1, 'marginal_given_A': 1.0, 'marginal_given_B': 3.0}),
+    ('submodular', 'squared', 'sampled'):
+        (False, 2, 8, {'A': [1, 3], 'B': [0, 1, 3], 'x': 2, 'marginal_given_A': 5.0, 'marginal_given_B': 7.0}),
+    ('supermodularity_of_conditioning', 'squared', 'exhaustive'):
+        (False, 1058, 32, {'S': [0], 'A': [], 'B': [0], 'C': [1], 'lhs': -2.0, 'rhs': 0.0}),
+    ('supermodularity_of_conditioning', 'squared', 'sampled'):
+        (False, 1, 8, {'S': [0, 1, 3], 'A': [], 'B': [0, 1, 4], 'C': [2], 'lhs': -6.0, 'rhs': -2.0}),
+    ('pairwise_redundancy_bound', 'squared', 'exhaustive'):
+        (True, 1024, 32, None),
+    ('pairwise_redundancy_bound', 'squared', 'sampled'):
+        (True, 60, 32, None),
+    ('marginal_lower_bound', 'squared', 'exhaustive'):
+        (True, 80, 32, None),
+    ('marginal_lower_bound', 'squared', 'sampled'):
+        (True, 60, 31, None),
+    ('nemhauser_inequality', 'squared', 'exhaustive'):
+        (False, 4, 32, {'S': [], 'T': [0, 1], 'f_T': 4.0, 'bound': 2.0}),
+    ('nemhauser_inequality', 'squared', 'sampled'):
+        (False, 7, 15, {'S': [], 'T': [1, 3, 4], 'f_T': 9.0, 'bound': 3.0}),
+    ('soc_disjoint', 'squared', 'exhaustive'):
+        (True, 3125, 32, None),
+    ('soc_disjoint', 'squared', 'sampled'):
+        (True, 60, 32, None),
+    ('normalized', 'negated', 'exhaustive'):
+        (True, 1, 1, None),
+    ('monotone', 'negated', 'exhaustive'):
+        (False, 1, 32, {'A': [], 'B': [0], 'f_A': -0.0, 'f_B': -1.0}),
+    ('monotone', 'negated', 'sampled'):
+        (False, 1, 2, {'A': [0, 1, 4], 'B': [0, 1, 3, 4], 'f_A': -3.0, 'f_B': -4.0}),
+    ('submodular', 'negated', 'exhaustive'):
+        (True, 405, 32, None),
+    ('submodular', 'negated', 'sampled'):
+        (True, 58, 232, None),
+    ('supermodularity_of_conditioning', 'negated', 'exhaustive'):
+        (True, 32768, 32, None),
+    ('supermodularity_of_conditioning', 'negated', 'sampled'):
+        (True, 60, 32, None),
+    ('pairwise_redundancy_bound', 'negated', 'exhaustive'):
+        (True, 1024, 32, None),
+    ('pairwise_redundancy_bound', 'negated', 'sampled'):
+        (True, 60, 32, None),
+    ('marginal_lower_bound', 'negated', 'exhaustive'):
+        (True, 80, 32, None),
+    ('marginal_lower_bound', 'negated', 'sampled'):
+        (True, 60, 31, None),
+    ('nemhauser_inequality', 'negated', 'exhaustive'):
+        (False, 33, 32, {'S': [0], 'T': [], 'f_T': -0.0, 'bound': -1.0}),
+    ('nemhauser_inequality', 'negated', 'sampled'):
+        (False, 1, 3, {'S': [0, 1, 4], 'T': [3], 'f_T': -1.0, 'bound': -4.0}),
+    ('soc_disjoint', 'negated', 'exhaustive'):
+        (True, 3125, 32, None),
+    ('soc_disjoint', 'negated', 'sampled'):
+        (True, 60, 32, None),
+    ('normalized', 'table', 'exhaustive'):
+        (True, 1, 1, None),
+    ('monotone', 'table', 'exhaustive'):
+        (False, 8, 16, {'A': [1], 'B': [0, 1], 'f_A': 7.0, 'f_B': 6.0}),
+    ('monotone', 'table', 'sampled'):
+        (False, 4, 8, {'A': [0, 2, 3], 'B': [0, 1, 2, 3], 'f_A': 9.0, 'f_B': 7.0}),
+    ('submodular', 'table', 'exhaustive'):
+        (False, 19, 16, {'A': [1], 'B': [0, 1], 'x': 2, 'marginal_given_A': -2.0, 'marginal_given_B': 0.0}),
+    ('submodular', 'table', 'sampled'):
+        (False, 3, 12, {'A': [1], 'B': [0, 1, 2], 'x': 3, 'marginal_given_A': -1.0, 'marginal_given_B': 1.0}),
+    ('supermodularity_of_conditioning', 'table', 'exhaustive'):
+        (False, 285, 16, {'S': [2, 3], 'A': [], 'B': [0], 'C': [1], 'lhs': 3.0, 'rhs': 4.0}),
+    ('supermodularity_of_conditioning', 'table', 'sampled'):
+        (False, 2, 10, {'S': [0, 2, 3], 'A': [3], 'B': [2, 3], 'C': [0, 1], 'lhs': 1.0, 'rhs': 6.0}),
+    ('pairwise_redundancy_bound', 'table', 'exhaustive'):
+        (False, 107, 16, {'A': [0], 'B': [2, 3], 'C': [1], 'lhs': 6.0, 'rhs': 5.0}),
+    ('pairwise_redundancy_bound', 'table', 'sampled'):
+        (False, 43, 16, {'A': [2, 3], 'B': [1], 'C': [0], 'lhs': -1.0, 'rhs': -2.0}),
+    ('marginal_lower_bound', 'table', 'exhaustive'):
+        (True, 32, 16, None),
+    ('marginal_lower_bound', 'table', 'sampled'):
+        (True, 60, 16, None),
+    ('nemhauser_inequality', 'table', 'exhaustive'):
+        (False, 19, 16, {'S': [0], 'T': [1], 'f_T': 7.0, 'bound': 6.0}),
+    ('nemhauser_inequality', 'table', 'sampled'):
+        (False, 2, 6, {'S': [0, 1, 3], 'T': [0, 2], 'f_T': 8.0, 'bound': 7.0}),
+    ('soc_disjoint', 'table', 'exhaustive'):
+        (False, 93, 16, {'S': [2, 3], 'A': [], 'B': [0], 'C': [1], 'lhs': 3.0, 'rhs': 4.0}),
+    ('soc_disjoint', 'table', 'sampled'):
+        (False, 12, 16, {'S': [0], 'A': [], 'B': [2, 3], 'C': [1], 'lhs': 5.0, 'rhs': 6.0}),
+}
+
+
+@pytest.mark.parametrize("check, instance, run", sorted(GOLDEN))
+def test_reports_match_the_golden_table(check, instance, run):
+    inner = GOLDEN_INSTANCES[instance]()
+    calls = []
+    oracle = SetFunctionOracle(inner.ground_size,
+                               lambda s: calls.append(s) or inner.evaluate(s))
+    name, extra = GOLDEN_CHECKS[check]
+    report = ALL_CHECKS[name](oracle, **GOLDEN_RUNS[run], **extra)
+    assert report.property == name
+    assert (report.holds, report.instances_checked, len(calls), report.witness) == \
+        GOLDEN[check, instance, run]
