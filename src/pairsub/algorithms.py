@@ -16,7 +16,7 @@ from math import comb, inf
 
 from .errors import InstanceTooLarge, InvalidArgument, ParseError
 from .oracles import CountingOracle, EstimateCache, QueryCounts, argmax
-from .validation import check_cardinality
+from .validation import check_cardinality, check_order
 
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -85,7 +85,7 @@ def trace_from_dict(doc: dict) -> RunTrace:
             algorithm=doc["algorithm"],
             n=_typed(doc["n"], int, "n"),
             selections=[
-                Selection(_typed(s["i"], int, "i"), s["element"],
+                Selection(_typed(s["i"], int, "i"), _typed(s["element"], int, "element"),
                           _typed(s["estimate"], (int, float), "estimate"))
                 for s in doc["selections"]
             ],
@@ -235,13 +235,15 @@ def brute_force_optimal(oracle, n: int, limit: int = BRUTE_FORCE_LIMIT):
 
 
 def audit_trace(trace: RunTrace, full_oracle) -> RunTrace:
-    """Fill true_marginals by replaying the selections against a full oracle."""
-    prior: list[int] = []
-    true_marginals = []
-    for sel in trace.selections:
-        true_marginals.append(full_oracle.marginal(sel.element, prior))
-        prior.append(sel.element)
-    return replace(trace, true_marginals=true_marginals)
+    """Fill true_marginals by replaying the selections against a full oracle.
+
+    f is asked once on each prefix S_0, ..., S_n of the selection order, and
+    the i-th true marginal is f(S_i) - f(S_{i-1}): n+1 queries.
+    """
+    order = trace.selected_order
+    check_order(order, full_oracle.ground_size)
+    values = [full_oracle.evaluate(order[:i]) for i in range(len(order) + 1)]
+    return replace(trace, true_marginals=[b - a for a, b in zip(values, values[1:])])
 
 
 def run_algorithm(name: str, oracle, n: int, k: int | None = None) -> RunTrace:

@@ -94,10 +94,3 @@ def records_to_csv(records) -> str:
         out.write(record.csv_row() + "\n")
     return out.getvalue()
 
-
-def ratios_to_csv(ratios) -> str:
-    out = io.StringIO()
-    out.write("n,ratio\n")
-    for n, ratio in ratios:
-        out.write(f"{n},{ratio!r}\n")
-    return out.getvalue()

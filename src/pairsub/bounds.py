@@ -13,9 +13,13 @@ so that f(solution) >= gamma * f(optimum).  Three producers supply factors:
 * alphas_pessimistic -- 1/(1 - min{(i-1)*tau_2, 1}) from the 2-cardinality
   curvature alone.
 
-post_hoc_bound is the pairwise-information certificate: it bounds each
-iteration's factor by (max upper estimate) / (lower estimate of the pick)
-using only size-<=2 queries, no full oracle required.
+post_hoc_bound is the pairwise-information certificate (Algorithm 1): it
+bounds each iteration's factor by (max upper estimate) / (lower estimate of
+the pick) using only size-<=2 queries, no full oracle required.
+
+Algorithm 1 and Theorems 2/3 share one factor rule, _factor(num, den): 1
+when both vanish, infinite when den vanishes under a non-vanishing num or is
+negative, else max(1, num/den).  Theorems 2/3 audit through audit_trace.
 
 The corollary bounds are compositions, not separate operations: corollary 1
 is bound_from_alphas(alphas_optimistic(...)), corollary 2 is
@@ -30,9 +34,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, exp, inf
 
+from .algorithms import audit_trace
 from .errors import (
-    CardinalityTooLarge,
-    DuplicateElement,
     InstanceTooLarge,
     InvalidAlpha,
     InvalidArgument,
@@ -40,7 +43,7 @@ from .errors import (
     TraceMismatch,
 )
 from .oracles import CountingOracle, EstimateCache, k_wise_upper_estimate
-from .validation import check_element_ids, near_zero
+from .validation import check_order, near_zero
 from .verify import subset_values
 
 CURVATURE_ENUM_LIMIT = 10**6
@@ -87,31 +90,26 @@ def bound_from_alphas(alphas, n: int) -> float:
     return 1.0 - exp(-total / n)
 
 
-def _ratio_alpha(estimate: float, true_marginal: float) -> float:
-    if near_zero(true_marginal):
-        return 1.0 if near_zero(estimate) else inf
-    return max(1.0, estimate / true_marginal)
+def _factor(numerator: float, denominator: float) -> float:
+    """The factor rule of Algorithm 1 and Theorems 2/3 (module docstring)."""
+    if near_zero(denominator):
+        return 1.0 if near_zero(numerator) else inf
+    if denominator < 0.0:
+        return inf
+    return max(1.0, numerator / denominator)
 
 
 def _alphas_from_trace(trace, full_oracle, threshold: int) -> list[float]:
-    alphas = []
-    prior: list[int] = []
-    for sel in trace.selections:
-        if sel.iteration <= threshold:
-            alphas.append(1.0)
-        else:
-            true_marginal = full_oracle.marginal(sel.element, prior)
-            alphas.append(_ratio_alpha(sel.estimate, true_marginal))
-        prior.append(sel.element)
-    return alphas
+    true_marginals = audit_trace(trace, full_oracle).true_marginals
+    return [1.0 if sel.iteration <= threshold else _factor(sel.estimate, true)
+            for sel, true in zip(trace.selections, true_marginals)]
 
 
 def alphas_optimistic(trace, full_oracle) -> list[float]:
     """Per-iteration factors for an optimistic run (audited true marginals).
 
     The first two picks coincide with full-information greedy, so their
-    factors are 1; beyond that the factor is estimate/true, infinite when a
-    positive estimate sits over a zero marginal.
+    factors are 1; beyond that the factor is _factor(estimate, true).
     """
     if trace.algorithm != "optimistic":
         raise TraceMismatch(
@@ -121,8 +119,8 @@ def alphas_optimistic(trace, full_oracle) -> list[float]:
 
 
 def alphas_k_wise(trace, full_oracle, k: int) -> list[float]:
-    """Factors for a k-wise optimistic run: 1 through iteration k, then the
-    estimate/true ratio."""
+    """Factors for a k-wise optimistic run: 1 through iteration k, then
+    _factor(estimate, true)."""
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
     if trace.algorithm == "k_wise_optimistic":
@@ -156,35 +154,21 @@ def alphas_pessimistic(tau2: float, n: int) -> list[float]:
 def post_hoc_bound(solution, oracle, m: int | None = None) -> BoundReport:
     """Pairwise-information certificate for an ordered solution.
 
-    For each prefix, the factor is the best remaining upper estimate over
-    the picked element's lower estimate (1 when both vanish, infinite when
-    the lower estimate is non-positive under a positive numerator).  Only
-    size-<=2 queries are issued: m singletons, then one pair per remaining
-    candidate after each pick but the last, since no factor follows it.
+    For each prefix, the factor is _factor(best remaining upper estimate,
+    the pick's lower estimate).  Only size-<=2 queries are issued: m
+    singletons, then one pair per remaining candidate after each pick but
+    the last, since no factor follows it.
     """
     solution = list(solution)
     view = CountingOracle(oracle)
     ground = view.ground_size
     if m is not None and m != ground:
         raise InvalidArgument(f"declared m={m} but the oracle has ground size {ground}")
-    check_element_ids(solution, ground)
-    if len(set(solution)) != len(solution):
-        raise DuplicateElement(f"solution repeats an element: {solution}")
-    if len(solution) > ground:
-        raise CardinalityTooLarge(
-            f"solution size {len(solution)} exceeds ground set size {ground}"
-        )
+    check_order(solution, ground)
     cache = EstimateCache(view)
     alphas = []
     for i, x_i in enumerate(solution, 1):
-        numerator = cache.max_upper()
-        denom = cache.lower[x_i]
-        if near_zero(denom):
-            alphas.append(1.0 if near_zero(numerator) else inf)
-        elif denom < 0.0:
-            alphas.append(inf)
-        else:
-            alphas.append(max(1.0, numerator / denom))
+        alphas.append(_factor(cache.max_upper(), cache.lower[x_i]))
         if i < len(solution):
             cache.condition_on(x_i, view)
     assert view.counts.other == 0, "post-hoc bound must stay pairwise"

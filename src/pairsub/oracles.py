@@ -1,12 +1,12 @@
 """Set-function oracles, information budgets, and pairwise marginal estimates.
 
 An oracle answers f(S) only for sets within its declared budget; a budget of
-2 is the pairwise-information regime.  Three estimates of the marginal
-return f(x|S) are maintained on top of pairwise queries:
+2 is the pairwise-information regime.  Two estimates of the marginal
+return f(x|S) are kept on top of small queries:
 
-* upper_estimate      -- minimum pairwise marginal, an optimistic bound,
-* k_wise_upper_estimate -- the same minimum over all conditioning subsets of
-  size below k,
+* k_wise_upper_estimate -- min f(x|A) over the subsets A of S with |A| < k,
+  an optimistic bound (valid under submodularity); upper_estimate is its
+  k = 2 case, the minimum of f(x) and the pairwise marginals,
 * lower_estimate      -- singleton value minus the summed pairwise
   redundancies, a pessimistic bound (valid under supermodularity of
   conditioning; may be negative).
@@ -63,10 +63,6 @@ class SetFunctionOracle:
 
     def __setattr__(self, key, value):
         raise AttributeError("oracles are immutable")
-
-    @property
-    def unlimited(self) -> bool:
-        return self.budget is None
 
     def evaluate(self, ids: Iterable[int]) -> float:
         """f(S).  Rejects out-of-range ids and over-budget queries."""
@@ -179,24 +175,20 @@ class CountingOracle:
 
 
 def upper_estimate(oracle, x: int, ids: Iterable[int]) -> float:
-    """Optimistic estimate: min pairwise marginal of x over the set.
+    """Optimistic estimate: min of f(x) and the pairwise marginals f(x|y), y in S.
 
-    Returns f(x) for an empty conditioning set.  By submodularity this never
-    falls below the true marginal f(x|S).
+    k_wise_upper_estimate at k=2, so f(x) for an empty conditioning set and,
+    by submodularity, never below the true marginal f(x|S).
     """
-    s = as_id_set(ids)
-    if x in s:
-        raise DuplicateElement(f"element {x} already in the conditioning set")
-    if not s:
-        return oracle.evaluate((x,))
-    return min(oracle.evaluate((x, y)) - oracle.evaluate((y,)) for y in sorted(s))
+    return k_wise_upper_estimate(oracle, x, ids, 2)
 
 
 def k_wise_upper_estimate(oracle, x: int, ids: Iterable[int], k: int) -> float:
-    """min f(x|A) over all A within the set with |A| < k.
+    """min f(x|A) over all A within the set with |A| < k, A empty included.
 
-    Non-increasing in k; equals upper_estimate at k=2 and f(x) for an empty
-    set.  Enumerates subsets naively, so cost grows as C(|S|, k-1).
+    Non-increasing in k; upper_estimate is the k=2 case, for any f, and the
+    value is f(x) for an empty set.  Enumerates subsets naively, so cost
+    grows as C(|S|, k-1).
     """
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")

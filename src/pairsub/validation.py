@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import UnknownElement
+from .errors import CardinalityTooLarge, DuplicateElement, UnknownElement
 
 # Relative tolerance for comparing function values; absolute floor near zero.
 # Marginals of large coverage sums accumulate float error around 1e-12.
@@ -12,10 +12,9 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
-def tolerance(*values: float) -> float:
-    """Mixed comparison slack for the given magnitudes."""
-    scale = max((abs(v) for v in values), default=0.0)
-    return max(ABS_TOL, REL_TOL * scale)
+def tolerance(a: float, b: float) -> float:
+    """Mixed comparison slack for two magnitudes."""
+    return max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
 
 
 def values_close(a: float, b: float) -> bool:
@@ -45,9 +44,14 @@ def check_element_ids(ids: Iterable[int], ground_size: int) -> None:
             )
 
 
-def check_cardinality(n: int, ground_size: int) -> None:
-    from .errors import CardinalityTooLarge
+def check_order(order: list[int], ground_size: int) -> None:
+    """An ordered solution: in-range int ids, none repeated."""
+    check_element_ids(order, ground_size)
+    if len(set(order)) != len(order):
+        raise DuplicateElement(f"solution repeats an element: {order}")
 
+
+def check_cardinality(n: int, ground_size: int) -> None:
     if n < 0:
         raise CardinalityTooLarge(f"cardinality must be non-negative, got {n}")
     if n > ground_size:

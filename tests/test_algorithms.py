@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,13 @@ from hypothesis import strategies as st
 from pairsub import (
     AdversarialSpec,
     CardinalityTooLarge,
+    CountingOracle,
+    DuplicateElement,
     InstanceTooLarge,
     ModularSpec,
+    Selection,
     SetFunctionOracle,
+    UnknownElement,
     WeightedCoverageSpec,
     audit_trace,
     brute_force_optimal,
@@ -35,7 +40,7 @@ from _reference import (
     naive_greedy_pessimistic,
     naive_post_hoc_bound,
 )
-from _synth import random_soc_oracle
+from _synth import city_oracle, random_soc_oracle
 
 
 @pytest.fixture
@@ -313,6 +318,31 @@ class TestTraces:
         assert audited.true_marginals == [2.0, 2.0, 0.0]
         # audit must not touch the original query log
         assert audited.query_counts is trace.query_counts
+
+    def test_audit_asks_each_prefix_once(self, chain_coverage):
+        trace = greedy_optimistic(chain_coverage, 3)
+        view = CountingOracle(chain_coverage)
+        audit_trace(trace, view)
+        assert view.counts.total == 3 + 1
+        assert view.counts.to_dict() == {"size1": 1, "size2": 1, "other": 2}
+
+    def test_audit_equals_the_marginal_queries(self):
+        rng = random.Random(19)
+        oracles = [random_soc_oracle(rng, 8) for _ in range(12)] + [city_oracle(count=25)]
+        for oracle in oracles:
+            trace = greedy_optimistic(oracle, 6)
+            order = trace.selected_order
+            expected = [oracle.marginal(x, order[:i]) for i, x in enumerate(order)]
+            assert audit_trace(trace, oracle).true_marginals == expected
+
+    def test_audit_checks_the_order(self, chain_coverage):
+        trace = greedy_optimistic(chain_coverage, 2)
+        repeated = replace(trace, selections=[*trace.selections, trace.selections[0]])
+        with pytest.raises(DuplicateElement, match="solution repeats an element"):
+            audit_trace(repeated, chain_coverage)
+        unknown = replace(trace, selections=[Selection(1, 7, 1.0)])
+        with pytest.raises(UnknownElement):
+            audit_trace(unknown, chain_coverage)
 
     def test_run_algorithm_dispatch(self, chain_coverage):
         trace = run_algorithm("optimistic", chain_coverage, 2)

@@ -7,7 +7,6 @@ import pytest
 from pairsub import GridMismatch
 from pairsub.bench import (
     CSV_HEADER,
-    ratios_to_csv,
     records_to_csv,
     scaling_sweep,
     speedup_ratios,
@@ -114,10 +113,6 @@ class TestCsvOutput:
         first = lines[1].split(",")
         assert first[0] == "uninformed"
         assert int(first[1]) == 60 and int(first[2]) == 2
-
-    def test_ratio_csv(self):
-        text = ratios_to_csv([(5, 2.0), (10, 4.0)])
-        assert text.splitlines() == ["n,ratio", "5,2.0", "10,4.0"]
 
 
 def test_errors_propagate_from_algorithm():

@@ -25,6 +25,7 @@ from pairsub import (
     build_adversarial,
     build_modular,
     build_weighted_coverage,
+    check_monotone,
     curvature_report,
     greedy_full,
     greedy_k_wise_optimistic,
@@ -103,6 +104,24 @@ class TestAlphasOptimistic:
         trace = greedy_full(chain_coverage, 2)
         with pytest.raises(TraceMismatch):
             alphas_optimistic(trace, chain_coverage)
+
+
+def near_flat_table(third: float):
+    """Singletons 1, pairs 2, the triple 2 + third: monotone within tolerance."""
+    values = (0.0, 1.0, 2.0, 2.0 + third)
+    return SetFunctionOracle(3, lambda s: values[len(s)])
+
+
+@pytest.mark.parametrize(("third", "alpha"), [(1e-11, 1.0 / ((2.0 + 1e-11) - 2.0)),
+                                              (0.0, INF), (-1e-11, INF)])
+def test_audited_factors_follow_the_post_hoc_rule(third, alpha):
+    """A third marginal a hair below zero is as vacuous as zero, not a factor of 1."""
+    oracle = near_flat_table(third)
+    assert check_monotone(oracle).holds
+    trace = greedy_optimistic(oracle, 3)
+    assert [s.estimate for s in trace.selections] == [1.0, 1.0, 1.0]
+    assert alphas_optimistic(trace, oracle) == [1.0, 1.0, alpha]
+    assert alphas_k_wise(trace, oracle, 2) == [1.0, 1.0, alpha]
 
 
 class TestAlphasKWise:

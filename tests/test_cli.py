@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pairsub.bench import CSV_HEADER
 from pairsub.cli import main
 
 MODULAR = {"type": "modular", "params": {"weights": [3, 1, 2, 5]}}
@@ -35,6 +36,12 @@ def test_valid_trace_is_certified(inputs, capsys):
     assert json.loads(out.out)["method"] == "algorithm1"
 
 
+def third_pick(element) -> str:
+    """TRACE with a third pick, which theorems 2 and 3 audit against the oracle."""
+    third = {"i": 3, "element": element, "estimate": 1.0}
+    return json.dumps({**TRACE, "n": 3, "selections": [*TRACE["selections"], third]})
+
+
 BAD_TRACES = {
     "invalid_json": "{not json",
     "missing_n": json.dumps({k: v for k, v in TRACE.items() if k != "n"}),
@@ -45,17 +52,43 @@ BAD_TRACES = {
         {**TRACE, "selections": [{"i": 1, "element": 9, "estimate": 1.0}]}),
     "element_is_a_list": json.dumps(
         {**TRACE, "selections": [{"i": 1, "element": [1], "estimate": 1.0}]}),
+    "third_element_is_a_list": third_pick([1]),
+    "third_element_is_an_object": third_pick({}),
     "bad_query_counts": json.dumps({**TRACE, "query_counts": {"size9": 1}}),
     "n_is_a_string": json.dumps({**TRACE, "n": "2"}),
 }
 
 
-@pytest.mark.parametrize("text", BAD_TRACES.values(), ids=BAD_TRACES.keys())
-def test_malformed_trace_exits_2(inputs, capsys, text):
+# Every method that reads the trace's selections; the default keeps the bare id.
+TRACE_METHODS = {"": [], "-theorem2": ["--method", "theorem2"],
+                 "-theorem3": ["--method", "theorem3", "--k", "2"]}
+
+
+@pytest.mark.parametrize(
+    ("text", "method"),
+    [(text, method) for text in BAD_TRACES.values() for method in TRACE_METHODS.values()],
+    ids=[name + suffix for name in BAD_TRACES for suffix in TRACE_METHODS])
+def test_malformed_trace_exits_2(inputs, capsys, text, method):
     (inputs / "trace.json").write_text(text, encoding="utf-8")
-    code, out = run_cli(["bound", "--instance", "inst.json", "--trace", "trace.json"], capsys)
+    code, out = run_cli(["bound", "--instance", "inst.json", "--trace", "trace.json", *method],
+                        capsys)
     assert code == 2
     assert out.err.startswith("error: ") and out.out == ""
+
+
+def test_bench_ratio_writes_full_over_each_pairwise_strategy(inputs, capsys):
+    code, out = run_cli(["bench", "--instance", "inst.json", "--algos",
+                         "full,optimistic,uninformed", "--n-grid", "1,3", "--trials", "1",
+                         "--ratio", "ratio.csv"], capsys)
+    assert code == 0 and out.err == ""
+    assert out.out.splitlines()[0] == CSV_HEADER and len(out.out.splitlines()) == 7
+    header, *rows = (inputs / "ratio.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "algorithm,n,ratio"
+    assert [row.rsplit(",", 1)[0] for row in rows] == [
+        "optimistic,1", "optimistic,3", "uninformed,1", "uninformed,3"]
+    for row in rows:
+        ratio = row.rsplit(",", 1)[1]
+        assert float(ratio) > 0.0 and repr(float(ratio)) == ratio
 
 
 BAD_FLAGS = {

@@ -29,6 +29,7 @@ from pairsub import (
 from pairsub import bounds
 from pairsub.validation import values_close
 
+from _reference import _scratch_upper
 from _synth import city_oracle, random_soc_oracle
 
 
@@ -132,6 +133,19 @@ class TestUpperEstimate:
         for x in range(3):
             rest = [y for y in range(3) if y != x]
             assert upper_estimate(modular312, x, rest) == modular312.marginal(x, rest)
+
+    def test_equals_the_cache_on_a_non_submodular_table(self):
+        """Every pair marginal is 4 > f(x) = 1; the estimate still starts from f(x)."""
+        values = (0.0, 1.0, 5.0)
+        oracle = SetFunctionOracle(4, lambda s: values[len(s)], budget=2)
+        cache = EstimateCache(oracle)
+        conditioned = []
+        for x_i in (2, 0):
+            cache.condition_on(x_i, oracle)
+            conditioned.append(x_i)
+            for x in cache.remaining():
+                assert upper_estimate(oracle, x, conditioned) == cache.upper[x] == 1.0
+                assert _scratch_upper(oracle, x, conditioned) == cache.upper[x]
 
 
 class TestKWiseUpperEstimate:
