@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb, inf
 
 from .errors import InstanceTooLarge, InvalidArgument, ParseError
-from .oracles import CountingOracle, EstimateCache, QueryCounts, argmax
+from .oracles import CountingOracle, EstimateCache, QueryCounts, argmax, fold_k_wise
 from .validation import check_cardinality, check_order
 
 BRUTE_FORCE_LIMIT = 10**6
@@ -77,11 +77,11 @@ def _typed(value, kinds, field: str):
 
 def trace_from_dict(doc: dict) -> RunTrace:
     """The RunTrace of a to_dict() document; ParseError if a field is missing
-    or has the wrong shape."""
+    or has the wrong shape, or the selections are not labelled i = 1..n."""
     if not isinstance(doc, dict):
         raise ParseError(f"a trace must be a JSON object, got {type(doc).__name__}")
     try:
-        return RunTrace(
+        trace = RunTrace(
             algorithm=doc["algorithm"],
             n=_typed(doc["n"], int, "n"),
             selections=[
@@ -98,16 +98,19 @@ def trace_from_dict(doc: dict) -> RunTrace:
         raise ParseError(f"trace is missing the field {exc}") from None
     except TypeError as exc:
         raise ParseError(f"trace field has the wrong shape: {exc}") from None
+    labels = [sel.iteration for sel in trace.selections]
+    if labels != list(range(1, len(labels) + 1)) or trace.n != len(labels):
+        raise ParseError(f"trace has n={trace.n} and selections labelled {labels}, not 1..n")
+    return trace
 
 
-def _finish(algorithm, n, selections, view, k=None) -> RunTrace:
+def _finish(algorithm, n, selections, view) -> RunTrace:
     return RunTrace(
         algorithm=algorithm,
         n=n,
         selections=selections,
         final_set=sorted(s.element for s in selections),
         query_counts=view.counts,
-        k=k,
     )
 
 
@@ -131,17 +134,11 @@ def greedy_full(oracle, n: int) -> RunTrace:
 
 
 def greedy_uninformed(oracle, n: int) -> RunTrace:
-    """Rank elements by singleton value alone; ties by lowest id."""
-    check_cardinality(n, oracle.ground_size)
-    view = CountingOracle(oracle)
-    singles = {x: view.evaluate((x,)) for x in range(view.ground_size)}
-    remaining = sorted(singles)
-    selections = []
-    for i in range(1, n + 1):
-        x, value = argmax(remaining, singles)
-        selections.append(Selection(i, x, value))
-        remaining.remove(x)
-    return _finish("uninformed", n, selections, view)
+    """Rank elements by singleton value alone; ties by lowest id.
+
+    The k-wise loop at k = 1: only the m singletons are asked.
+    """
+    return _k_wise_greedy("uninformed", oracle, n, 1)
 
 
 def _pairwise_greedy(algorithm, oracle, n: int, pick) -> RunTrace:
@@ -177,39 +174,34 @@ def greedy_pessimistic(oracle, n: int) -> RunTrace:
     return _pairwise_greedy("pessimistic", oracle, n, EstimateCache.argmax_lower)
 
 
-def greedy_k_wise_optimistic(oracle, n: int, k: int) -> RunTrace:
-    """Maximize the k-wise upper estimate.
-
-    Reduces to greedy_optimistic at k=2 and to greedy_full once k exceeds
-    the solution size.  Each iteration folds in the marginals over the new
-    subsets containing the fresh selection (naive subset enumeration), so
-    per-candidate cost grows as C(|S|, k-1).
-    """
-    if k < 2:
-        raise InvalidArgument(f"k must be >= 2, got {k}")
+def _k_wise_greedy(algorithm, oracle, n: int, k: int) -> RunTrace:
+    """Maximize the k-wise upper estimate, folding each pick but the last in."""
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
-    current_min = {x: view.evaluate((x,)) for x in range(view.ground_size)}
-    order = sorted(current_min)
+    upper = {x: view.evaluate((x,)) for x in range(view.ground_size)}
+    order = sorted(upper)
     selected: list[int] = []
     selections = []
     for i in range(1, n + 1):
-        best_x, best_v = argmax(order, current_min)
-        selections.append(Selection(i, best_x, best_v))
-        order.remove(best_x)
-        if i == n:
-            break
-        prev = tuple(selected)
-        selected.append(best_x)
-        for size in range(0, min(k - 2, len(prev)) + 1):
-            for extra in combinations(prev, size):
-                subset = extra + (best_x,)
-                f_subset = view.evaluate(subset)
-                for x in order:
-                    marg = view.evaluate(subset + (x,)) - f_subset
-                    if marg < current_min[x]:
-                        current_min[x] = marg
-    return _finish("k_wise_optimistic", n, selections, view, k=k)
+        x, value = argmax(order, upper)
+        selections.append(Selection(i, x, value))
+        order.remove(x)
+        if i < n:
+            fold_k_wise(view, upper, order, selected, x, k)
+            selected.append(x)
+    return _finish(algorithm, n, selections, view)
+
+
+def greedy_k_wise_optimistic(oracle, n: int, k: int) -> RunTrace:
+    """Maximize the k-wise upper estimate (the paper's Theorem 3 strategy).
+
+    At k=2 it picks and estimates as greedy_optimistic but asks n-1 more
+    singletons; once k exceeds n it matches greedy_full on submodular f
+    only.  Per-candidate cost per pick grows as C(|S|, k-2).
+    """
+    if k < 2:
+        raise InvalidArgument(f"k must be >= 2, got {k}")
+    return replace(_k_wise_greedy("k_wise_optimistic", oracle, n, k), k=k)
 
 
 def brute_force_optimal(oracle, n: int, limit: int = BRUTE_FORCE_LIMIT):

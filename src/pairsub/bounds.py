@@ -7,19 +7,21 @@ alpha_i >= 1 (alpha_i = inf is the vacuous factor) composed into
 
 so that f(solution) >= gamma * f(optimum).  Three producers supply factors:
 
-* alphas_optimistic  -- ratio of the recorded upper estimate to the audited
-  true marginal (factors 1 for the first two iterations),
-* alphas_k_wise      -- same with the k-wise estimate and threshold k,
-* alphas_pessimistic -- 1/(1 - min{(i-1)*tau_2, 1}) from the 2-cardinality
-  curvature alone.
+* alphas_k_wise      -- Theorem 3: ratio of the recorded k-wise upper
+  estimate to the audited true marginal, factors 1 for the first k picks,
+* alphas_optimistic  -- Theorem 2, which is Theorem 3 at k = 2,
+* alphas_pessimistic -- Theorem 5: 1/(1 - min{(i-1)*tau_2, 1}) from the
+  2-cardinality curvature alone.
 
 post_hoc_bound is the pairwise-information certificate (Algorithm 1): it
 bounds each iteration's factor by (max upper estimate) / (lower estimate of
 the pick) using only size-<=2 queries, no full oracle required.
 
-Algorithm 1 and Theorems 2/3 share one factor rule, _factor(num, den): 1
-when both vanish, infinite when den vanishes under a non-vanishing num or is
+Every producer shares one factor rule, _factor(num, den): 1 when both
+vanish, infinite when den vanishes under a non-vanishing num or is
 negative, else max(1, num/den).  Theorems 2/3 audit through audit_trace.
+The traditional curvature is tau_m, the k-cardinality curvature with every
+conditioning set allowed.
 
 The corollary bounds are compositions, not separate operations: corollary 1
 is bound_from_alphas(alphas_optimistic(...)), corollary 2 is
@@ -44,7 +46,6 @@ from .errors import (
 )
 from .oracles import CountingOracle, EstimateCache, k_wise_upper_estimate
 from .validation import check_order, near_zero
-from .verify import subset_values
 
 CURVATURE_ENUM_LIMIT = 10**6
 
@@ -91,7 +92,7 @@ def bound_from_alphas(alphas, n: int) -> float:
 
 
 def _factor(numerator: float, denominator: float) -> float:
-    """The factor rule of Algorithm 1 and Theorems 2/3 (module docstring)."""
+    """The factor rule of every producer (module docstring)."""
     if near_zero(denominator):
         return 1.0 if near_zero(numerator) else inf
     if denominator < 0.0:
@@ -99,14 +100,8 @@ def _factor(numerator: float, denominator: float) -> float:
     return max(1.0, numerator / denominator)
 
 
-def _alphas_from_trace(trace, full_oracle, threshold: int) -> list[float]:
-    true_marginals = audit_trace(trace, full_oracle).true_marginals
-    return [1.0 if sel.iteration <= threshold else _factor(sel.estimate, true)
-            for sel, true in zip(trace.selections, true_marginals)]
-
-
 def alphas_optimistic(trace, full_oracle) -> list[float]:
-    """Per-iteration factors for an optimistic run (audited true marginals).
+    """Theorem 2: the factors of an optimistic run, which are Theorem 3's at k=2.
 
     The first two picks coincide with full-information greedy, so their
     factors are 1; beyond that the factor is _factor(estimate, true).
@@ -115,12 +110,13 @@ def alphas_optimistic(trace, full_oracle) -> list[float]:
         raise TraceMismatch(
             f"expected an optimistic trace, got {trace.algorithm!r}"
         )
-    return _alphas_from_trace(trace, full_oracle, threshold=2)
+    return alphas_k_wise(trace, full_oracle, 2)
 
 
 def alphas_k_wise(trace, full_oracle, k: int) -> list[float]:
-    """Factors for a k-wise optimistic run: 1 through iteration k, then
-    _factor(estimate, true)."""
+    """Theorem 3: factors for a k-wise optimistic run, 1 for the first k
+    picks, then _factor(estimate, audited true marginal).  The threshold
+    reads each pick's position, not its recorded iteration label."""
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
     if trace.algorithm == "k_wise_optimistic":
@@ -130,25 +126,21 @@ def alphas_k_wise(trace, full_oracle, k: int) -> list[float]:
         raise TraceMismatch(
             f"expected a k_wise_optimistic trace, got {trace.algorithm!r}"
         )
-    return _alphas_from_trace(trace, full_oracle, threshold=k)
+    true_marginals = audit_trace(trace, full_oracle).true_marginals
+    return [1.0 if i <= k else _factor(sel.estimate, true)
+            for i, (sel, true) in enumerate(zip(trace.selections, true_marginals), 1)]
 
 
 def alphas_pessimistic(tau2: float, n: int) -> list[float]:
     """Curvature-only factors for a pessimistic run.
 
-    alpha_i = 1/(1 - min{(i-1)*tau_2, 1}) for i > 2, infinite once the min
-    saturates; requires supermodularity of conditioning to certify anything.
+    alpha_i = _factor(1, 1 - min{(i-1)*tau_2, 1}) for i > 2; requires
+    supermodularity of conditioning to certify anything.
     """
     if not 0.0 <= tau2 <= 1.0:
         raise InvalidCurvature(f"tau_2 must lie in [0, 1], got {tau2}")
-    alphas = []
-    for i in range(1, n + 1):
-        if i <= 2:
-            alphas.append(1.0)
-            continue
-        denom = 1.0 - min((i - 1) * tau2, 1.0)
-        alphas.append(inf if denom <= 0.0 else max(1.0, 1.0 / denom))
-    return alphas
+    return [1.0 if i <= 2 else _factor(1.0, 1.0 - min((i - 1) * tau2, 1.0))
+            for i in range(1, n + 1)]
 
 
 def post_hoc_bound(solution, oracle, m: int | None = None) -> BoundReport:
@@ -179,28 +171,11 @@ def post_hoc_bound(solution, oracle, m: int | None = None) -> BoundReport:
 def traditional_curvature(full_oracle, limit: int = CURVATURE_ENUM_LIMIT) -> float:
     """c = 1 - min over (A, x not in A, f(x) > 0) of f(x|A)/f(x).
 
-    Exhaustive over all conditioning sets, so gated by the enumeration limit.
+    tau_m: every conditioning set is allowed, so the scan asks all 2^m - 1
+    nonempty sets and is gated by the enumeration limit.  The A = empty
+    term is left out, which changes nothing when f(empty) = 0.
     """
-    m = full_oracle.ground_size
-    if m * 2 ** (m - 1) > limit:
-        raise InstanceTooLarge(
-            f"curvature scan needs {m * 2 ** (m - 1)} pairs, limit is {limit}"
-        )
-    values = subset_values(full_oracle)
-    min_ratio = 1.0
-    for x in range(m):
-        xbit = 1 << x
-        fx = values[xbit]
-        if near_zero(fx):
-            continue  # ratio defined as 1; cannot lower the min
-        for mask in range(1 << m):
-            if mask & xbit:
-                continue
-            ratio = (values[mask | xbit] - values[mask]) / fx
-            if ratio < min_ratio:
-                min_ratio = ratio
-    # float noise in the marginals can push the ratio a hair outside [0, 1]
-    return min(1.0, max(0.0, 1.0 - min_ratio))
+    return k_cardinality_curvature(full_oracle, max(2, full_oracle.ground_size), limit)
 
 
 def k_marginal_curvature(full_oracle, x: int, ids, k: int) -> float:
@@ -224,7 +199,8 @@ def k_cardinality_curvature(oracle, k: int, limit: int = CURVATURE_ENUM_LIMIT) -
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
     m = oracle.ground_size
-    pair_count = sum(comb(m - 1, size) for size in range(1, k)) * m
+    pair_count = m * (2 ** (m - 1) - 1 if k >= m  # every nonempty A, without summing
+                      else sum(comb(m - 1, size) for size in range(1, k)))
     if pair_count > limit:
         raise InstanceTooLarge(
             f"tau_{k} scan needs {pair_count} conditioning sets, limit is {limit}"

@@ -143,19 +143,6 @@ def cmd_bound(args) -> int:
     method = args.method
     if method == "algorithm1":
         report = post_hoc_bound(solution, oracle)
-    elif method == "theorem2":
-        if trace is None:
-            raise ConfigError("--method theorem2 needs --trace")
-        alphas = alphas_optimistic(trace, oracle)
-        report = BoundReport(alphas, bound_from_alphas(alphas, trace.n), "theorem2")
-    elif method == "theorem3":
-        if trace is None:
-            raise ConfigError("--method theorem3 needs --trace")
-        k = args.k if args.k is not None else trace.k
-        if k is None:
-            raise ConfigError("--method theorem3 needs --k")
-        alphas = alphas_k_wise(trace, oracle, k)
-        report = BoundReport(alphas, bound_from_alphas(alphas, trace.n), "theorem3")
     elif method == "theorem5":
         n = trace.n if trace is not None else args.n
         if n is None:
@@ -164,9 +151,18 @@ def cmd_bound(args) -> int:
         if tau2 is None:
             tau2 = k_cardinality_curvature(oracle, 2)
         alphas = alphas_pessimistic(tau2, n)
-        report = BoundReport(alphas, bound_from_alphas(alphas, n), "theorem5")
-    else:  # argparse choices prevent this
-        raise ConfigError(f"unknown method {method!r}")
+        report = BoundReport(alphas, bound_from_alphas(alphas, n), method)
+    else:  # theorem2, or theorem3: Theorem 2 is Theorem 3 at k=2
+        if trace is None:
+            raise ConfigError(f"--method {method} needs --trace")
+        if method == "theorem2":
+            alphas = alphas_optimistic(trace, oracle)
+        else:
+            k = args.k if args.k is not None else trace.k
+            if k is None:
+                raise ConfigError("--method theorem3 needs --k")
+            alphas = alphas_k_wise(trace, oracle, k)
+        report = BoundReport(alphas, bound_from_alphas(alphas, trace.n), method)
     _write_json(report.to_dict(), args.out)
     return 0
 

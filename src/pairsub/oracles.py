@@ -187,20 +187,32 @@ def k_wise_upper_estimate(oracle, x: int, ids: Iterable[int], k: int) -> float:
     """min f(x|A) over all A within the set with |A| < k, A empty included.
 
     Non-increasing in k; upper_estimate is the k=2 case, for any f, and the
-    value is f(x) for an empty set.  Enumerates subsets naively, so cost
-    grows as C(|S|, k-1).
+    value is f(x) for an empty set.  Each A is asked once, folded in by its
+    largest id: 1 + 2 * sum_{1 <= s < k} C(|S|, s) queries.
     """
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
     s = as_id_set(ids)
     if x in s:
         raise DuplicateElement(f"element {x} already in the conditioning set")
-    best = oracle.evaluate((x,))  # A = empty set
+    upper = {x: oracle.evaluate((x,))}  # A = empty set
     members = sorted(s)
-    for size in range(1, min(k - 1, len(members)) + 1):
-        for subset in combinations(members, size):
-            best = min(best, oracle.evaluate(subset + (x,)) - oracle.evaluate(subset))
-    return best
+    for j, y in enumerate(members):
+        fold_k_wise(oracle, upper, (x,), members[:j], y, k)
+    return upper[x]
+
+
+def fold_k_wise(oracle, upper: dict, candidates, earlier, y: int, k: int) -> None:
+    """Lower upper[x], for each x in candidates, to f(x|A) over every new A:
+    the fresh id y plus at most k-2 ids of earlier (none at k = 1)."""
+    for size in range(min(k - 2, len(earlier)) + 1):
+        for extra in combinations(earlier, size):
+            a = extra + (y,)
+            f_a = oracle.evaluate(a)
+            for x in candidates:
+                marg = oracle.evaluate(a + (x,)) - f_a
+                if marg < upper[x]:
+                    upper[x] = marg
 
 
 def lower_estimate(oracle, x: int, ids: Iterable[int]) -> float:

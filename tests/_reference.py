@@ -1,5 +1,5 @@
-"""From-scratch references for the pairwise greedy strategies, Algorithm 1,
-the tau_k scan and the traditional curvature.
+"""From-scratch references for the pairwise and k-wise greedy strategies,
+Algorithm 1, the tau_k scan and the traditional curvature.
 
 These recompute every estimate from raw oracle queries at every iteration,
 with the same fold order as the incremental recursions, so a correct cached
@@ -52,6 +52,20 @@ def _naive_greedy(oracle, n, estimate):
 
 def naive_greedy_optimistic(oracle, n):
     return _naive_greedy(oracle, n, _scratch_upper)
+
+
+def naive_greedy_k_wise(oracle, n, k):
+    """The Theorem 3 strategy: every pick maximizes min f(x|A) over all A
+    within the selection with |A| < k, each f(A + x) and f(A) asked afresh."""
+    def upper(oracle, x, selected):
+        est = oracle.evaluate((x,))
+        for size in range(1, k):
+            for a in combinations(selected, size):
+                pm = oracle.evaluate(a + (x,)) - oracle.evaluate(a)
+                if pm < est:
+                    est = pm
+        return est
+    return _naive_greedy(oracle, n, upper)
 
 
 def naive_greedy_pessimistic(oracle, n):

@@ -1,6 +1,7 @@
 """Greedy strategies, traces, query budgets, and the brute-force reference."""
 
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -36,6 +37,7 @@ from pairsub import (
 from pairsub.algorithms import PAIRWISE_ALGORITHMS
 
 from _reference import (
+    naive_greedy_k_wise,
     naive_greedy_optimistic,
     naive_greedy_pessimistic,
     naive_post_hoc_bound,
@@ -178,6 +180,29 @@ class TestGreedyKWise:
     def test_k_below_two(self, chain_coverage):
         with pytest.raises(ValueError):
             greedy_k_wise_optimistic(chain_coverage, 2, 1)
+
+    def test_equals_from_scratch_reference_and_its_count(self):
+        rng = random.Random(29)
+        oracles = [random_soc_oracle(rng, rng.randint(3, 9)) for _ in range(12)]
+        oracles.append(city_oracle(seed=8, count=25))
+        table = {0: 0.0}
+        for mask in range(1, 1 << 6):  # not submodular
+            table[mask] = bin(mask).count("1") + rng.uniform(0.0, 0.5)
+        oracles.append(SetFunctionOracle(6, lambda s: table[sum(1 << x for x in s)]))
+        for oracle in oracles:
+            m = oracle.ground_size
+            n = min(m, 6)
+            for k in (2, 3, 4):
+                trace = greedy_k_wise_optimistic(oracle, n, k)
+                ref_sel, ref_est = naive_greedy_k_wise(oracle, n, k)
+                assert trace.selected_order == ref_sel
+                assert [s.estimate for s in trace.selections] == ref_est
+                # m singletons, then per pick i < n each new A (f(A) plus
+                # one f(A + x) per remaining candidate)
+                expected = m + sum(math.comb(i - 1, s) * (1 + m - i)
+                                   for i in range(1, n)
+                                   for s in range(min(k - 2, i - 1) + 1))
+                assert trace.query_counts.total == expected
 
 
 class TestBruteForce:

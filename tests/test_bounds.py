@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -105,6 +106,13 @@ class TestAlphasOptimistic:
         with pytest.raises(TraceMismatch):
             alphas_optimistic(trace, chain_coverage)
 
+    def test_threshold_reads_the_position_not_the_label(self, chain_coverage):
+        trace = greedy_optimistic(chain_coverage, 3)
+        relabelled = replace(trace, selections=[replace(s, iteration=1)
+                                                for s in trace.selections])
+        assert alphas_optimistic(trace, chain_coverage) == [1.0, 1.0, INF]
+        assert alphas_optimistic(relabelled, chain_coverage) == [1.0, 1.0, INF]
+
 
 def near_flat_table(third: float):
     """Singletons 1, pairs 2, the triple 2 + third: monotone within tolerance."""
@@ -163,6 +171,10 @@ class TestAlphasPessimistic:
 
     def test_quarter_curvature(self):
         assert alphas_pessimistic(0.25, 4) == [1.0, 1.0, 2.0, 4.0]
+
+    def test_vanishing_denominator_is_vacuous(self):
+        """1 - 2*tau_2 is 5e-13 here: the shared factor rule calls that zero."""
+        assert alphas_pessimistic((1 - 5e-13) / 2, 3)[2] == INF
 
     def test_invalid_curvature(self):
         with pytest.raises(InvalidCurvature):
@@ -318,6 +330,16 @@ class TestCurvatures:
         oracles.append(SetFunctionOracle(6, lambda s: table[sum(1 << x for x in s)]))
         for oracle in oracles:
             assert traditional_curvature(oracle) == naive_traditional_curvature(oracle)
+
+    def test_traditional_is_tau_m(self):
+        oracle = random_soc_oracle(random.Random(73), 7)
+        view = CountingOracle(oracle)
+        assert traditional_curvature(view) == k_cardinality_curvature(oracle, 7)
+        assert view.counts.total == 2**7 - 1
+        needed = 7 * (2**6 - 1)  # m * (2^(m-1) - 1) conditioning sets
+        assert 0.0 <= traditional_curvature(oracle, limit=needed) <= 1.0
+        with pytest.raises(InstanceTooLarge):
+            traditional_curvature(oracle, limit=needed - 1)
 
     def test_tau_k_asks_each_set_once(self):
         oracle = random_soc_oracle(random.Random(67), 7)

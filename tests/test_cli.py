@@ -56,6 +56,9 @@ BAD_TRACES = {
     "third_element_is_an_object": third_pick({}),
     "bad_query_counts": json.dumps({**TRACE, "query_counts": {"size9": 1}}),
     "n_is_a_string": json.dumps({**TRACE, "n": "2"}),
+    "iterations_relabelled": json.dumps(
+        {**TRACE, "selections": [{**s, "i": 1} for s in TRACE["selections"]]}),
+    "n_disagrees": json.dumps({**TRACE, "n": 3}),
 }
 
 

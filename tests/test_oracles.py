@@ -1,5 +1,6 @@
 """Core oracle, budget, and marginal-estimate behavior."""
 
+import math
 import random
 from enum import IntEnum
 
@@ -174,6 +175,15 @@ class TestKWiseUpperEstimate:
     def test_k_below_two_rejected(self, chain_coverage):
         with pytest.raises(ValueError):
             k_wise_upper_estimate(chain_coverage, 0, [1], 1)
+
+    def test_asks_each_conditioning_set_once(self):
+        oracle = random_soc_oracle(random.Random(5), 8)
+        s = [0, 2, 3, 5, 7]
+        for k in (2, 3, 4, 6, 7):
+            view = CountingOracle(oracle)
+            k_wise_upper_estimate(view, 1, s, k)
+            expected = 1 + 2 * sum(math.comb(len(s), size) for size in range(1, k))
+            assert view.counts.total == expected
 
 
 class TestLowerEstimate:
