@@ -16,7 +16,7 @@ from math import comb, inf
 
 from .errors import InstanceTooLarge, InvalidArgument, ParseError
 from .oracles import CountingOracle, EstimateCache, QueryCounts, argmax, fold_k_wise
-from .validation import check_cardinality, check_order
+from .validation import check_cardinality, check_order, count_text
 
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -178,7 +178,8 @@ def _k_wise_greedy(algorithm, oracle, n: int, k: int) -> RunTrace:
     """Maximize the k-wise upper estimate, folding each pick but the last in."""
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
-    upper = {x: view.evaluate((x,)) for x in range(view.ground_size)}
+    singletons = {x: view.evaluate((x,)) for x in range(view.ground_size)}
+    upper = dict(singletons)
     order = sorted(upper)
     selected: list[int] = []
     selections = []
@@ -187,7 +188,7 @@ def _k_wise_greedy(algorithm, oracle, n: int, k: int) -> RunTrace:
         selections.append(Selection(i, x, value))
         order.remove(x)
         if i < n:
-            fold_k_wise(view, upper, order, selected, x, k)
+            fold_k_wise(view, upper, order, selected, x, singletons[x], k)
             selected.append(x)
     return _finish(algorithm, n, selections, view)
 
@@ -195,9 +196,12 @@ def _k_wise_greedy(algorithm, oracle, n: int, k: int) -> RunTrace:
 def greedy_k_wise_optimistic(oracle, n: int, k: int) -> RunTrace:
     """Maximize the k-wise upper estimate (the paper's Theorem 3 strategy).
 
-    At k=2 it picks and estimates as greedy_optimistic but asks n-1 more
-    singletons; once k exceeds n it matches greedy_full on submodular f
-    only.  Per-candidate cost per pick grows as C(|S|, k-2).
+    Asks the m singletons, then after each pick but the last, for every new
+    A (the pick plus at most k-2 earlier picks), f(A) unless A is the pick
+    alone, and f(A + x) for each remaining x: per-candidate cost per pick
+    grows as C(|S|, k-2).  At k=2 it picks, estimates and asks as
+    greedy_optimistic; once k exceeds n it matches greedy_full on submodular
+    f only.
     """
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
@@ -214,7 +218,8 @@ def brute_force_optimal(oracle, n: int, limit: int = BRUTE_FORCE_LIMIT):
     check_cardinality(n, m)
     if comb(m, n) > limit:
         raise InstanceTooLarge(
-            f"C({m}, {n}) = {comb(m, n)} exceeds the enumeration limit {limit}"
+            f"C({m}, {n}) = {count_text(comb(m, n))} exceeds the enumeration "
+            f"limit {count_text(limit)}"
         )
     if n == 0:
         return [], oracle.evaluate(())

@@ -45,7 +45,7 @@ from .errors import (
     TraceMismatch,
 )
 from .oracles import CountingOracle, EstimateCache, k_wise_upper_estimate
-from .validation import check_order, near_zero
+from .validation import check_order, count_text, near_zero
 
 CURVATURE_ENUM_LIMIT = 10**6
 
@@ -203,7 +203,8 @@ def k_cardinality_curvature(oracle, k: int, limit: int = CURVATURE_ENUM_LIMIT) -
                       else sum(comb(m - 1, size) for size in range(1, k)))
     if pair_count > limit:
         raise InstanceTooLarge(
-            f"tau_{k} scan needs {pair_count} conditioning sets, limit is {limit}"
+            f"tau_{k} scan needs {count_text(pair_count)} conditioning sets, "
+            f"limit is {count_text(limit)}"
         )
     memo: dict[tuple, float] = {(x,): oracle.evaluate((x,)) for x in range(m)}
     min_ratio = 1.0

@@ -198,17 +198,21 @@ def k_wise_upper_estimate(oracle, x: int, ids: Iterable[int], k: int) -> float:
     upper = {x: oracle.evaluate((x,))}  # A = empty set
     members = sorted(s)
     for j, y in enumerate(members):
-        fold_k_wise(oracle, upper, (x,), members[:j], y, k)
+        fold_k_wise(oracle, upper, (x,), members[:j], y, oracle.evaluate((y,)), k)
     return upper[x]
 
 
-def fold_k_wise(oracle, upper: dict, candidates, earlier, y: int, k: int) -> None:
+def fold_k_wise(oracle, upper: dict, candidates, earlier, y: int, f_y: float,
+                k: int) -> None:
     """Lower upper[x], for each x in candidates, to f(x|A) over every new A:
-    the fresh id y plus at most k-2 ids of earlier (none at k = 1)."""
+    the fresh id y plus at most k-2 ids of earlier (none at k = 1).
+
+    f_y is f({y}), which the caller has already asked.
+    """
     for size in range(min(k - 2, len(earlier)) + 1):
         for extra in combinations(earlier, size):
             a = extra + (y,)
-            f_a = oracle.evaluate(a)
+            f_a = oracle.evaluate(a) if extra else f_y
             for x in candidates:
                 marg = oracle.evaluate(a + (x,)) - f_a
                 if marg < upper[x]:

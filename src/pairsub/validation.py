@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Iterable
 
 from .errors import CardinalityTooLarge, DuplicateElement, UnknownElement
@@ -18,16 +19,26 @@ def tolerance(a: float, b: float) -> float:
 
 
 def values_close(a: float, b: float) -> bool:
-    return abs(a - b) <= tolerance(a, b)
+    """a == b, or both are finite and within tolerance of each other."""
+    return a == b or (isfinite(a) and isfinite(b) and abs(a - b) <= tolerance(a, b))
 
 
 def at_least(a: float, b: float) -> bool:
-    """True when a >= b up to tolerance."""
-    return a >= b - tolerance(a, b)
+    """a >= b, or both are finite and a falls short by at most the tolerance."""
+    return a >= b or (isfinite(a) and isfinite(b) and a >= b - tolerance(a, b))
 
 
 def near_zero(v: float) -> bool:
     return abs(v) <= ABS_TOL
+
+
+def count_text(count: int) -> str:
+    """count in decimal, or a power-of-two floor when it has too many digits
+    for the interpreter to print."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2^{count.bit_length() - 1}"
 
 
 def as_id_set(ids: Iterable[int]) -> frozenset:

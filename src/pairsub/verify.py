@@ -1,9 +1,13 @@
 """Brute-force property checkers used as ground-truth oracles.
 
-Each checker enumerates the property's quantifier space exhaustively when
-the ground set is small enough (tuple spaces grow like 3^m or 4^m), and
-falls back to seeded uniform sampling above the limit.  A failed check
-always carries a witness that replays through plain oracle evaluations.
+A checker is a domain plus a violation.  The domain states the property's
+quantifiers once, as slots in order: each ranges over the subsets of a mask,
+or over the elements outside one, and the mask follows from the earlier
+slots.  _run enumerates every tuple of the domain when the ground set is
+small enough (tuple spaces grow like 3^m or 4^m), and otherwise draws seeded
+uniform tuples from the same slots, asking f at most once per set.  A failed
+check always carries a witness that replays through plain oracle
+evaluations.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import InstanceTooLarge, InvalidArgument
 from .validation import at_least, values_close
@@ -22,6 +27,9 @@ LIMIT_SUBMODULAR = 8
 LIMIT_FOUR_SET = 8
 LIMIT_LOWER_BOUND = 10
 DEFAULT_SAMPLES = 2000
+
+# The two kinds of slot in a checker's domain (see _run).
+SUBSET, ELEMENT = "subset", "element"
 
 
 @dataclass
@@ -70,11 +78,9 @@ def _bits(mask: int) -> list[int]:
 def _submasks(mask: int) -> list[int]:
     """All submasks of mask, ascending."""
     out = [0]
-    sub = mask
-    while sub:
-        out.append(sub)
-        sub = (sub - 1) & mask
-    return sorted(out)
+    while out[-1] != mask:
+        out.append((out[-1] - mask) & mask)
+    return out
 
 
 def _mode_exhaustive(m: int, exhaustive_limit: int, mode: str, samples: int) -> bool:
@@ -102,32 +108,33 @@ def check_normalized(oracle) -> VerificationReport:
     return VerificationReport("normalized", holds, witness, 1)
 
 
-def _run(name, oracle, exhaustive_limit, mode, samples, seed, space, draw,
-         violation, memo=True) -> VerificationReport:
-    """Check violation(at, t) on every tuple of space(m), or on samples draws.
+def _run(name, oracle, exhaustive_limit, mode, samples, seed, domain,
+         violation) -> VerificationReport:
+    """Check violation(at, t) on the tuples t of domain.
 
-    Enumeration reads f from one table over all subsets.  A draw is
-    draw(rng, m), or None when it has nothing to check; None draws are not
-    counted.  Sampled checks memoise f per bitmask unless memo is off, in
-    which case every lookup asks the oracle afresh.
+    A domain is a sequence of slots (kind, within), one per quantified
+    variable in order: the slot takes a subset of the mask within(full,
+    *earlier) when kind is SUBSET, or one element outside it when kind is
+    ELEMENT.  Enumeration walks every tuple in nested-loop order and reads f
+    from one table over all subsets.  Sampling draws samples tuples slot by
+    slot from random.Random(seed) and asks f at most once per set; a draw
+    with no element outside an ELEMENT slot's mask stops there and is not
+    counted.
     """
     m = oracle.ground_size
     if _mode_exhaustive(m, exhaustive_limit, mode, samples):
         at = subset_values(oracle).__getitem__
-        tuples = space(m)
+        tuples, values = [()], _every
     else:
-        if memo:
-            cache: dict[int, float] = {}
+        cache: dict[int, float] = {}
 
-            def at(mask: int) -> float:
-                if mask not in cache:
-                    cache[mask] = oracle.evaluate(_bits(mask))
-                return cache[mask]
-        else:
-            def at(mask: int) -> float:
-                return oracle.evaluate(_bits(mask))
-        rng = random.Random(seed)
-        tuples = (t for t in (draw(rng, m) for _ in range(samples)) if t is not None)
+        def at(mask: int) -> float:
+            if mask not in cache:
+                cache[mask] = oracle.evaluate(_bits(mask))
+            return cache[mask]
+        tuples, values = repeat((), samples), _uniform(random.Random(seed))
+    for kind, within in domain:
+        tuples = _extend(tuples, values, kind, within, m)
     checked = 0
     for t in tuples:
         checked += 1
@@ -137,10 +144,27 @@ def _run(name, oracle, exhaustive_limit, mode, samples, seed, space, draw,
     return VerificationReport(name, True, None, checked)
 
 
-def _outside(rng, mask: int, m: int):
-    """A uniform element outside mask, or None when mask is everything."""
-    outside = [x for x in range(m) if not mask & (1 << x)]
-    return rng.choice(outside) if outside else None
+def _every(kind, mask: int, m: int) -> list[int]:
+    """Every value of a slot, in enumeration order."""
+    if kind == SUBSET:
+        return _submasks(mask)
+    return [x for x in range(m) if not mask >> x & 1]
+
+
+def _uniform(rng):
+    """A slot's values as one uniform draw, or none when no element is outside."""
+    def values(kind, mask: int, m: int) -> tuple:
+        if kind == SUBSET:
+            return (rng.getrandbits(m) & mask,)
+        outside = _every(ELEMENT, mask, m)
+        return (rng.choice(outside),) if outside else ()
+    return values
+
+
+def _extend(tuples, values, kind, within, m: int):
+    """Each tuple followed by each of the next slot's values, lazily."""
+    full = (1 << m) - 1
+    return (t + (v,) for t in tuples for v in values(kind, within(full, *t), m))
 
 
 def check_monotone(
@@ -151,20 +175,12 @@ def check_monotone(
     mode: str = "auto",
 ) -> VerificationReport:
     """f(A) <= f(B) along every single-element extension chain."""
-
-    def space(m):
-        for a_mask in range(1 << m):
-            for x in range(m):
-                if not a_mask & (1 << x):
-                    yield a_mask, a_mask | (1 << x)
-
-    def draw(rng, m):  # A = X has no x to add
-        a_mask = rng.getrandbits(m)
-        x = _outside(rng, a_mask, m)
-        return None if x is None else (a_mask, a_mask | (1 << x))
+    domain = ((SUBSET, lambda full: full),  # A
+              (ELEMENT, lambda full, a: a))  # x outside A, B = A + x
 
     def violation(at, t):
-        a_mask, b_mask = t
+        a_mask, x = t
+        b_mask = a_mask | 1 << x
         fa = at(a_mask)
         fb = at(b_mask)
         if at_least(fb, fa):
@@ -172,7 +188,7 @@ def check_monotone(
         return {"A": _bits(a_mask), "B": _bits(b_mask), "f_A": fa, "f_B": fb}
 
     return _run("monotone", oracle, exhaustive_limit, mode, samples, seed,
-                space, draw, violation, memo=False)
+                domain, violation)
 
 
 def check_submodular(
@@ -183,22 +199,12 @@ def check_submodular(
     mode: str = "auto",
 ) -> VerificationReport:
     """Diminishing returns: f(x|A) >= f(x|B) for all A within B, x outside B."""
-
-    def space(m):
-        for b_mask in range(1 << m):
-            subs = _submasks(b_mask)
-            for x in range(m):
-                if not b_mask & (1 << x):
-                    for a_mask in subs:
-                        yield a_mask, b_mask, x
-
-    def draw(rng, m):  # B = X has no x outside B
-        b_mask = rng.getrandbits(m)
-        x = _outside(rng, b_mask, m)
-        return None if x is None else (rng.getrandbits(m) & b_mask, b_mask, x)
+    domain = ((SUBSET, lambda full: full),  # B
+              (ELEMENT, lambda full, b: b),  # x outside B
+              (SUBSET, lambda full, b, x: b))  # A within B
 
     def violation(at, t):
-        a_mask, b_mask, x = t
+        b_mask, x, a_mask = t
         xbit = 1 << x
         lhs_a = at(a_mask | xbit) - at(a_mask)
         lhs_b = at(b_mask | xbit) - at(b_mask)
@@ -208,7 +214,7 @@ def check_submodular(
                 "marginal_given_A": lhs_a, "marginal_given_B": lhs_b}
 
     return _run("submodular", oracle, exhaustive_limit, mode, samples, seed,
-                space, draw, violation, memo=False)
+                domain, violation)
 
 
 def check_supermodularity_of_conditioning(
@@ -222,31 +228,16 @@ def check_supermodularity_of_conditioning(
     """f(S|A) - f(S|A,C) >= f(S|B) - f(S|B,C) for A within B, C outside B.
 
     The definition leaves S unconstrained; require_disjoint additionally
-    skips tuples where S overlaps B u C.
+    keeps S outside B u C.
     """
-
-    def space(m):
-        full = (1 << m) - 1
-        for b_mask in range(1 << m):
-            c_masks = _submasks(full ^ b_mask)
-            for a_mask in _submasks(b_mask):
-                for c_mask in c_masks:
-                    for s_mask in range(1 << m):
-                        if not (require_disjoint and s_mask & (b_mask | c_mask)):
-                            yield s_mask, a_mask, b_mask, c_mask
-
-    def draw(rng, m):
-        full = (1 << m) - 1
-        b_mask = rng.getrandbits(m)
-        a_mask = rng.getrandbits(m) & b_mask
-        c_mask = rng.getrandbits(m) & (full ^ b_mask)
-        s_mask = rng.getrandbits(m)
-        if require_disjoint:
-            s_mask &= full ^ (b_mask | c_mask)
-        return s_mask, a_mask, b_mask, c_mask
+    domain = ((SUBSET, lambda full: full),  # B
+              (SUBSET, lambda full, b: b),  # A within B
+              (SUBSET, lambda full, b, a: full ^ b),  # C outside B
+              (SUBSET, lambda full, b, a, c:  # S
+               full ^ (b | c) if require_disjoint else full))
 
     def violation(at, t):
-        s_mask, a_mask, b_mask, c_mask = t
+        b_mask, a_mask, c_mask, s_mask = t
         f_sa = at(s_mask | a_mask) - at(a_mask)
         f_sac = at(s_mask | a_mask | c_mask) - at(a_mask | c_mask)
         f_sb = at(s_mask | b_mask) - at(b_mask)
@@ -261,7 +252,7 @@ def check_supermodularity_of_conditioning(
         }
 
     return _run("supermodularity_of_conditioning", oracle, exhaustive_limit, mode,
-                samples, seed, space, draw, violation)
+                samples, seed, domain, violation)
 
 
 def check_pairwise_redundancy_bound(
@@ -272,20 +263,9 @@ def check_pairwise_redundancy_bound(
     mode: str = "auto",
 ) -> VerificationReport:
     """f(A|B) - f(A|B,C) <= sum over c in C of f(c) - f(c|A), disjoint A,B,C."""
-
-    def space(m):
-        full = (1 << m) - 1
-        for a_mask in range(1 << m):
-            rest = full ^ a_mask
-            for b_mask in _submasks(rest):
-                for c_mask in _submasks(rest ^ b_mask):
-                    yield a_mask, b_mask, c_mask
-
-    def draw(rng, m):
-        full = (1 << m) - 1
-        a_mask = rng.getrandbits(m)
-        b_mask = rng.getrandbits(m) & (full ^ a_mask)
-        return a_mask, b_mask, rng.getrandbits(m) & (full ^ a_mask ^ b_mask)
+    domain = ((SUBSET, lambda full: full),  # A
+              (SUBSET, lambda full, a: full ^ a),  # B outside A
+              (SUBSET, lambda full, a, b: full ^ a ^ b))  # C outside A u B
 
     def violation(at, t):
         a_mask, b_mask, c_mask = t
@@ -302,7 +282,7 @@ def check_pairwise_redundancy_bound(
                 "lhs": lhs, "rhs": rhs}
 
     return _run("pairwise_redundancy_bound", oracle, exhaustive_limit, mode,
-                samples, seed, space, draw, violation)
+                samples, seed, domain, violation)
 
 
 def check_marginal_lower_bound(
@@ -313,16 +293,8 @@ def check_marginal_lower_bound(
     mode: str = "auto",
 ) -> VerificationReport:
     """f(x|S) >= f(x) - sum over S of (f(x) - f(x|x_j))."""
-
-    def space(m):
-        for x in range(m):
-            for s_mask in range(1 << m):
-                if not s_mask & (1 << x):
-                    yield x, s_mask
-
-    def draw(rng, m):
-        x = rng.randrange(m)
-        return x, rng.getrandbits(m) & ~(1 << x)
+    domain = ((ELEMENT, lambda full: 0),  # x
+              (SUBSET, lambda full, x: full ^ 1 << x))  # S without x
 
     def violation(at, t):
         x, s_mask = t
@@ -337,7 +309,7 @@ def check_marginal_lower_bound(
                 "marginal": true_marginal, "lower_estimate": low}
 
     return _run("marginal_lower_bound", oracle, exhaustive_limit, mode,
-                samples, seed, space, draw, violation)
+                samples, seed, domain, violation)
 
 
 def check_nemhauser_inequality(
@@ -349,14 +321,8 @@ def check_nemhauser_inequality(
 ) -> VerificationReport:
     """f(T) <= f(S) + sum over x in T\\S of f(x|S); characterizes monotone
     submodularity."""
-
-    def space(m):
-        for s_mask in range(1 << m):
-            for t_mask in range(1 << m):
-                yield s_mask, t_mask
-
-    def draw(rng, m):
-        return rng.getrandbits(m), rng.getrandbits(m)
+    domain = ((SUBSET, lambda full: full),  # S
+              (SUBSET, lambda full, s: full))  # T
 
     def violation(at, t):
         s_mask, t_mask = t
@@ -369,7 +335,7 @@ def check_nemhauser_inequality(
         return {"S": _bits(s_mask), "T": _bits(t_mask), "f_T": f_t, "bound": bound}
 
     return _run("nemhauser_inequality", oracle, exhaustive_limit, mode,
-                samples, seed, space, draw, violation)
+                samples, seed, domain, violation)
 
 
 ALL_CHECKS = {

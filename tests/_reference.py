@@ -1,5 +1,6 @@
 """From-scratch references for the pairwise and k-wise greedy strategies,
-Algorithm 1, the tau_k scan and the traditional curvature.
+Algorithm 1, the tau_k scan, the traditional curvature and the exhaustive
+property checks.
 
 These recompute every estimate from raw oracle queries at every iteration,
 with the same fold order as the incremental recursions, so a correct cached
@@ -9,7 +10,7 @@ bit.  Intentionally independent of EstimateCache.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import exp, inf
 
 from pairsub.validation import near_zero
@@ -128,3 +129,92 @@ def naive_traditional_curvature(oracle):
                 if ratio < min_ratio:
                     min_ratio = ratio
     return min(1.0, max(0.0, 1.0 - min_ratio))
+
+
+def _members(mask):
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
+def _monotone(f, a, x):
+    b = a | 1 << x
+    if f(b) < f(a):
+        return {"A": _members(a), "B": _members(b), "f_A": f(a), "f_B": f(b)}
+
+
+def _submodular(f, b, x, a):
+    given_a = f(a | 1 << x) - f(a)
+    given_b = f(b | 1 << x) - f(b)
+    if given_a < given_b:
+        return {"A": _members(a), "B": _members(b), "x": x,
+                "marginal_given_A": given_a, "marginal_given_B": given_b}
+
+
+def _soc(f, b, a, c, s):
+    lhs = (f(s | a) - f(a)) - (f(s | a | c) - f(a | c))
+    rhs = (f(s | b) - f(b)) - (f(s | b | c) - f(b | c))
+    if lhs < rhs:
+        return {"S": _members(s), "A": _members(a), "B": _members(b),
+                "C": _members(c), "lhs": lhs, "rhs": rhs}
+
+
+def _redundancy(f, a, b, c):
+    lhs = (f(a | b) - f(b)) - (f(a | b | c) - f(b | c))
+    rhs = 0.0
+    for e in _members(c):
+        rhs += f(1 << e) - (f(a | 1 << e) - f(a))
+    if rhs < lhs:
+        return {"A": _members(a), "B": _members(b), "C": _members(c),
+                "lhs": lhs, "rhs": rhs}
+
+
+def _marginal_lower(f, x, s):
+    marginal = f(s | 1 << x) - f(s)
+    low = f(1 << x)
+    for y in _members(s):
+        low -= f(1 << x) - (f(1 << x | 1 << y) - f(1 << y))
+    if marginal < low:
+        return {"x": x, "S": _members(s), "marginal": marginal, "lower_estimate": low}
+
+
+def _nemhauser(f, s, t):
+    bound = f(s)
+    for x in _members(t & ~s):
+        bound += f(s | 1 << x) - f(s)
+    if bound < f(t):
+        return {"S": _members(s), "T": _members(t), "f_T": f(t), "bound": bound}
+
+
+# name -> (slot kinds, S a subset mask and x an element; the paper's
+# constraints on a tuple; the violation's witness or None)
+PROPERTIES = {
+    "monotone": ("Sx", lambda a, x: not a >> x & 1, _monotone),
+    "submodular": ("SxS", lambda b, x, a: not b >> x & 1 and not a & ~b, _submodular),
+    "supermodularity_of_conditioning": (
+        "SSSS", lambda b, a, c, s: not a & ~b and not c & b, _soc),
+    "pairwise_redundancy_bound": ("SSS", lambda a, b, c: not a & b and not c & (a | b),
+                                  _redundancy),
+    "marginal_lower_bound": ("xS", lambda x, s: not s >> x & 1, _marginal_lower),
+    "nemhauser_inequality": ("SS", lambda s, t: True, _nemhauser),
+}
+
+
+def naive_property_check(name, oracle, require_disjoint=False):
+    """(holds, witness, instances_checked) of an exhaustive check, by a scan of
+    every tuple of masks and elements in nested order, kept by the property's
+    constraints, with f asked afresh for every set.
+
+    Comparisons are exact, so f should take integer values.
+    """
+    m = oracle.ground_size
+    kinds, keep, violation = PROPERTIES[name]
+    f = lambda mask: oracle.evaluate(_members(mask))  # noqa: E731
+    axes = [range(1 << m) if kind == "S" else range(m) for kind in kinds]
+    checked = 0
+    for t in product(*axes):
+        if not keep(*t) or (require_disjoint and t[3] & (t[0] | t[2])):
+            continue
+        checked += 1
+        witness = violation(f, *t)
+        if witness is not None:
+            return False, witness, checked
+    return True, None, checked

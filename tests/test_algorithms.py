@@ -197,12 +197,15 @@ class TestGreedyKWise:
                 ref_sel, ref_est = naive_greedy_k_wise(oracle, n, k)
                 assert trace.selected_order == ref_sel
                 assert [s.estimate for s in trace.selections] == ref_est
-                # m singletons, then per pick i < n each new A (f(A) plus
-                # one f(A + x) per remaining candidate)
-                expected = m + sum(math.comb(i - 1, s) * (1 + m - i)
+                # m singletons, then per pick i < n each new A (f(A) unless
+                # A is the pick's own singleton, plus one f(A + x) per
+                # remaining candidate)
+                expected = m + sum(math.comb(i - 1, s) * ((s > 0) + m - i)
                                    for i in range(1, n)
                                    for s in range(min(k - 2, i - 1) + 1))
                 assert trace.query_counts.total == expected
+                if k == 2:
+                    assert expected == greedy_optimistic(oracle, n).query_counts.total
 
 
 class TestBruteForce:

@@ -360,6 +360,14 @@ class TestCurvatures:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_refusal_of_a_count_too_long_to_print(self):
+        # C(20000, 10000) and m * (2^(m-1) - 1) have more digits than int-to-str allows
+        oracle = build_modular(ModularSpec([1.0] * 20000))
+        with pytest.raises(InstanceTooLarge, match="tau_20000 scan needs"):
+            traditional_curvature(oracle)
+        with pytest.raises(InstanceTooLarge, match=r"C\(20000, 10000\) = "):
+            brute_force_optimal(oracle, 10000)
+
     def test_ordering_c_dominates(self):
         rng = random.Random(12)
         for _ in range(10):

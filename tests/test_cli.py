@@ -119,6 +119,15 @@ def test_bad_flag_exits_2(inputs, capsys, argv):
     assert out.err.startswith("error: ") and out.out == ""
 
 
+def test_bruteforce_refuses_a_count_too_long_to_print(inputs, capsys):
+    instance = {"type": "modular", "params": {"weights": [1.0] * 20000}}
+    (inputs / "wide.json").write_text(json.dumps(instance), encoding="utf-8")
+    code, out = run_cli("bruteforce --instance wide.json --n 10000".split(), capsys)
+    assert code == 2
+    assert out.err.startswith("error: ") and out.out == ""
+    assert "Traceback" not in out.err
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
     | st.text(max_size=4),

@@ -22,8 +22,9 @@ def test_two_value_tolerance_keeps_the_variadic_rule():
 
 
 @pytest.mark.parametrize(("a", "b", "holds"), [
-    (INF, INF, False),   # inf - inf is nan, and nothing compares true against nan
+    (INF, INF, True),
     (INF, 1.0, True),
+    (-INF, 1.0, False),
     (1.0, INF, False),
     (NAN, 1.0, False),
     (1.0, NAN, False),
@@ -36,8 +37,9 @@ def test_at_least_at_the_edges(a, b, holds):
 
 
 @pytest.mark.parametrize(("a", "b", "holds"), [
-    (INF, INF, False),
-    (-INF, -INF, False),
+    (INF, INF, True),
+    (-INF, -INF, True),
+    (INF, 1.0, False),
     (NAN, NAN, False),
     (1.0, NAN, False),
     (NAN, 1.0, False),

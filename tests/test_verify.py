@@ -24,6 +24,7 @@ from pairsub import (
 )
 from pairsub.verify import ALL_CHECKS
 
+from _reference import naive_property_check
 from _synth import random_probabilistic_coverage, random_soc_oracle, random_weighted_coverage
 
 
@@ -222,13 +223,21 @@ class TestConsistencyAndSampling:
     def test_sampled_count_skips_degenerate_draws(self):
         calls = []
         oracle = SetFunctionOracle(1, lambda s: calls.append(s) or float(len(s)))
-        # a monotone draw asks f twice, a submodular draw four times
-        for check, per_draw in ((check_monotone, 2), (check_submodular, 4)):
+        for check, slots_after_x in ((check_monotone, 0), (check_submodular, 1)):
+            # replay the draws: a first set of {0} leaves no x outside it
+            rng = random.Random(3)
+            expected = 0
+            for _ in range(200):
+                if rng.getrandbits(1) == 0:
+                    rng.choice([0])
+                    for _ in range(slots_after_x):
+                        rng.getrandbits(1)
+                    expected += 1
             calls.clear()
             report = check(oracle, samples=200, seed=3, mode="sampled")
             assert report.holds
-            assert 0 < report.instances_checked < 200
-            assert len(calls) == per_draw * report.instances_checked
+            assert 0 < report.instances_checked == expected < 200
+            assert len(calls) == len(set(calls))  # each set asked at most once
 
     def test_sampled_mode_catches_gross_violation(self):
         report = check_submodular(squared_cardinality(14), samples=500, seed=1)
@@ -273,11 +282,11 @@ GOLDEN = {
     ('monotone', 'coverage', 'exhaustive'):
         (True, 80, 32, None),
     ('monotone', 'coverage', 'sampled'):
-        (True, 59, 118, None),
+        (True, 59, 32, None),
     ('submodular', 'coverage', 'exhaustive'):
         (True, 405, 32, None),
     ('submodular', 'coverage', 'sampled'):
-        (True, 58, 232, None),
+        (True, 58, 32, None),
     ('supermodularity_of_conditioning', 'coverage', 'exhaustive'):
         (True, 32768, 32, None),
     ('supermodularity_of_conditioning', 'coverage', 'sampled'):
@@ -303,11 +312,11 @@ GOLDEN = {
     ('monotone', 'squared', 'exhaustive'):
         (True, 80, 32, None),
     ('monotone', 'squared', 'sampled'):
-        (True, 59, 118, None),
+        (True, 59, 32, None),
     ('submodular', 'squared', 'exhaustive'):
         (False, 6, 32, {'A': [], 'B': [0], 'x': 1, 'marginal_given_A': 1.0, 'marginal_given_B': 3.0}),
     ('submodular', 'squared', 'sampled'):
-        (False, 2, 8, {'A': [1, 3], 'B': [0, 1, 3], 'x': 2, 'marginal_given_A': 5.0, 'marginal_given_B': 7.0}),
+        (False, 2, 6, {'A': [1, 3], 'B': [0, 1, 3], 'x': 2, 'marginal_given_A': 5.0, 'marginal_given_B': 7.0}),
     ('supermodularity_of_conditioning', 'squared', 'exhaustive'):
         (False, 1058, 32, {'S': [0], 'A': [], 'B': [0], 'C': [1], 'lhs': -2.0, 'rhs': 0.0}),
     ('supermodularity_of_conditioning', 'squared', 'sampled'):
@@ -337,7 +346,7 @@ GOLDEN = {
     ('submodular', 'negated', 'exhaustive'):
         (True, 405, 32, None),
     ('submodular', 'negated', 'sampled'):
-        (True, 58, 232, None),
+        (True, 58, 32, None),
     ('supermodularity_of_conditioning', 'negated', 'exhaustive'):
         (True, 32768, 32, None),
     ('supermodularity_of_conditioning', 'negated', 'sampled'):
@@ -363,11 +372,11 @@ GOLDEN = {
     ('monotone', 'table', 'exhaustive'):
         (False, 8, 16, {'A': [1], 'B': [0, 1], 'f_A': 7.0, 'f_B': 6.0}),
     ('monotone', 'table', 'sampled'):
-        (False, 4, 8, {'A': [0, 2, 3], 'B': [0, 1, 2, 3], 'f_A': 9.0, 'f_B': 7.0}),
+        (False, 4, 5, {'A': [0, 2, 3], 'B': [0, 1, 2, 3], 'f_A': 9.0, 'f_B': 7.0}),
     ('submodular', 'table', 'exhaustive'):
         (False, 19, 16, {'A': [1], 'B': [0, 1], 'x': 2, 'marginal_given_A': -2.0, 'marginal_given_B': 0.0}),
     ('submodular', 'table', 'sampled'):
-        (False, 3, 12, {'A': [1], 'B': [0, 1, 2], 'x': 3, 'marginal_given_A': -1.0, 'marginal_given_B': 1.0}),
+        (False, 3, 7, {'A': [1], 'B': [0, 1, 2], 'x': 3, 'marginal_given_A': -1.0, 'marginal_given_B': 1.0}),
     ('supermodularity_of_conditioning', 'table', 'exhaustive'):
         (False, 285, 16, {'S': [2, 3], 'A': [], 'B': [0], 'C': [1], 'lhs': 3.0, 'rhs': 4.0}),
     ('supermodularity_of_conditioning', 'table', 'sampled'):
@@ -402,3 +411,15 @@ def test_reports_match_the_golden_table(check, instance, run):
     assert report.property == name
     assert (report.holds, report.instances_checked, len(calls), report.witness) == \
         GOLDEN[check, instance, run]
+    assert len(set(calls)) == len(calls)  # each set asked at most once
+
+
+@pytest.mark.parametrize("check", sorted(set(GOLDEN_CHECKS) - {"normalized"}))
+def test_exhaustive_reports_match_the_nested_scan(check):
+    name, extra = GOLDEN_CHECKS[check]
+    oracles = [_table(seed, m) for m in range(1, 5) for seed in range(4)]
+    oracles += [SetFunctionOracle(m, lambda s: float(len(s))) for m in (3, 4)]  # every check holds
+    for oracle in oracles:
+        report = ALL_CHECKS[name](oracle, mode="exhaustive", **extra)
+        assert (report.holds, report.witness, report.instances_checked) == \
+            naive_property_check(name, oracle, **extra)
