@@ -56,6 +56,7 @@ from .errors import (
     InvalidCurvature,
     MalformedSpec,
     NegativeDemand,
+    NonFiniteValue,
     PairsubError,
     ParseError,
     TraceMismatch,

@@ -21,14 +21,14 @@ from .validation import check_cardinality, check_order, count_text
 BRUTE_FORCE_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Selection:
     iteration: int
     element: int
     estimate: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RunTrace:
     """Ordered record of one greedy run.
 

@@ -50,7 +50,7 @@ from .validation import check_order, count_text, near_zero
 CURVATURE_ENUM_LIMIT = 10**6
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundReport:
     """Factors, the resulting guarantee, and the method that produced them."""
 

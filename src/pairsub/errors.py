@@ -45,6 +45,10 @@ class DuplicateElement(PairsubError, ValueError):
     """An element appeared twice where distinct elements are required."""
 
 
+class NonFiniteValue(PairsubError, ValueError):
+    """No candidate's value compares above -inf, so none can be picked."""
+
+
 class GridMismatch(PairsubError, ValueError):
     """Two timing series do not share the same cardinality grid."""
 

@@ -9,9 +9,10 @@ Four families cover the test and experiment surface:
 
 Both coverage families answer singletons and pairs, the only queries of the
 pairwise strategies, in closed form from tables built at set-up: a pair
-costs one product per district or one intersection of two covers, not a
-pass per member.  Larger sets keep the general loop over their members in
-id order, so every family returns the same float for any order of the ids.
+costs one math.dist between two station rows or one intersection of two
+covers, not a pass per member.  Larger sets keep the general loop over their
+members in id order, so every family returns the same float for any order of
+the ids.
 
 Instances serialize as {"type": <family>, "params": {...}} with params named
 exactly after the spec dataclass fields.
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, fields
-from math import inf, sqrt
+from math import dist, hypot, inf, sqrt
 from operator import mul
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -114,13 +115,16 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
 def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunctionOracle:
     """Oracle for probabilistic coverage over weighted demand districts.
 
-    Singletons and pairs take a closed form over the table
-    scaled[x][e] = sqrt(v_e) * p_x^e, built once at set-up:
-    f(x) = sum_e sqrt(v_e) * scaled[x][e] and
-    f({x,y}) = f(x) + f(y) - sum_e scaled[x][e] * scaled[y][e],
-    one product per district and symmetric bit for bit.  Larger sets
-    multiply the miss rows 1 - p_x^e in id order, so they cost time linear
-    in |S| times the number of districts.
+    Singletons and pairs take a closed form over the rows
+    s_x = (sqrt(v_e) * p_x^e)_e and two per-station values built at set-up,
+    f(x) = <sqrt(v), s_x> and h[x] = f(x) - |s_x|^2 / 2 (|s_x| by math.hypot).
+    As 2 <s_x, s_y> = |s_x|^2 + |s_y|^2 - |s_x - s_y|^2,
+    f({x,y}) = f(x) + f(y) - <s_x, s_y> = h[x] + h[y] + d^2 / 2 with
+    d = math.dist(s_x, s_y): one C loop per pair, symmetric bit for bit since
+    dist works on |a - b|, and nothing cancels, since p <= 1 gives
+    h[x] >= f(x) / 2 >= 0.  A station whose f(x) or |s_x|^2 overflows is
+    rejected.  Larger sets multiply the miss rows 1 - p_x^e in id order, so
+    they cost time linear in |S| times the number of districts.
     """
     demand_items = _keyed_items(spec.demands, "demands")
     district_index = {}
@@ -137,7 +141,9 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     root_v = tuple(map(sqrt, demands))
     no_miss = array("d", [1.0]) * len(demands)
     rows = []    # 1 - p per district, as doubles
-    scaled = []  # sqrt(v) * p per district
+    scaled = []  # s_x: sqrt(v) * p per district
+    single = []  # f(x)
+    half = []    # h[x] = f(x) - |s_x|^2 / 2
     for station, probs in _keyed_items(spec.probabilities, "probabilities"):
         row = no_miss[:]
         scale = [0.0] * len(demands)
@@ -155,19 +161,29 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
                 )
             row[e] = 1.0 - p
             scale[e] = root_v[e] * p
+        scale = tuple(scale)
+        f_x = sum(map(mul, root_v, scale))
+        norm = hypot(*scale)
+        norm2 = norm * norm
+        if not (f_x < inf and norm2 < inf):
+            raise MalformedSpec(
+                f"station {station!r} overflows: f = {f_x}, |sqrt(v) * p|^2 = {norm2}"
+            )
         rows.append(row)
-        scaled.append(tuple(scale))
+        scaled.append(scale)
+        single.append(f_x)
+        half.append(f_x - norm2 / 2)
     if not rows:
         raise MalformedSpec("probabilities must declare at least one station")
 
     v = tuple(demands)
-    single = [sum(map(mul, root_v, scale)) for scale in scaled]
 
     def _eval(s: frozenset) -> float:
         size = len(s)
         if size == 2:
             x, y = s
-            return single[x] + single[y] - sum(map(mul, scaled[x], scaled[y]))
+            d = dist(scaled[x], scaled[y])
+            return half[x] + half[y] + d * d / 2  # d ** 2 raises OverflowError
         if size == 1:
             (x,) = s
             return single[x]

@@ -27,7 +27,7 @@ from itertools import combinations
 from math import inf
 from typing import Callable, Iterable
 
-from .errors import BudgetExceeded, DuplicateElement, InvalidArgument
+from .errors import BudgetExceeded, DuplicateElement, InvalidArgument, NonFiniteValue
 from .validation import as_id_set, check_element_ids
 
 ElementId = int
@@ -105,7 +105,7 @@ class SetFunctionOracle:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryCounts:
     """Oracle queries issued by one run, bucketed by set size.
 
@@ -240,6 +240,7 @@ def argmax(order: list[int], table) -> tuple[int, float]:
     """The id in order with the highest table value, and that value.
 
     Ties go to the id that comes first, the lowest id when order ascends.
+    NonFiniteValue if no value compares above -inf (all NaN or -inf).
     """
     if not order:
         raise InvalidArgument("no candidates remain")
@@ -249,6 +250,10 @@ def argmax(order: list[int], table) -> tuple[int, float]:
         v = table[x]
         if v > best_v:
             best_v, best_x = v, x
+    if best_x is None:
+        raise NonFiniteValue(
+            f"no candidate has a value above -inf; candidate {order[0]} has {table[order[0]]}"
+        )
     return best_x, best_v
 
 

@@ -32,7 +32,7 @@ DEFAULT_SAMPLES = 2000
 SUBSET, ELEMENT = "subset", "element"
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     property: str
     holds: bool

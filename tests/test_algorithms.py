@@ -16,6 +16,7 @@ from pairsub import (
     DuplicateElement,
     InstanceTooLarge,
     ModularSpec,
+    NonFiniteValue,
     Selection,
     SetFunctionOracle,
     UnknownElement,
@@ -25,6 +26,7 @@ from pairsub import (
     build_adversarial,
     build_modular,
     build_weighted_coverage,
+    check_monotone,
     greedy_full,
     greedy_k_wise_optimistic,
     greedy_optimistic,
@@ -228,6 +230,31 @@ class TestBruteForce:
     def test_n_above_m(self, chain_coverage):
         with pytest.raises(CardinalityTooLarge):
             brute_force_optimal(chain_coverage, 4)
+
+
+ARGMAX_STRATEGIES = {
+    "optimistic": greedy_optimistic,
+    "pessimistic": greedy_pessimistic,
+    "uninformed": greedy_uninformed,
+    "k_wise": lambda oracle, n: greedy_k_wise_optimistic(oracle, n, 3),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "minus_inf"])
+@pytest.mark.parametrize("strategy", ARGMAX_STRATEGIES.values(), ids=ARGMAX_STRATEGIES.keys())
+def test_no_value_above_minus_inf_is_a_typed_error(strategy, value):
+    oracle = SetFunctionOracle(3, lambda s: value)
+    with pytest.raises(NonFiniteValue, match=f"candidate 0 has {value}"):
+        strategy(oracle, 2)
+
+
+def test_result_records_are_slotted(chain_coverage):
+    run = greedy_optimistic(chain_coverage, 2)
+    records = (run, run.selections[0], run.query_counts,
+               post_hoc_bound(run.selected_order, chain_coverage),
+               check_monotone(chain_coverage))
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 class TestQueryBudget:

@@ -3,6 +3,10 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +162,28 @@ class TestProbabilisticPairKernel:
                 pair = math.fsum((px + py - px * py) * ve
                                  for px, py, ve in zip(p[x], p[y], v.values()))
                 assert oracle.evaluate([x, y]) == pytest.approx(pair, rel=1e-12, abs=1e-300)
+
+    def test_pairs_within_2e_15_of_the_exact_rational_value(self):
+        spec = city_oracle(count=40).spec
+        oracle = build_probabilistic_coverage(spec)
+        v = [Fraction(ve) for ve in spec.demands.values()]
+        p = [[Fraction(row.get(key, 0.0)) for key in spec.demands]
+             for row in spec.probabilities.values()]
+        for x, y in itertools.combinations(range(oracle.ground_size), 2):
+            exact = sum((px + py - px * py) * ve for px, py, ve in zip(p[x], p[y], v))
+            error = abs(Fraction(oracle.evaluate([x, y])) - exact)
+            assert error <= Fraction(2e-15) * exact, (x, y)
+
+    def test_station_that_overflows_is_rejected_by_name(self):
+        spec = ProbabilisticCoverageSpec([1e308, 1e308], {"s0": [0.5, 0.0], "s1": [1.0, 1.0]})
+        with pytest.raises(MalformedSpec, match="station 's1' overflows"):
+            build_probabilistic_coverage(spec)
+
+    def test_pair_near_the_float_limit_stays_finite(self):
+        # f(x) + f(y) alone would overflow; h[x] + h[y] + d * d / 2 does not
+        oracle = build_probabilistic_coverage(
+            ProbabilisticCoverageSpec([1e308], [[1.0], [1.0]]))
+        assert oracle.evaluate([0, 1]) == pytest.approx(1e308, rel=1e-15)
 
     def test_pair_path_agrees_with_the_product_loop(self):
         # a station that reaches no district leaves the product loop's value exact,
@@ -372,3 +398,23 @@ class TestInstanceSchema:
         assert as_oracle(oracle) is oracle
         doc = {"type": "modular", "params": {"weights": [1.0, 2.0]}}
         assert as_oracle(doc).evaluate([1]) == 2.0
+
+
+def test_a_run_imports_only_the_standard_library():
+    # the pair kernel's math.dist keeps `dependencies = []` in pyproject.toml
+    code = """
+import sys
+before = set(sys.modules)
+sys.path[:0] = sys.argv[1:]
+import pairsub
+from _synth import city_oracle
+pairsub.greedy_optimistic(city_oracle(count=30), 5)
+print(sorted(name for name in set(sys.modules) - before
+             if name.partition(".")[0] not in sys.stdlib_module_names
+             and name.partition(".")[0] not in ("pairsub", "_synth")))
+"""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", code, str(root / "src"), str(root / "tests")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

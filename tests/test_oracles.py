@@ -28,6 +28,7 @@ from pairsub import (
     upper_estimate,
 )
 from pairsub import bounds
+from pairsub.oracles import argmax
 from pairsub.validation import values_close
 
 from _reference import _scratch_upper
@@ -254,6 +255,9 @@ class TestEstimateCache:
         for empty in (cache.argmax_upper, cache.argmax_lower, cache.max_upper):
             with pytest.raises(InvalidArgument, match="no candidates remain"):
                 empty()
+
+    def test_argmax_skips_a_nan_among_finite_values(self):
+        assert argmax([0, 1, 2], {0: math.nan, 1: 2.0, 2: 1.0}) == (1, 2.0)
 
 
 class TestPairColumn:
