@@ -15,7 +15,14 @@ from itertools import combinations
 from math import comb, inf
 
 from .errors import InstanceTooLarge, InvalidArgument, ParseError
-from .oracles import CountingOracle, EstimateCache, QueryCounts, argmax, fold_k_wise
+from .oracles import (
+    CountingOracle,
+    EstimateCache,
+    QueryCounts,
+    argmax,
+    fold_k_wise,
+    no_value_above_minus_inf,
+)
 from .validation import check_cardinality, check_order, count_text
 
 BRUTE_FORCE_LIMIT = 10**6
@@ -128,6 +135,8 @@ def greedy_full(oracle, n: int) -> RunTrace:
             v = view.marginal(x, current)
             if v > best_v:
                 best_v, best_x = v, x
+        if best_x is None:  # v is the last candidate's marginal
+            raise no_value_above_minus_inf(max(set(range(view.ground_size)) - current), v)
         selections.append(Selection(i, best_x, best_v))
         current.add(best_x)
     return _finish("full", n, selections, view)

@@ -251,10 +251,14 @@ def argmax(order: list[int], table) -> tuple[int, float]:
         if v > best_v:
             best_v, best_x = v, x
     if best_x is None:
-        raise NonFiniteValue(
-            f"no candidate has a value above -inf; candidate {order[0]} has {table[order[0]]}"
-        )
+        raise no_value_above_minus_inf(order[0], table[order[0]])
     return best_x, best_v
+
+
+def no_value_above_minus_inf(x: int, value: float) -> NonFiniteValue:
+    """The error for a pick whose candidates all compare at or below -inf,
+    naming candidate x and its value."""
+    return NonFiniteValue(f"no candidate has a value above -inf; candidate {x} has {value}")
 
 
 class EstimateCache:

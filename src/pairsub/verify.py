@@ -5,9 +5,11 @@ quantifiers once, as slots in order: each ranges over the subsets of a mask,
 or over the elements outside one, and the mask follows from the earlier
 slots.  _run enumerates every tuple of the domain when the ground set is
 small enough (tuple spaces grow like 3^m or 4^m), and otherwise draws seeded
-uniform tuples from the same slots, asking f at most once per set.  A failed
-check always carries a witness that replays through plain oracle
-evaluations.
+uniform tuples from the same slots, asking f at most once per set.  A
+violation reads f by subscript, at[mask], from a table of all 2^m values
+when enumerating and from a lazy per-set memo when sampling; an enumeration
+lists each slot's values once per run.  A failed check always carries a
+witness that replays through plain oracle evaluations.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 
 from .errors import InstanceTooLarge, InvalidArgument
-from .validation import at_least, values_close
+from .validation import at_least, count_text, values_close
 
 # Default exhaustive limits: two-set properties stay cheap through m=12,
 # four-set tuple spaces (SoC, redundancy bound) blow up past m=8.
@@ -27,6 +30,9 @@ LIMIT_SUBMODULAR = 8
 LIMIT_FOUR_SET = 8
 LIMIT_LOWER_BOUND = 10
 DEFAULT_SAMPLES = 2000
+# Largest table of subset values an exhaustive check builds, as for the
+# brute-force optimum and the tau_k scan.
+TABLE_LIMIT = 10**6
 
 # The two kinds of slot in a checker's domain (see _run).
 SUBSET, ELEMENT = "subset", "element"
@@ -52,8 +58,16 @@ class VerificationReport:
 
 
 def subset_values(oracle) -> list[float]:
-    """f over every subset of the ground set, indexed by bitmask."""
+    """f over every subset of the ground set, indexed by bitmask.
+
+    InstanceTooLarge, before any query, when 2^m exceeds TABLE_LIMIT.
+    """
     m = oracle.ground_size
+    if 1 << m > TABLE_LIMIT:
+        raise InstanceTooLarge(
+            f"exhaustive check needs f on {count_text(1 << m)} subsets, "
+            f"limit is {count_text(TABLE_LIMIT)}"
+        )
     members: list[tuple] = [()] * (1 << m)
     values = [0.0] * (1 << m)
     values[0] = oracle.evaluate(())
@@ -62,6 +76,20 @@ def subset_values(oracle) -> list[float]:
         members[mask] = members[mask ^ low] + (low.bit_length() - 1,)
         values[mask] = oracle.evaluate(members[mask])
     return values
+
+
+class _Memo(dict):
+    """f by bitmask, asked of the oracle on the first read of each set."""
+
+    __slots__ = ("oracle",)
+
+    def __init__(self, oracle):
+        super().__init__()
+        self.oracle = oracle
+
+    def __missing__(self, mask: int) -> float:
+        value = self[mask] = self.oracle.evaluate(_bits(mask))
+        return value
 
 
 def _bits(mask: int) -> list[int]:
@@ -110,28 +138,24 @@ def check_normalized(oracle) -> VerificationReport:
 
 def _run(name, oracle, exhaustive_limit, mode, samples, seed, domain,
          violation) -> VerificationReport:
-    """Check violation(at, t) on the tuples t of domain.
+    """Check violation(at, t) on the tuples t of domain; at[mask] is f.
 
     A domain is a sequence of slots (kind, within), one per quantified
     variable in order: the slot takes a subset of the mask within(full,
     *earlier) when kind is SUBSET, or one element outside it when kind is
-    ELEMENT.  Enumeration walks every tuple in nested-loop order and reads f
-    from one table over all subsets.  Sampling draws samples tuples slot by
-    slot from random.Random(seed) and asks f at most once per set; a draw
-    with no element outside an ELEMENT slot's mask stops there and is not
-    counted.
+    ELEMENT.  Enumeration walks every tuple in nested-loop order, lists each
+    slot's values for a given mask once per run, and subscripts one list of
+    f over all subsets.  Sampling draws samples tuples slot by slot from
+    random.Random(seed) and subscripts a memo that asks f once per set on
+    first read; a draw with no element outside an ELEMENT slot's mask stops
+    there and is not counted.
     """
     m = oracle.ground_size
     if _mode_exhaustive(m, exhaustive_limit, mode, samples):
-        at = subset_values(oracle).__getitem__
-        tuples, values = [()], _every
+        at = subset_values(oracle)
+        tuples, values = [()], cache(_every)
     else:
-        cache: dict[int, float] = {}
-
-        def at(mask: int) -> float:
-            if mask not in cache:
-                cache[mask] = oracle.evaluate(_bits(mask))
-            return cache[mask]
+        at = _Memo(oracle)
         tuples, values = repeat((), samples), _uniform(random.Random(seed))
     for kind, within in domain:
         tuples = _extend(tuples, values, kind, within, m)
@@ -181,8 +205,8 @@ def check_monotone(
     def violation(at, t):
         a_mask, x = t
         b_mask = a_mask | 1 << x
-        fa = at(a_mask)
-        fb = at(b_mask)
+        fa = at[a_mask]
+        fb = at[b_mask]
         if at_least(fb, fa):
             return None
         return {"A": _bits(a_mask), "B": _bits(b_mask), "f_A": fa, "f_B": fb}
@@ -206,8 +230,8 @@ def check_submodular(
     def violation(at, t):
         b_mask, x, a_mask = t
         xbit = 1 << x
-        lhs_a = at(a_mask | xbit) - at(a_mask)
-        lhs_b = at(b_mask | xbit) - at(b_mask)
+        lhs_a = at[a_mask | xbit] - at[a_mask]
+        lhs_b = at[b_mask | xbit] - at[b_mask]
         if at_least(lhs_a, lhs_b):
             return None
         return {"A": _bits(a_mask), "B": _bits(b_mask), "x": x,
@@ -238,10 +262,10 @@ def check_supermodularity_of_conditioning(
 
     def violation(at, t):
         b_mask, a_mask, c_mask, s_mask = t
-        f_sa = at(s_mask | a_mask) - at(a_mask)
-        f_sac = at(s_mask | a_mask | c_mask) - at(a_mask | c_mask)
-        f_sb = at(s_mask | b_mask) - at(b_mask)
-        f_sbc = at(s_mask | b_mask | c_mask) - at(b_mask | c_mask)
+        f_sa = at[s_mask | a_mask] - at[a_mask]
+        f_sac = at[s_mask | a_mask | c_mask] - at[a_mask | c_mask]
+        f_sb = at[s_mask | b_mask] - at[b_mask]
+        f_sbc = at[s_mask | b_mask | c_mask] - at[b_mask | c_mask]
         lhs = f_sa - f_sac
         rhs = f_sb - f_sbc
         if at_least(lhs, rhs):
@@ -269,13 +293,13 @@ def check_pairwise_redundancy_bound(
 
     def violation(at, t):
         a_mask, b_mask, c_mask = t
-        lhs = (at(a_mask | b_mask) - at(b_mask)) - (
-            at(a_mask | b_mask | c_mask) - at(b_mask | c_mask)
+        lhs = (at[a_mask | b_mask] - at[b_mask]) - (
+            at[a_mask | b_mask | c_mask] - at[b_mask | c_mask]
         )
         rhs = 0.0
         for c in _bits(c_mask):
             cbit = 1 << c
-            rhs += at(cbit) - (at(a_mask | cbit) - at(a_mask))
+            rhs += at[cbit] - (at[a_mask | cbit] - at[a_mask])
         if at_least(rhs, lhs):
             return None
         return {"A": _bits(a_mask), "B": _bits(b_mask), "C": _bits(c_mask),
@@ -298,11 +322,11 @@ def check_marginal_lower_bound(
 
     def violation(at, t):
         x, s_mask = t
-        true_marginal = at(s_mask | (1 << x)) - at(s_mask)
-        fx = at(1 << x)
+        true_marginal = at[s_mask | (1 << x)] - at[s_mask]
+        fx = at[1 << x]
         low = fx
         for y in _bits(s_mask):
-            low -= fx - (at((1 << x) | (1 << y)) - at(1 << y))
+            low -= fx - (at[(1 << x) | (1 << y)] - at[1 << y])
         if at_least(true_marginal, low):
             return None
         return {"x": x, "S": _bits(s_mask),
@@ -326,10 +350,10 @@ def check_nemhauser_inequality(
 
     def violation(at, t):
         s_mask, t_mask = t
-        f_t = at(t_mask)
-        bound = at(s_mask)
+        f_t = at[t_mask]
+        bound = at[s_mask]
         for x in _bits(t_mask & ~s_mask):
-            bound += at(s_mask | (1 << x)) - at(s_mask)
+            bound += at[s_mask | (1 << x)] - at[s_mask]
         if at_least(bound, f_t):
             return None
         return {"S": _bits(s_mask), "T": _bits(t_mask), "f_T": f_t, "bound": bound}

@@ -128,6 +128,16 @@ def test_bruteforce_refuses_a_count_too_long_to_print(inputs, capsys):
     assert "Traceback" not in out.err
 
 
+def test_verify_refuses_an_exhaustive_table_it_cannot_build(inputs, capsys):
+    instance = {"type": "modular", "params": {"weights": [1.0] * 30}}
+    (inputs / "wide.json").write_text(json.dumps(instance), encoding="utf-8")
+    code, out = run_cli("verify --instance wide.json --limit 40 --properties monotone".split(),
+                        capsys)
+    assert code == 2
+    assert out.err.startswith("error: ") and out.out == ""
+    assert "1073741824 subsets" in out.err
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
     | st.text(max_size=4),

@@ -22,7 +22,7 @@ from pairsub import (
     check_submodular,
     check_supermodularity_of_conditioning,
 )
-from pairsub.verify import ALL_CHECKS
+from pairsub.verify import ALL_CHECKS, TABLE_LIMIT
 
 from _reference import naive_property_check
 from _synth import random_probabilistic_coverage, random_soc_oracle, random_weighted_coverage
@@ -238,6 +238,23 @@ class TestConsistencyAndSampling:
             assert report.holds
             assert 0 < report.instances_checked == expected < 200
             assert len(calls) == len(set(calls))  # each set asked at most once
+
+    @pytest.mark.parametrize("check", [check_submodular,
+                                       check_supermodularity_of_conditioning])
+    def test_sampled_checks_stay_lazy_on_a_large_ground_set(self, check):
+        calls = []
+        oracle = SetFunctionOracle(40, lambda s: calls.append(s) or float(len(s)))
+        report = check(oracle, samples=200, seed=7, mode="sampled")
+        assert report.holds and report.instances_checked == 200
+        assert 0 < len(calls) == len(set(calls))  # each set asked at most once
+
+    def test_exhaustive_table_above_the_limit_is_refused_before_any_query(self):
+        calls = []
+        m = TABLE_LIMIT.bit_length()  # 2^m > TABLE_LIMIT
+        oracle = SetFunctionOracle(m, lambda s: calls.append(s) or float(len(s)))
+        with pytest.raises(InstanceTooLarge, match=f"{1 << m} subsets"):
+            check_monotone(oracle, exhaustive_limit=m)
+        assert calls == []
 
     def test_sampled_mode_catches_gross_violation(self):
         report = check_submodular(squared_cardinality(14), samples=500, seed=1)
