@@ -23,12 +23,10 @@ from .algorithms import (
 )
 from .bounds import (
     BoundReport,
-    CurvatureReport,
     alphas_k_wise,
     alphas_optimistic,
     alphas_pessimistic,
     bound_from_alphas,
-    curvature_report,
     k_cardinality_curvature,
     k_marginal_curvature,
     post_hoc_bound,
@@ -67,7 +65,6 @@ from .functions import (
     ModularSpec,
     ProbabilisticCoverageSpec,
     WeightedCoverageSpec,
-    as_oracle,
     build_adversarial,
     build_modular,
     build_oracle,

@@ -69,13 +69,6 @@ class BoundReport:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
-@dataclass
-class CurvatureReport:
-    traditional: float
-    tau_k: float
-    marginal: dict
-
-
 def bound_from_alphas(alphas, n: int) -> float:
     """gamma = 1 - exp(-(1/n) sum 1/alpha_i); always within [0, 1 - 1/e]."""
     alphas = list(alphas)
@@ -221,17 +214,3 @@ def k_cardinality_curvature(oracle, k: int, limit: int = CURVATURE_ENUM_LIMIT) -
                 if ratio < min_ratio:
                     min_ratio = ratio
     return min(1.0, max(0.0, 1.0 - min_ratio))
-
-
-def curvature_report(full_oracle, k: int, marginal_queries=()) -> CurvatureReport:
-    """Bundle the traditional curvature, tau_k, and any requested c_k(x|S)."""
-    marginal = {
-        (x, tuple(sorted(ids))): k_marginal_curvature(full_oracle, x, ids, k)
-        for x, ids in marginal_queries
-    }
-    return CurvatureReport(
-        traditional=traditional_curvature(full_oracle),
-        tau_k=k_cardinality_curvature(full_oracle, k),
-        marginal=marginal,
-    )
-

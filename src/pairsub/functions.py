@@ -290,16 +290,3 @@ def load_instance(path) -> SetFunctionOracle:
     except json.JSONDecodeError as exc:
         raise MalformedSpec(f"{path}: invalid JSON ({exc})") from exc
     return instance_from_dict(doc)
-
-
-def as_oracle(obj) -> SetFunctionOracle:
-    """Coerce an oracle, spec dataclass, instance dict, or path to an oracle."""
-    if hasattr(obj, "evaluate") and hasattr(obj, "ground_size"):
-        return obj
-    if type(obj) in _BUILDERS:
-        return build_oracle(obj)
-    if isinstance(obj, Mapping):
-        return instance_from_dict(obj)
-    if isinstance(obj, (str, Path)):
-        return load_instance(obj)
-    raise MalformedSpec(f"cannot interpret {type(obj).__name__} as an instance")

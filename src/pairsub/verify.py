@@ -4,12 +4,18 @@ A checker is a domain plus a violation.  The domain states the property's
 quantifiers once, as slots in order: each ranges over the subsets of a mask,
 or over the elements outside one, and the mask follows from the earlier
 slots.  _run enumerates every tuple of the domain when the ground set is
-small enough (tuple spaces grow like 3^m or 4^m), and otherwise draws seeded
-uniform tuples from the same slots, asking f at most once per set.  A
+small enough, and otherwise draws seeded uniform tuples from the same slots,
+asking f at most once per set.  Submodularity and supermodularity of
+conditioning also have a local form, which an enumeration walks in place of
+the quantified one: pairs (D, x, y) and triples (D, x, y, z) of elements
+outside D, C(m,2)*2^(m-2) and C(m,3)*2^(m-3) tuples where the quantified
+spaces hold m*3^(m-1) and 8^m.  An enumeration refuses a domain of subsets
+only (the 4^m spaces) above TUPLE_LIMIT tuples before any query.  A
 violation reads f by subscript, at[mask], from a table of all 2^m values
 when enumerating and from a lazy per-set memo when sampling; an enumeration
 lists each slot's values once per run.  A failed check always carries a
-witness that replays through plain oracle evaluations.
+witness that replays through plain oracle evaluations and the quantified
+definition.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from .errors import InstanceTooLarge, InvalidArgument
 from .validation import at_least, count_text, values_close
 
 # Default exhaustive limits: two-set properties stay cheap through m=12,
-# four-set tuple spaces (SoC, redundancy bound) blow up past m=8.
+# the 4^m subset spaces (redundancy bound, Nemhauser) blow up past m=8.
+# Submodularity and SoC keep m=8, though their local forms stay cheap beyond.
 LIMIT_TWO_SET = 12
 LIMIT_SUBMODULAR = 8
 LIMIT_FOUR_SET = 8
@@ -33,6 +40,8 @@ DEFAULT_SAMPLES = 2000
 # Largest table of subset values an exhaustive check builds, as for the
 # brute-force optimum and the tau_k scan.
 TABLE_LIMIT = 10**6
+# Largest space of a subset-only domain (the 4^m ones) an enumeration walks.
+TUPLE_LIMIT = 10**6
 
 # The two kinds of slot in a checker's domain (see _run).
 SUBSET, ELEMENT = "subset", "element"
@@ -44,6 +53,8 @@ class VerificationReport:
     holds: bool
     witness: dict | None
     instances_checked: int
+    mode: str  # "exhaustive" or "sampled"
+    form: str  # "local" or "quantified"
 
     def to_dict(self) -> dict:
         return {
@@ -51,6 +62,8 @@ class VerificationReport:
             "holds": self.holds,
             "witness": self.witness,
             "instances_checked": self.instances_checked,
+            "mode": self.mode,
+            "form": self.form,
         }
 
     def to_json(self, **kwargs) -> str:
@@ -133,39 +146,74 @@ def check_normalized(oracle) -> VerificationReport:
     value = oracle.evaluate(())
     holds = values_close(value, 0.0)
     witness = None if holds else {"S": [], "value": value}
-    return VerificationReport("normalized", holds, witness, 1)
+    return VerificationReport("normalized", holds, witness, 1, "exhaustive", "quantified")
 
 
-def _run(name, oracle, exhaustive_limit, mode, samples, seed, domain,
-         violation) -> VerificationReport:
-    """Check violation(at, t) on the tuples t of domain; at[mask] is f.
+def _run(name, oracle, exhaustive_limit, mode, samples, seed, quantified,
+         local=()) -> VerificationReport:
+    """Check a property given as parts (domain, violation); at[mask] is f.
 
     A domain is a sequence of slots (kind, within), one per quantified
     variable in order: the slot takes a subset of the mask within(full,
     *earlier) when kind is SUBSET, or one element outside it when kind is
-    ELEMENT.  Enumeration walks every tuple in nested-loop order, lists each
-    slot's values for a given mask once per run, and subscripts one list of
-    f over all subsets.  Sampling draws samples tuples slot by slot from
-    random.Random(seed) and subscripts a memo that asks f once per set on
-    first read; a draw with no element outside an ELEMENT slot's mask stops
-    there and is not counted.
+    ELEMENT.  violation(at, t) returns a witness dict for a violating tuple
+    t, else None.
+
+    Enumeration walks every tuple of each part in nested-loop order, the
+    local parts when given and else the quantified part, over one list of f
+    on all subsets, and lists each slot's values for a given mask once per
+    run; a subset-only domain above TUPLE_LIMIT tuples is refused before any
+    query.  Sampling draws samples tuples of the quantified part slot by
+    slot from random.Random(seed) and subscripts a memo that asks f once per
+    set on first read; a draw with no element outside an ELEMENT slot's mask
+    stops there and is not counted.
     """
     m = oracle.ground_size
     if _mode_exhaustive(m, exhaustive_limit, mode, samples):
+        parts = local or (quantified,)
+        for domain, _ in parts:
+            _refuse_tuple_space(domain, m)
         at = subset_values(oracle)
-        tuples, values = [()], cache(_every)
+        values = cache(_every)
+        walks = [(_tuples(domain, [()], values, m), violation)
+                 for domain, violation in parts]
+        how = ("exhaustive", "local" if local else "quantified")
     else:
+        domain, violation = quantified
         at = _Memo(oracle)
-        tuples, values = repeat((), samples), _uniform(random.Random(seed))
-    for kind, within in domain:
-        tuples = _extend(tuples, values, kind, within, m)
+        tuples = _tuples(domain, repeat((), samples), _uniform(random.Random(seed)), m)
+        walks = [(tuples, violation)]
+        how = ("sampled", "quantified")
     checked = 0
-    for t in tuples:
-        checked += 1
-        w = violation(at, t)
-        if w is not None:
-            return VerificationReport(name, False, w, checked)
-    return VerificationReport(name, True, None, checked)
+    for tuples, violation in walks:
+        for t in tuples:
+            checked += 1
+            w = violation(at, t)
+            if w is not None:
+                return VerificationReport(name, False, w, checked, *how)
+    return VerificationReport(name, True, None, checked, *how)
+
+
+def _tuples(domain, starts, values, m: int):
+    """Each start followed by every value of each slot in turn, lazily."""
+    for kind, within in domain:
+        starts = _extend(starts, values, kind, within, m)
+    return starts
+
+
+def _refuse_tuple_space(domain, m: int) -> None:
+    """InstanceTooLarge when a subset-only domain has more than TUPLE_LIMIT
+    tuples.  Each element then joins the slots' subsets independently, in
+    one of the patterns the domain allows at m = 1, so the count is that
+    number of patterns to the power m."""
+    if any(kind != SUBSET for kind, _ in domain):
+        return
+    count = sum(1 for _ in _tuples(domain, [()], _every, 1)) ** m
+    if count > TUPLE_LIMIT:
+        raise InstanceTooLarge(
+            f"exhaustive check walks {count_text(count)} tuples, "
+            f"limit is {count_text(TUPLE_LIMIT)}"
+        )
 
 
 def _every(kind, mask: int, m: int) -> list[int]:
@@ -212,7 +260,32 @@ def check_monotone(
         return {"A": _bits(a_mask), "B": _bits(b_mask), "f_A": fa, "f_B": fb}
 
     return _run("monotone", oracle, exhaustive_limit, mode, samples, seed,
-                domain, violation)
+                (domain, violation))
+
+
+# The local domains: pairs (D, x, y) and triples (D, x, y, z) of distinct
+# elements outside D, in increasing order.
+PAIRS = ((SUBSET, lambda full: full),  # D
+         (ELEMENT, lambda full, d: d),  # x outside D
+         (ELEMENT, lambda full, d, x: d | (2 << x) - 1))  # y > x outside D
+TRIPLES = PAIRS + ((ELEMENT, lambda full, d, x, y: d | (2 << y) - 1),)  # z > y
+
+
+def _submodular_violation(at, t):
+    b_mask, x, a_mask = t
+    xbit = 1 << x
+    lhs_a = at[a_mask | xbit] - at[a_mask]
+    lhs_b = at[b_mask | xbit] - at[b_mask]
+    if at_least(lhs_a, lhs_b):
+        return None
+    return {"A": _bits(a_mask), "B": _bits(b_mask), "x": x,
+            "marginal_given_A": lhs_a, "marginal_given_B": lhs_b}
+
+
+def _local_submodular(at, t):
+    """f(x|D) >= f(x|D+y), as A = D and B = D + y."""
+    d_mask, x, y = t
+    return _submodular_violation(at, (d_mask | 1 << y, x, d_mask))
 
 
 def check_submodular(
@@ -222,23 +295,45 @@ def check_submodular(
     seed: int = 0,
     mode: str = "auto",
 ) -> VerificationReport:
-    """Diminishing returns: f(x|A) >= f(x|B) for all A within B, x outside B."""
+    """Diminishing returns: f(x|A) >= f(x|B) for all A within B, x outside B.
+
+    An enumeration checks the local form, f(x|D) >= f(x|D+y) for x < y
+    outside D: f(x|D) - f(x|D+y) is symmetric in x and y, and A grows to B
+    one element at a time.  Sampling draws from the quantified domain.
+    """
     domain = ((SUBSET, lambda full: full),  # B
               (ELEMENT, lambda full, b: b),  # x outside B
               (SUBSET, lambda full, b, x: b))  # A within B
-
-    def violation(at, t):
-        b_mask, x, a_mask = t
-        xbit = 1 << x
-        lhs_a = at[a_mask | xbit] - at[a_mask]
-        lhs_b = at[b_mask | xbit] - at[b_mask]
-        if at_least(lhs_a, lhs_b):
-            return None
-        return {"A": _bits(a_mask), "B": _bits(b_mask), "x": x,
-                "marginal_given_A": lhs_a, "marginal_given_B": lhs_b}
-
     return _run("submodular", oracle, exhaustive_limit, mode, samples, seed,
-                domain, violation)
+                (domain, _submodular_violation), ((PAIRS, _local_submodular),))
+
+
+def _soc_violation(at, t):
+    b_mask, a_mask, c_mask, s_mask = t
+    f_sa = at[s_mask | a_mask] - at[a_mask]
+    f_sac = at[s_mask | a_mask | c_mask] - at[a_mask | c_mask]
+    f_sb = at[s_mask | b_mask] - at[b_mask]
+    f_sbc = at[s_mask | b_mask | c_mask] - at[b_mask | c_mask]
+    lhs = f_sa - f_sac
+    rhs = f_sb - f_sbc
+    if at_least(lhs, rhs):
+        return None
+    return {
+        "S": _bits(s_mask), "A": _bits(a_mask), "B": _bits(b_mask),
+        "C": _bits(c_mask), "lhs": lhs, "rhs": rhs,
+    }
+
+
+def _local_soc_pair(at, t):
+    """S = C = {x}, A = D, B = D + y: I({x};{x}|A) = f(x|A), submodularity."""
+    d_mask, x, y = t
+    return _soc_violation(at, (d_mask | 1 << y, d_mask, 1 << x, 1 << x))
+
+
+def _local_soc_triple(at, t):
+    """S = {x}, A = D, B = D + y, C = {z}: lhs - rhs is the third difference."""
+    d_mask, x, y, z = t
+    return _soc_violation(at, (d_mask | 1 << y, d_mask, 1 << z, 1 << x))
 
 
 def check_supermodularity_of_conditioning(
@@ -249,34 +344,47 @@ def check_supermodularity_of_conditioning(
     mode: str = "auto",
     require_disjoint: bool = False,
 ) -> VerificationReport:
-    """f(S|A) - f(S|A,C) >= f(S|B) - f(S|B,C) for A within B, C outside B.
+    """I(S;C|A) >= I(S;C|B) for A within B, C outside B, where
+    I(S;C|A) = f(S|A) - f(S|A u C).
 
     The definition leaves S unconstrained; require_disjoint additionally
-    keeps S outside B u C.
+    keeps S outside B u C.  Sampling draws from this quantified domain.
+
+    An enumeration checks the local form instead.  With S unconstrained it
+    is f(x|D) >= f(x|D+y) on the pairs (submodularity) and the third
+    difference d_x d_y d_z f(D) >= 0 on the triples, where d_x g(E) =
+    g(E+x) - g(E); with require_disjoint it is the triples alone.  Each local
+    tuple is an instance of the definition (A = D, B = D + y, S = {x}, and
+    C = {x} or {z}), so its witness replays as one.  Conversely, take A
+    within B and C outside B, and grow A to B one element y at a time: it
+    suffices that I(S;C|A) >= I(S;C|A+y) for y outside A u C.
+    - S&A drops out of I, since S u A = (S - A) u A.  Take S outside A.
+    - I is non-decreasing in S under submodularity: adding s to S adds
+      f(s|A u S) - f(s|A u S u C) >= 0.  So when y is in S, I(S;C|A) >=
+      I(S-y;C|A) and I(S;C|A+y) = I(S-y;C|A+y).  Take y outside S.
+    - The chain rule splits U = S&C off as a plain marginal f(U|A):
+      I(S;C|A) = f(U|A) + I(S-U; C-U | A u U), and f(U|A) >= f(U|A+y) is
+      submodularity.  Take S and C disjoint.
+    - For disjoint S and C, I telescopes into single-element terms,
+      I(S;C|A) = sum over i, j of I(s_i; c_j | A u {s_1..s_i-1} u
+      {c_1..c_j-1}), and each term gives I(s;c|E) - I(s;c|E+y) =
+      d_s d_c d_y f(E) >= 0, a local triple.
+    With require_disjoint, S misses B and C, hence A and y, and only the
+    last step arises, so the triples suffice.  In exact arithmetic the two
+    forms agree.  With at_least they can split on a near-tie: a quantified
+    gap is a sum of many local gaps, each within the tolerance, whose sum
+    need not be.
     """
     domain = ((SUBSET, lambda full: full),  # B
               (SUBSET, lambda full, b: b),  # A within B
               (SUBSET, lambda full, b, a: full ^ b),  # C outside B
               (SUBSET, lambda full, b, a, c:  # S
                full ^ (b | c) if require_disjoint else full))
-
-    def violation(at, t):
-        b_mask, a_mask, c_mask, s_mask = t
-        f_sa = at[s_mask | a_mask] - at[a_mask]
-        f_sac = at[s_mask | a_mask | c_mask] - at[a_mask | c_mask]
-        f_sb = at[s_mask | b_mask] - at[b_mask]
-        f_sbc = at[s_mask | b_mask | c_mask] - at[b_mask | c_mask]
-        lhs = f_sa - f_sac
-        rhs = f_sb - f_sbc
-        if at_least(lhs, rhs):
-            return None
-        return {
-            "S": _bits(s_mask), "A": _bits(a_mask), "B": _bits(b_mask),
-            "C": _bits(c_mask), "lhs": lhs, "rhs": rhs,
-        }
-
+    local = ((TRIPLES, _local_soc_triple),)
+    if not require_disjoint:
+        local = ((PAIRS, _local_soc_pair),) + local
     return _run("supermodularity_of_conditioning", oracle, exhaustive_limit, mode,
-                samples, seed, domain, violation)
+                samples, seed, (domain, _soc_violation), local)
 
 
 def check_pairwise_redundancy_bound(
@@ -306,7 +414,7 @@ def check_pairwise_redundancy_bound(
                 "lhs": lhs, "rhs": rhs}
 
     return _run("pairwise_redundancy_bound", oracle, exhaustive_limit, mode,
-                samples, seed, domain, violation)
+                samples, seed, (domain, violation))
 
 
 def check_marginal_lower_bound(
@@ -333,7 +441,7 @@ def check_marginal_lower_bound(
                 "marginal": true_marginal, "lower_estimate": low}
 
     return _run("marginal_lower_bound", oracle, exhaustive_limit, mode,
-                samples, seed, domain, violation)
+                samples, seed, (domain, violation))
 
 
 def check_nemhauser_inequality(
@@ -359,7 +467,7 @@ def check_nemhauser_inequality(
         return {"S": _bits(s_mask), "T": _bits(t_mask), "f_T": f_t, "bound": bound}
 
     return _run("nemhauser_inequality", oracle, exhaustive_limit, mode,
-                samples, seed, domain, violation)
+                samples, seed, (domain, violation))
 
 
 ALL_CHECKS = {

@@ -1,6 +1,6 @@
 """From-scratch references for the pairwise and k-wise greedy strategies,
 Algorithm 1, the tau_k scan, the traditional curvature and the exhaustive
-property checks.
+property checks, quantified and local.
 
 These recompute every estimate from raw oracle queries at every iteration,
 with the same fold order as the incremental recursions, so a correct cached
@@ -207,7 +207,8 @@ def naive_property_check(name, oracle, require_disjoint=False):
     """
     m = oracle.ground_size
     kinds, keep, violation = PROPERTIES[name]
-    f = lambda mask: oracle.evaluate(_members(mask))  # noqa: E731
+    members = [_members(mask) for mask in range(1 << m)]
+    f = lambda mask: oracle.evaluate(members[mask])  # noqa: E731
     axes = [range(1 << m) if kind == "S" else range(m) for kind in kinds]
     checked = 0
     for t in product(*axes):
@@ -217,4 +218,37 @@ def naive_property_check(name, oracle, require_disjoint=False):
         witness = violation(f, *t)
         if witness is not None:
             return False, witness, checked
+    return True, None, checked
+
+
+def naive_local_check(name, oracle, require_disjoint=False):
+    """(holds, witness, instances_checked) of an exhaustive check of
+    submodularity or supermodularity of conditioning by its local form, by a
+    scan of every D in mask order and every x < y outside it, then every
+    x < y < z, with f asked afresh for every set.
+
+    Submodularity scans the pairs: f(x|D) >= f(x|D+y).  SoC scans the pairs
+    as S = C = {x} and then the triples as S = {x}, C = {z}, each with A = D
+    and B = D + y; require_disjoint scans the triples alone.  Witnesses are
+    those of the quantified definition.  Comparisons are exact, so f should
+    take integer values.
+    """
+    m = oracle.ground_size
+    f = lambda mask: oracle.evaluate(_members(mask))  # noqa: E731
+    if name == "submodular":
+        scans = [(2, lambda d, x, y: _submodular(f, d | 1 << y, x, d))]
+    else:
+        triple = lambda d, x, y, z: _soc(f, d | 1 << y, d, 1 << z, 1 << x)  # noqa: E731
+        scans = [(3, triple)]
+        if not require_disjoint:
+            scans.insert(0, (2, lambda d, x, y: _soc(f, d | 1 << y, d, 1 << x, 1 << x)))
+    checked = 0
+    for size, violation in scans:
+        for d in range(1 << m):
+            outside = [e for e in range(m) if not d >> e & 1]
+            for elements in combinations(outside, size):
+                checked += 1
+                witness = violation(d, *elements)
+                if witness is not None:
+                    return False, witness, checked
     return True, None, checked

@@ -27,7 +27,6 @@ from pairsub import (
     build_modular,
     build_weighted_coverage,
     check_monotone,
-    curvature_report,
     greedy_full,
     greedy_k_wise_optimistic,
     greedy_optimistic,
@@ -382,11 +381,6 @@ class TestCurvatures:
             assert c >= c2 - 1e-9
             for k in (3, 4):
                 assert c2 >= k_marginal_curvature(oracle, x, s, k) - 1e-9
-
-    def test_curvature_report_bundle(self, chain_coverage):
-        report = curvature_report(chain_coverage, 2, [(1, (0, 2))])
-        assert report.traditional >= report.tau_k - 1e-9
-        assert report.marginal[(1, (0, 2))] == 1.0
 
 
 class TestSoundnessAndValidity:

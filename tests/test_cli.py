@@ -138,6 +138,21 @@ def test_verify_refuses_an_exhaustive_table_it_cannot_build(inputs, capsys):
     assert "1073741824 subsets" in out.err
 
 
+def test_verify_walks_local_forms_and_refuses_a_4_to_the_m_space(inputs, capsys):
+    instance = {"type": "modular", "params": {"weights": [1.0] * 12}}
+    (inputs / "wide.json").write_text(json.dumps(instance), encoding="utf-8")
+    argv = "verify --instance wide.json --limit 12 --properties".split()
+    code, out = run_cli([*argv, "supermodularity_of_conditioning"], capsys)
+    assert code == 0
+    doc = json.loads(out.out)
+    assert (doc["holds"], doc["mode"], doc["form"]) == (True, "exhaustive", "local")
+    assert doc["instances_checked"] == 66 * 2**10 + 220 * 2**9  # C(12,2)2^10 + C(12,3)2^9
+    code, out = run_cli([*argv, "nemhauser_inequality"], capsys)
+    assert code == 2
+    assert out.err.startswith("error: ") and out.out == ""
+    assert "16777216 tuples" in out.err and "Traceback" not in out.err
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
     | st.text(max_size=4),

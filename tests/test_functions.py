@@ -18,7 +18,6 @@ from pairsub import (
     ModularSpec,
     ProbabilisticCoverageSpec,
     WeightedCoverageSpec,
-    as_oracle,
     build_adversarial,
     build_modular,
     build_probabilistic_coverage,
@@ -391,13 +390,6 @@ class TestInstanceSchema:
             spec_from_dict(
                 {"type": "modular", "params": {"weights": [1], "extra": 2}}
             )
-
-    def test_as_oracle_accepts_specs_dicts_oracles(self):
-        spec = ModularSpec([1.0, 2.0])
-        oracle = as_oracle(spec)
-        assert as_oracle(oracle) is oracle
-        doc = {"type": "modular", "params": {"weights": [1.0, 2.0]}}
-        assert as_oracle(doc).evaluate([1]) == 2.0
 
 
 def test_a_run_imports_only_the_standard_library():

@@ -1,6 +1,7 @@
 """Property checkers: witnesses, limits, sampling, and cross-consistency."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -22,9 +23,9 @@ from pairsub import (
     check_submodular,
     check_supermodularity_of_conditioning,
 )
-from pairsub.verify import ALL_CHECKS, TABLE_LIMIT
+from pairsub.verify import ALL_CHECKS, TABLE_LIMIT, TUPLE_LIMIT
 
-from _reference import naive_property_check
+from _reference import PROPERTIES, naive_local_check, naive_property_check
 from _synth import random_probabilistic_coverage, random_soc_oracle, random_weighted_coverage
 
 
@@ -265,7 +266,32 @@ class TestConsistencyAndSampling:
 
         report = check_monotone(coverage)
         doc = json.loads(report.to_json())
-        assert set(doc) == {"property", "holds", "witness", "instances_checked"}
+        assert set(doc) == {"property", "holds", "witness", "instances_checked",
+                            "mode", "form"}
+
+    @pytest.mark.parametrize("name", sorted(ALL_CHECKS))
+    def test_reports_say_how_they_were_checked(self, coverage, name):
+        check = ALL_CHECKS[name]
+        if check is check_normalized:
+            runs = {("exhaustive", "quantified"): check(coverage)}
+        else:
+            local = name in ("submodular", "supermodularity_of_conditioning")
+            runs = {("exhaustive", "local" if local else "quantified"): check(coverage),
+                    ("sampled", "quantified"): check(coverage, mode="sampled", samples=5)}
+        for how, report in runs.items():
+            assert (report.mode, report.form) == how
+
+    @pytest.mark.parametrize("check", [check_pairwise_redundancy_bound,
+                                       check_nemhauser_inequality])
+    def test_a_subset_space_above_the_limit_is_refused_before_any_query(self, check):
+        calls = []
+        m = 10  # 4^10 tuples, 2^10 subsets
+        oracle = SetFunctionOracle(m, lambda s: calls.append(s) or float(len(s)))
+        assert 4 ** m > TUPLE_LIMIT >= 4 ** (m - 1)
+        with pytest.raises(InstanceTooLarge, match=f"{4 ** m} tuples"):
+            check(oracle, exhaustive_limit=m)
+        assert calls == []
+        assert check(oracle, exhaustive_limit=m - 1, samples=20).holds  # sampled
 
 
 def _table(seed, m):
@@ -292,7 +318,9 @@ GOLDEN_CHECKS["soc_disjoint"] = ("supermodularity_of_conditioning", {"require_di
 
 # (check, instance, run) -> (holds, instances_checked, oracle calls, witness),
 # recorded once and kept: any change to a checker's enumeration order, its
-# sampling, its counting or its memo shows here.
+# sampling, its counting or its memo shows here.  Exhaustive submodular and
+# SoC rows walk the local form, so their counts and witnesses are those of
+# _reference.naive_local_check.
 GOLDEN = {
     ('normalized', 'coverage', 'exhaustive'):
         (True, 1, 1, None),
@@ -301,11 +329,11 @@ GOLDEN = {
     ('monotone', 'coverage', 'sampled'):
         (True, 59, 32, None),
     ('submodular', 'coverage', 'exhaustive'):
-        (True, 405, 32, None),
+        (True, 80, 32, None),
     ('submodular', 'coverage', 'sampled'):
         (True, 58, 32, None),
     ('supermodularity_of_conditioning', 'coverage', 'exhaustive'):
-        (True, 32768, 32, None),
+        (True, 120, 32, None),
     ('supermodularity_of_conditioning', 'coverage', 'sampled'):
         (True, 60, 32, None),
     ('pairwise_redundancy_bound', 'coverage', 'exhaustive'):
@@ -321,7 +349,7 @@ GOLDEN = {
     ('nemhauser_inequality', 'coverage', 'sampled'):
         (True, 60, 32, None),
     ('soc_disjoint', 'coverage', 'exhaustive'):
-        (True, 3125, 32, None),
+        (True, 40, 32, None),
     ('soc_disjoint', 'coverage', 'sampled'):
         (True, 60, 32, None),
     ('normalized', 'squared', 'exhaustive'):
@@ -331,11 +359,11 @@ GOLDEN = {
     ('monotone', 'squared', 'sampled'):
         (True, 59, 32, None),
     ('submodular', 'squared', 'exhaustive'):
-        (False, 6, 32, {'A': [], 'B': [0], 'x': 1, 'marginal_given_A': 1.0, 'marginal_given_B': 3.0}),
+        (False, 1, 32, {'A': [], 'B': [1], 'x': 0, 'marginal_given_A': 1.0, 'marginal_given_B': 3.0}),
     ('submodular', 'squared', 'sampled'):
         (False, 2, 6, {'A': [1, 3], 'B': [0, 1, 3], 'x': 2, 'marginal_given_A': 5.0, 'marginal_given_B': 7.0}),
     ('supermodularity_of_conditioning', 'squared', 'exhaustive'):
-        (False, 1058, 32, {'S': [0], 'A': [], 'B': [0], 'C': [1], 'lhs': -2.0, 'rhs': 0.0}),
+        (False, 1, 32, {'S': [0], 'A': [], 'B': [1], 'C': [0], 'lhs': 1.0, 'rhs': 3.0}),
     ('supermodularity_of_conditioning', 'squared', 'sampled'):
         (False, 1, 8, {'S': [0, 1, 3], 'A': [], 'B': [0, 1, 4], 'C': [2], 'lhs': -6.0, 'rhs': -2.0}),
     ('pairwise_redundancy_bound', 'squared', 'exhaustive'):
@@ -351,7 +379,7 @@ GOLDEN = {
     ('nemhauser_inequality', 'squared', 'sampled'):
         (False, 7, 15, {'S': [], 'T': [1, 3, 4], 'f_T': 9.0, 'bound': 3.0}),
     ('soc_disjoint', 'squared', 'exhaustive'):
-        (True, 3125, 32, None),
+        (True, 40, 32, None),
     ('soc_disjoint', 'squared', 'sampled'):
         (True, 60, 32, None),
     ('normalized', 'negated', 'exhaustive'):
@@ -361,11 +389,11 @@ GOLDEN = {
     ('monotone', 'negated', 'sampled'):
         (False, 1, 2, {'A': [0, 1, 4], 'B': [0, 1, 3, 4], 'f_A': -3.0, 'f_B': -4.0}),
     ('submodular', 'negated', 'exhaustive'):
-        (True, 405, 32, None),
+        (True, 80, 32, None),
     ('submodular', 'negated', 'sampled'):
         (True, 58, 32, None),
     ('supermodularity_of_conditioning', 'negated', 'exhaustive'):
-        (True, 32768, 32, None),
+        (True, 120, 32, None),
     ('supermodularity_of_conditioning', 'negated', 'sampled'):
         (True, 60, 32, None),
     ('pairwise_redundancy_bound', 'negated', 'exhaustive'):
@@ -381,7 +409,7 @@ GOLDEN = {
     ('nemhauser_inequality', 'negated', 'sampled'):
         (False, 1, 3, {'S': [0, 1, 4], 'T': [3], 'f_T': -1.0, 'bound': -4.0}),
     ('soc_disjoint', 'negated', 'exhaustive'):
-        (True, 3125, 32, None),
+        (True, 40, 32, None),
     ('soc_disjoint', 'negated', 'sampled'):
         (True, 60, 32, None),
     ('normalized', 'table', 'exhaustive'):
@@ -391,11 +419,11 @@ GOLDEN = {
     ('monotone', 'table', 'sampled'):
         (False, 4, 5, {'A': [0, 2, 3], 'B': [0, 1, 2, 3], 'f_A': 9.0, 'f_B': 7.0}),
     ('submodular', 'table', 'exhaustive'):
-        (False, 19, 16, {'A': [1], 'B': [0, 1], 'x': 2, 'marginal_given_A': -2.0, 'marginal_given_B': 0.0}),
+        (False, 10, 16, {'A': [1], 'B': [1, 2], 'x': 0, 'marginal_given_A': -1.0, 'marginal_given_B': 1.0}),
     ('submodular', 'table', 'sampled'):
         (False, 3, 7, {'A': [1], 'B': [0, 1, 2], 'x': 3, 'marginal_given_A': -1.0, 'marginal_given_B': 1.0}),
     ('supermodularity_of_conditioning', 'table', 'exhaustive'):
-        (False, 285, 16, {'S': [2, 3], 'A': [], 'B': [0], 'C': [1], 'lhs': 3.0, 'rhs': 4.0}),
+        (False, 10, 16, {'S': [0], 'A': [1], 'B': [1, 2], 'C': [0], 'lhs': -1.0, 'rhs': 1.0}),
     ('supermodularity_of_conditioning', 'table', 'sampled'):
         (False, 2, 10, {'S': [0, 2, 3], 'A': [3], 'B': [2, 3], 'C': [0, 1], 'lhs': 1.0, 'rhs': 6.0}),
     ('pairwise_redundancy_bound', 'table', 'exhaustive'):
@@ -411,7 +439,7 @@ GOLDEN = {
     ('nemhauser_inequality', 'table', 'sampled'):
         (False, 2, 6, {'S': [0, 1, 3], 'T': [0, 2], 'f_T': 8.0, 'bound': 7.0}),
     ('soc_disjoint', 'table', 'exhaustive'):
-        (False, 93, 16, {'S': [2, 3], 'A': [], 'B': [0], 'C': [1], 'lhs': 3.0, 'rhs': 4.0}),
+        (False, 7, 16, {'S': [0], 'A': [2], 'B': [1, 2], 'C': [3], 'lhs': -5.0, 'rhs': 1.0}),
     ('soc_disjoint', 'table', 'sampled'):
         (False, 12, 16, {'S': [0], 'A': [], 'B': [2, 3], 'C': [1], 'lhs': 5.0, 'rhs': 6.0}),
 }
@@ -431,12 +459,87 @@ def test_reports_match_the_golden_table(check, instance, run):
     assert len(set(calls)) == len(calls)  # each set asked at most once
 
 
+LOCAL_CHECKS = ("submodular", "supermodularity_of_conditioning", "soc_disjoint")
+
+
 @pytest.mark.parametrize("check", sorted(set(GOLDEN_CHECKS) - {"normalized"}))
 def test_exhaustive_reports_match_the_nested_scan(check):
     name, extra = GOLDEN_CHECKS[check]
+    scan = naive_local_check if check in LOCAL_CHECKS else naive_property_check
     oracles = [_table(seed, m) for m in range(1, 5) for seed in range(4)]
     oracles += [SetFunctionOracle(m, lambda s: float(len(s))) for m in (3, 4)]  # every check holds
     for oracle in oracles:
         report = ALL_CHECKS[name](oracle, mode="exhaustive", **extra)
         assert (report.holds, report.witness, report.instances_checked) == \
-            naive_property_check(name, oracle, **extra)
+            scan(name, oracle, **extra)
+
+
+class _Values:
+    """f read from a list indexed by bitmask, with no checks: a quantified
+    scan asks it tens of thousands of times per table."""
+
+    def __init__(self, values):
+        self.ground_size = (len(values) - 1).bit_length()
+        self.values = values
+
+    def evaluate(self, ids):
+        mask = 0
+        for x in ids:
+            mask |= 1 << x
+        return self.values[mask]
+
+
+def _near_coverage(seed):
+    """A seeded integer weighted coverage on m <= 4 elements with up to two
+    sets moved by one.  Of the tables with m > 1, a quarter to two fifths
+    violate each of submodularity, SoC and SoC on disjoint sets."""
+    rng = random.Random(seed)
+    m = 1 + seed % 4
+    weights = [rng.randint(1, 3) for _ in range(2 * m)]
+    covers = [{u for u in range(2 * m) if rng.random() < 0.4} for _ in range(m)]
+    values = []
+    for mask in range(1 << m):
+        covered = set().union(*(covers[x] for x in range(m) if mask >> x & 1))
+        values.append(float(sum(weights[u] for u in covered)))
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        values[rng.randrange(1, 1 << m)] += rng.choice((-1.0, 1.0))
+    return _Values(values)
+
+
+@pytest.mark.parametrize("check", LOCAL_CHECKS)
+def test_local_forms_agree_with_the_quantified_definitions(check):
+    name, extra = GOLDEN_CHECKS[check]
+    _, keep, violation = PROPERTIES[name]
+    violated = 0
+    for seed in range(1000):
+        oracle = _near_coverage(seed)
+        report = ALL_CHECKS[name](oracle, mode="exhaustive", **extra)
+        assert report.form == "local"
+        assert report.holds == naive_property_check(name, oracle, **extra)[0], seed
+        if report.holds:
+            continue
+        violated += 1
+        # the local witness is a violating tuple of the quantified definition
+        w = report.witness
+        masks = {key: sum(1 << e for e in w[key]) for key in "SABC" if key in w}
+        if name == "submodular":
+            t = (masks["B"], w["x"], masks["A"])
+        else:
+            t = (masks["B"], masks["A"], masks["C"], masks["S"])
+            if extra:  # require_disjoint: S outside B u C
+                assert not t[3] & (t[0] | t[2])
+        assert keep(*t)
+        assert violation(lambda mask: oracle.values[mask], *t) == w
+    assert 150 <= violated <= 400  # of 750 tables with m > 1
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_exhaustive_local_checks_walk_pairs_and_triples(m):
+    oracle = SetFunctionOracle(m, lambda s: float(len(s)))  # every check holds
+    pairs, triples = comb(m, 2) << m >> 2, comb(m, 3) << m >> 3
+    expected = {"submodular": pairs, "supermodularity_of_conditioning": pairs + triples,
+                "soc_disjoint": triples}
+    for check, count in expected.items():
+        name, extra = GOLDEN_CHECKS[check]
+        report = ALL_CHECKS[name](oracle, mode="exhaustive", exhaustive_limit=8, **extra)
+        assert (report.holds, report.instances_checked) == (True, count)
