@@ -80,8 +80,6 @@ from .oracles import (
     QueryCounts,
     SetFunctionOracle,
     k_wise_upper_estimate,
-    lower_estimate,
-    upper_estimate,
 )
 from .verify import (
     ALL_CHECKS,

@@ -15,14 +15,7 @@ from itertools import combinations
 from math import comb, inf
 
 from .errors import InstanceTooLarge, InvalidArgument, ParseError
-from .oracles import (
-    CountingOracle,
-    EstimateCache,
-    QueryCounts,
-    argmax,
-    fold_k_wise,
-    no_value_above_minus_inf,
-)
+from .oracles import CountingOracle, EstimateCache, QueryCounts, argmax, fold_k_wise
 from .validation import check_cardinality, check_order, count_text
 
 BRUTE_FORCE_LIMIT = 10**6
@@ -128,17 +121,10 @@ def greedy_full(oracle, n: int) -> RunTrace:
     current: set[int] = set()
     selections = []
     for i in range(1, n + 1):
-        best_x, best_v = None, -inf
-        for x in range(view.ground_size):
-            if x in current:
-                continue
-            v = view.marginal(x, current)
-            if v > best_v:
-                best_v, best_x = v, x
-        if best_x is None:  # v is the last candidate's marginal
-            raise no_value_above_minus_inf(max(set(range(view.ground_size)) - current), v)
-        selections.append(Selection(i, best_x, best_v))
-        current.add(best_x)
+        x, value = argmax({y: view.marginal(y, current)
+                           for y in range(view.ground_size) if y not in current})
+        selections.append(Selection(i, x, value))
+        current.add(x)
     return _finish("full", n, selections, view)
 
 
@@ -189,15 +175,14 @@ def _k_wise_greedy(algorithm, oracle, n: int, k: int) -> RunTrace:
     view = CountingOracle(oracle)
     singletons = {x: view.evaluate((x,)) for x in range(view.ground_size)}
     upper = dict(singletons)
-    order = sorted(upper)
     selected: list[int] = []
     selections = []
     for i in range(1, n + 1):
-        x, value = argmax(order, upper)
+        x, value = argmax(upper)
         selections.append(Selection(i, x, value))
-        order.remove(x)
+        del upper[x]
         if i < n:
-            fold_k_wise(view, upper, order, selected, x, singletons[x], k)
+            fold_k_wise(view, upper, selected, x, singletons[x], k)
             selected.append(x)
     return _finish(algorithm, n, selections, view)
 

@@ -64,14 +64,19 @@ def time_algorithm(algorithm: str, oracle, n: int, trials: int,
 
 def scaling_sweep(algorithms, oracle, n_values, trials: int,
                   k: int | None = None) -> list[TimingRecord]:
-    """One record per (algorithm, n); n_values must be ascending."""
+    """One record per (algorithm, n); n_values must be ascending.
+
+    k goes to k_wise_optimistic only, so one sweep can time it beside the
+    other strategies.
+    """
     n_values = list(n_values)
     if n_values != sorted(n_values):
         raise InvalidArgument(f"n_values must be ascending, got {n_values}")
     records = []
     for algorithm in algorithms:
+        k_arg = k if algorithm == "k_wise_optimistic" else None
         for n in n_values:
-            records.append(time_algorithm(algorithm, oracle, n, trials, k=k))
+            records.append(time_algorithm(algorithm, oracle, n, trials, k=k_arg))
     return records
 
 

