@@ -257,6 +257,14 @@ def test_no_value_above_minus_inf_is_a_typed_error(strategy, value):
         strategy(oracle, 2)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "minus_inf"])
+def test_full_greedy_with_no_marginal_above_minus_inf_is_a_typed_error(value, n):
+    oracle = SetFunctionOracle(3, lambda s: value if s else 0.0)
+    with pytest.raises(NonFiniteValue, match=f"candidate 0 has {value}"):
+        greedy_full(oracle, n)
+
+
 def test_result_records_are_slotted(chain_coverage):
     run = greedy_optimistic(chain_coverage, 2)
     records = (run, run.selections[0], run.query_counts,
