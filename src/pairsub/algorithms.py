@@ -14,11 +14,9 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, inf
 
-from .errors import InstanceTooLarge, InvalidArgument, ParseError
+from .errors import InvalidArgument, NonFiniteValue, ParseError
 from .oracles import CountingOracle, EstimateCache, QueryCounts, argmax, fold_k_wise
-from .validation import check_cardinality, check_order, count_text
-
-BRUTE_FORCE_LIMIT = 10**6
+from .validation import check_cardinality, check_enumeration, check_order
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,26 +200,25 @@ def greedy_k_wise_optimistic(oracle, n: int, k: int) -> RunTrace:
     return replace(_k_wise_greedy("k_wise_optimistic", oracle, n, k), k=k)
 
 
-def brute_force_optimal(oracle, n: int, limit: int = BRUTE_FORCE_LIMIT):
+def brute_force_optimal(oracle, n: int):
     """Exact maximizer over all subsets of size at most n.
 
     Monotonicity means only size-n subsets need scanning.  Returns the
-    lexicographically smallest maximizer and its value.
+    lexicographically smallest maximizer and its value.  InstanceTooLarge,
+    before any query, when C(m, n) exceeds the enumeration limit;
+    NonFiniteValue when no subset's value compares above -inf.
     """
     m = oracle.ground_size
     check_cardinality(n, m)
-    if comb(m, n) > limit:
-        raise InstanceTooLarge(
-            f"C({m}, {n}) = {count_text(comb(m, n))} exceeds the enumeration "
-            f"limit {count_text(limit)}"
-        )
-    if n == 0:
-        return [], oracle.evaluate(())
+    check_enumeration(comb(m, n), f"brute force over C({m}, {n})", "subsets")
     best_set, best_v = None, -inf
-    for combo in combinations(range(m), n):
+    for combo in combinations(range(m), n):  # at least one, as n <= m
         v = oracle.evaluate(combo)
         if v > best_v:
             best_v, best_set = v, combo
+    if best_set is None:  # name the last subset scanned
+        raise NonFiniteValue(f"no candidate has a value above -inf; "
+                             f"candidate {list(combo)} has {v}")
     return list(best_set), best_v
 
 

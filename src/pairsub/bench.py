@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .algorithms import run_algorithm
 from .errors import GridMismatch, InvalidArgument
 from .oracles import QueryCounts
+from .validation import check_cardinality
 
 CSV_HEADER = "algorithm,m,n,trials,mean_s,min_s,max_s,q1,q2,qother"
 
@@ -64,7 +65,8 @@ def time_algorithm(algorithm: str, oracle, n: int, trials: int,
 
 def scaling_sweep(algorithms, oracle, n_values, trials: int,
                   k: int | None = None) -> list[TimingRecord]:
-    """One record per (algorithm, n); n_values must be ascending.
+    """One record per (algorithm, n); n_values must be ascending and each
+    within 0..m, which is checked before anything runs.
 
     k goes to k_wise_optimistic only, so one sweep can time it beside the
     other strategies.
@@ -72,6 +74,8 @@ def scaling_sweep(algorithms, oracle, n_values, trials: int,
     n_values = list(n_values)
     if n_values != sorted(n_values):
         raise InvalidArgument(f"n_values must be ascending, got {n_values}")
+    for n in n_values:
+        check_cardinality(n, oracle.ground_size)
     records = []
     for algorithm in algorithms:
         k_arg = k if algorithm == "k_wise_optimistic" else None

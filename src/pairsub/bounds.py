@@ -38,16 +38,13 @@ from math import comb, exp, inf
 
 from .algorithms import audit_trace
 from .errors import (
-    InstanceTooLarge,
     InvalidAlpha,
     InvalidArgument,
     InvalidCurvature,
     TraceMismatch,
 )
 from .oracles import CountingOracle, EstimateCache, k_wise_upper_estimate
-from .validation import check_order, count_text, near_zero
-
-CURVATURE_ENUM_LIMIT = 10**6
+from .validation import check_enumeration, check_order, near_zero
 
 
 @dataclass(slots=True)
@@ -161,14 +158,14 @@ def post_hoc_bound(solution, oracle, m: int | None = None) -> BoundReport:
     return BoundReport(alphas=alphas, gamma=gamma, method="algorithm1")
 
 
-def traditional_curvature(full_oracle, limit: int = CURVATURE_ENUM_LIMIT) -> float:
+def traditional_curvature(full_oracle) -> float:
     """c = 1 - min over (A, x not in A, f(x) > 0) of f(x|A)/f(x).
 
     tau_m: every conditioning set is allowed, so the scan asks all 2^m - 1
     nonempty sets and is gated by the enumeration limit.  The A = empty
     term is left out, which changes nothing when f(empty) = 0.
     """
-    return k_cardinality_curvature(full_oracle, max(2, full_oracle.ground_size), limit)
+    return k_cardinality_curvature(full_oracle, max(2, full_oracle.ground_size))
 
 
 def k_marginal_curvature(full_oracle, x: int, ids, k: int) -> float:
@@ -180,7 +177,7 @@ def k_marginal_curvature(full_oracle, x: int, ids, k: int) -> float:
     return min(1.0, max(0.0, 1.0 - true_marginal / upper))
 
 
-def k_cardinality_curvature(oracle, k: int, limit: int = CURVATURE_ENUM_LIMIT) -> float:
+def k_cardinality_curvature(oracle, k: int) -> float:
     """tau_k = 1 - min over (x, |A| < k, f(x) > 0) of f(x|A)/f(x).
 
     Needs only budget-k queries and asks every set of size at most k once:
@@ -194,11 +191,7 @@ def k_cardinality_curvature(oracle, k: int, limit: int = CURVATURE_ENUM_LIMIT) -
     m = oracle.ground_size
     pair_count = m * (2 ** (m - 1) - 1 if k >= m  # every nonempty A, without summing
                       else sum(comb(m - 1, size) for size in range(1, k)))
-    if pair_count > limit:
-        raise InstanceTooLarge(
-            f"tau_{k} scan needs {count_text(pair_count)} conditioning sets, "
-            f"limit is {count_text(limit)}"
-        )
+    check_enumeration(pair_count, f"tau_{k} scan", "conditioning sets")
     memo: dict[tuple, float] = {(x,): oracle.evaluate((x,)) for x in range(m)}
     min_ratio = 1.0
     for size in range(2, k + 1):

@@ -33,7 +33,7 @@ from .bounds import (
 from .data import KernelConfig, build_coverage_instance, load_districts
 from .errors import PairsubError, ParseError
 from .functions import AdversarialSpec, build_oracle, load_instance
-from .verify import ALL_CHECKS, check_normalized
+from .verify import ALL_CHECKS, DEFAULT_SAMPLES, check_normalized
 
 SCHEMA = "pairsub/1"
 
@@ -186,10 +186,7 @@ def cmd_verify(args) -> int:
         if checker is check_normalized:
             report = checker(oracle)
         else:
-            kwargs = {"samples": args.samples, "seed": args.seed}
-            if args.limit is not None:
-                kwargs["exhaustive_limit"] = args.limit
-            report = checker(oracle, **kwargs)
+            report = checker(oracle, samples=args.samples, seed=args.seed)
         doc = {"schema": SCHEMA, **report.to_dict()}
         lines.append(json.dumps(doc, sort_keys=True))
     _write_text("\n".join(lines) + "\n", args.out)
@@ -233,7 +230,7 @@ def cmd_bench(args) -> int:
 
 def cmd_bruteforce(args) -> int:
     oracle = _load_oracle(args)
-    best_set, value = brute_force_optimal(oracle, args.n, limit=args.limit)
+    best_set, value = brute_force_optimal(oracle, args.n)
     _write_json({"set": best_set, "value": value, "n": args.n}, args.out)
     return 0
 
@@ -271,9 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check function properties")
     _add_instance_args(verify)
     verify.add_argument("--properties", default="all")
-    verify.add_argument("--limit", type=int,
-                        help="exhaustive enumeration limit on m")
-    verify.add_argument("--samples", type=int, default=2000)
+    verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--out")
     verify.set_defaults(handler=cmd_verify)
@@ -293,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     brute = sub.add_parser("bruteforce", help="exact optimum by enumeration")
     _add_instance_args(brute)
     brute.add_argument("--n", type=int, required=True)
-    brute.add_argument("--limit", type=int, default=10**6)
     brute.add_argument("--out")
     brute.set_defaults(handler=cmd_bruteforce)
 

@@ -26,7 +26,7 @@ class CardinalityTooLarge(PairsubError, ValueError):
 
 
 class InstanceTooLarge(PairsubError):
-    """Exhaustive enumeration was requested beyond the configured limit."""
+    """An exhaustive scan would walk more than validation.ENUMERATION_LIMIT."""
 
 
 class TraceMismatch(PairsubError, ValueError):

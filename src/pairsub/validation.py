@@ -5,12 +5,20 @@ from __future__ import annotations
 from math import isfinite
 from typing import Iterable
 
-from .errors import CardinalityTooLarge, DuplicateElement, UnknownElement
+from .errors import (
+    CardinalityTooLarge,
+    DuplicateElement,
+    InstanceTooLarge,
+    UnknownElement,
+)
 
 # Relative tolerance for comparing function values; absolute floor near zero.
 # Marginals of large coverage sums accumulate float error around 1e-12.
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+# Most sets or tuples any exhaustive scan walks: the brute-force optimum, the
+# tau_k scan, a table of subset values and a property check's enumeration.
+ENUMERATION_LIMIT = 10**6
 
 
 def tolerance(a: float, b: float) -> float:
@@ -39,6 +47,14 @@ def count_text(count: int) -> str:
         return str(count)
     except ValueError:
         return f"at least 2^{count.bit_length() - 1}"
+
+
+def check_enumeration(count: int, what: str, unit: str) -> None:
+    """InstanceTooLarge when a scan of count units exceeds ENUMERATION_LIMIT;
+    callers check before their first query."""
+    if count > ENUMERATION_LIMIT:
+        raise InstanceTooLarge(f"{what} needs {count_text(count)} {unit}, "
+                               f"limit is {count_text(ENUMERATION_LIMIT)}")
 
 
 def as_id_set(ids: Iterable[int]) -> frozenset:

@@ -3,19 +3,22 @@
 A checker is a domain plus a violation.  The domain states the property's
 quantifiers once, as slots in order: each ranges over the subsets of a mask,
 or over the elements outside one, and the mask follows from the earlier
-slots.  _run enumerates every tuple of the domain when the ground set is
-small enough, and otherwise draws seeded uniform tuples from the same slots,
-asking f at most once per set.  Submodularity and supermodularity of
-conditioning also have a local form, which an enumeration walks in place of
-the quantified one: pairs (D, x, y) and triples (D, x, y, z) of elements
-outside D, C(m,2)*2^(m-2) and C(m,3)*2^(m-3) tuples where the quantified
-spaces hold m*3^(m-1) and 8^m.  An enumeration refuses a domain of subsets
-only (the 4^m spaces) above TUPLE_LIMIT tuples before any query.  A
-violation reads f by subscript, at[mask], from a table of all 2^m values
-when enumerating and from a lazy per-set memo when sampling; an enumeration
-lists each slot's values once per run.  A failed check always carries a
-witness that replays through plain oracle evaluations and the quantified
-definition.
+slots.  Submodularity and supermodularity of conditioning also have a local
+form, which an enumeration walks in place of the quantified one: pairs
+(D, x, y) and triples (D, x, y, z) of elements outside D.  Each checker
+states in closed form how many tuples its enumeration walks: m*2^(m-1) for
+monotonicity and the marginal lower bound, C(m,2)*2^(m-2) pairs and
+C(m,3)*2^(m-3) triples for the local forms (where the quantified spaces hold
+m*3^(m-1) and 8^m), and 4^m for the redundancy bound and Nemhauser's
+inequality.  mode="auto" enumerates every tuple when that walk fits
+validation.ENUMERATION_LIMIT, so holds=True is then a proof, and otherwise
+draws seeded uniform tuples from the quantified slots, asking f at most once
+per set; mode="exhaustive" refuses a walk that does not fit before any
+query.  At a limit of 10^6, a walk that fits has a table of 2^m values that
+fits too.  A violation reads f by subscript, at[mask], from that table when
+enumerating and from a lazy per-set memo when sampling; an enumeration lists
+each slot's values once per run.  A failed check always carries a witness
+that replays through plain oracle evaluations and the quantified definition.
 """
 
 from __future__ import annotations
@@ -25,23 +28,13 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
+from math import comb
 
-from .errors import InstanceTooLarge, InvalidArgument
-from .validation import at_least, count_text, values_close
+from . import validation
+from .errors import InvalidArgument
+from .validation import at_least, check_enumeration, values_close
 
-# Default exhaustive limits: two-set properties stay cheap through m=12,
-# the 4^m subset spaces (redundancy bound, Nemhauser) blow up past m=8.
-# Submodularity and SoC keep m=8, though their local forms stay cheap beyond.
-LIMIT_TWO_SET = 12
-LIMIT_SUBMODULAR = 8
-LIMIT_FOUR_SET = 8
-LIMIT_LOWER_BOUND = 10
 DEFAULT_SAMPLES = 2000
-# Largest table of subset values an exhaustive check builds, as for the
-# brute-force optimum and the tau_k scan.
-TABLE_LIMIT = 10**6
-# Largest space of a subset-only domain (the 4^m ones) an enumeration walks.
-TUPLE_LIMIT = 10**6
 
 # The two kinds of slot in a checker's domain (see _run).
 SUBSET, ELEMENT = "subset", "element"
@@ -73,14 +66,11 @@ class VerificationReport:
 def subset_values(oracle) -> list[float]:
     """f over every subset of the ground set, indexed by bitmask.
 
-    InstanceTooLarge, before any query, when 2^m exceeds TABLE_LIMIT.
+    InstanceTooLarge, before any query, when 2^m exceeds the enumeration
+    limit.
     """
     m = oracle.ground_size
-    if 1 << m > TABLE_LIMIT:
-        raise InstanceTooLarge(
-            f"exhaustive check needs f on {count_text(1 << m)} subsets, "
-            f"limit is {count_text(TABLE_LIMIT)}"
-        )
+    check_enumeration(1 << m, "exhaustive check", "subsets")
     members: list[tuple] = [()] * (1 << m)
     values = [0.0] * (1 << m)
     values[0] = oracle.evaluate(())
@@ -124,23 +114,6 @@ def _submasks(mask: int) -> list[int]:
     return out
 
 
-def _mode_exhaustive(m: int, exhaustive_limit: int, mode: str, samples: int) -> bool:
-    """Whether to enumerate; a check that samples must draw at least once."""
-    if mode == "exhaustive":
-        if m > exhaustive_limit:
-            raise InstanceTooLarge(
-                f"exhaustive check requested for m={m} above limit {exhaustive_limit}"
-            )
-        return True
-    if mode not in ("auto", "sampled"):
-        raise InvalidArgument(f"mode must be auto|exhaustive|sampled, got {mode!r}")
-    if mode == "auto" and m <= exhaustive_limit:
-        return True
-    if samples < 1:
-        raise InvalidArgument(f"a sampled check needs samples >= 1, got {samples}")
-    return False
-
-
 def check_normalized(oracle) -> VerificationReport:
     """f(empty) must be zero."""
     value = oracle.evaluate(())
@@ -149,7 +122,7 @@ def check_normalized(oracle) -> VerificationReport:
     return VerificationReport("normalized", holds, witness, 1, "exhaustive", "quantified")
 
 
-def _run(name, oracle, exhaustive_limit, mode, samples, seed, quantified,
+def _run(name, oracle, walk, mode, samples, seed, quantified,
          local=()) -> VerificationReport:
     """Check a property given as parts (domain, violation); at[mask] is f.
 
@@ -162,22 +135,28 @@ def _run(name, oracle, exhaustive_limit, mode, samples, seed, quantified,
     Enumeration walks every tuple of each part in nested-loop order, the
     local parts when given and else the quantified part, over one list of f
     on all subsets, and lists each slot's values for a given mask once per
-    run; a subset-only domain above TUPLE_LIMIT tuples is refused before any
-    query.  Sampling draws samples tuples of the quantified part slot by
-    slot from random.Random(seed) and subscripts a memo that asks f once per
-    set on first read; a draw with no element outside an ELEMENT slot's mask
+    run; it visits walk tuples, which mode="auto" enumerates when they fit
+    the enumeration limit and mode="exhaustive" refuses when they do not.
+    Sampling draws samples >= 1 tuples of the quantified part slot by slot
+    from random.Random(seed) and subscripts a memo that asks f once per set
+    on first read; a draw with no element outside an ELEMENT slot's mask
     stops there and is not counted.
     """
     m = oracle.ground_size
-    if _mode_exhaustive(m, exhaustive_limit, mode, samples):
+    if mode == "auto":
+        mode = "exhaustive" if walk <= validation.ENUMERATION_LIMIT else "sampled"
+    if mode == "exhaustive":
+        check_enumeration(walk, f"exhaustive {name} check", "tuples")
         parts = local or (quantified,)
-        for domain, _ in parts:
-            _refuse_tuple_space(domain, m)
         at = subset_values(oracle)
         values = cache(_every)
         walks = [(_tuples(domain, [()], values, m), violation)
                  for domain, violation in parts]
         how = ("exhaustive", "local" if local else "quantified")
+    elif mode != "sampled":
+        raise InvalidArgument(f"mode must be auto|exhaustive|sampled, got {mode!r}")
+    elif samples < 1:
+        raise InvalidArgument(f"a sampled check needs samples >= 1, got {samples}")
     else:
         domain, violation = quantified
         at = _Memo(oracle)
@@ -199,21 +178,6 @@ def _tuples(domain, starts, values, m: int):
     for kind, within in domain:
         starts = _extend(starts, values, kind, within, m)
     return starts
-
-
-def _refuse_tuple_space(domain, m: int) -> None:
-    """InstanceTooLarge when a subset-only domain has more than TUPLE_LIMIT
-    tuples.  Each element then joins the slots' subsets independently, in
-    one of the patterns the domain allows at m = 1, so the count is that
-    number of patterns to the power m."""
-    if any(kind != SUBSET for kind, _ in domain):
-        return
-    count = sum(1 for _ in _tuples(domain, [()], _every, 1)) ** m
-    if count > TUPLE_LIMIT:
-        raise InstanceTooLarge(
-            f"exhaustive check walks {count_text(count)} tuples, "
-            f"limit is {count_text(TUPLE_LIMIT)}"
-        )
 
 
 def _every(kind, mask: int, m: int) -> list[int]:
@@ -239,9 +203,14 @@ def _extend(tuples, values, kind, within, m: int):
     return (t + (v,) for t in tuples for v in values(kind, within(full, *t), m))
 
 
+def _chosen_and_subset(m: int, *sizes: int) -> int:
+    """Tuples of j elements in increasing order and a subset of the other
+    m - j, C(m,j)*2^(m-j), summed over j in sizes."""
+    return sum(comb(m, j) << m >> j for j in sizes)
+
+
 def check_monotone(
     oracle,
-    exhaustive_limit: int = LIMIT_TWO_SET,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     mode: str = "auto",
@@ -259,8 +228,8 @@ def check_monotone(
             return None
         return {"A": _bits(a_mask), "B": _bits(b_mask), "f_A": fa, "f_B": fb}
 
-    return _run("monotone", oracle, exhaustive_limit, mode, samples, seed,
-                (domain, violation))
+    return _run("monotone", oracle, _chosen_and_subset(oracle.ground_size, 1),
+                mode, samples, seed, (domain, violation))
 
 
 # The local domains: pairs (D, x, y) and triples (D, x, y, z) of distinct
@@ -290,7 +259,6 @@ def _local_submodular(at, t):
 
 def check_submodular(
     oracle,
-    exhaustive_limit: int = LIMIT_SUBMODULAR,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     mode: str = "auto",
@@ -304,8 +272,9 @@ def check_submodular(
     domain = ((SUBSET, lambda full: full),  # B
               (ELEMENT, lambda full, b: b),  # x outside B
               (SUBSET, lambda full, b, x: b))  # A within B
-    return _run("submodular", oracle, exhaustive_limit, mode, samples, seed,
-                (domain, _submodular_violation), ((PAIRS, _local_submodular),))
+    return _run("submodular", oracle, _chosen_and_subset(oracle.ground_size, 2),
+                mode, samples, seed, (domain, _submodular_violation),
+                ((PAIRS, _local_submodular),))
 
 
 def _soc_violation(at, t):
@@ -338,7 +307,6 @@ def _local_soc_triple(at, t):
 
 def check_supermodularity_of_conditioning(
     oracle,
-    exhaustive_limit: int = LIMIT_FOUR_SET,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     mode: str = "auto",
@@ -380,16 +348,16 @@ def check_supermodularity_of_conditioning(
               (SUBSET, lambda full, b, a: full ^ b),  # C outside B
               (SUBSET, lambda full, b, a, c:  # S
                full ^ (b | c) if require_disjoint else full))
-    local = ((TRIPLES, _local_soc_triple),)
+    local, sizes = ((TRIPLES, _local_soc_triple),), (3,)
     if not require_disjoint:
-        local = ((PAIRS, _local_soc_pair),) + local
-    return _run("supermodularity_of_conditioning", oracle, exhaustive_limit, mode,
-                samples, seed, (domain, _soc_violation), local)
+        local, sizes = ((PAIRS, _local_soc_pair),) + local, (2, 3)
+    return _run("supermodularity_of_conditioning", oracle,
+                _chosen_and_subset(oracle.ground_size, *sizes), mode, samples, seed,
+                (domain, _soc_violation), local)
 
 
 def check_pairwise_redundancy_bound(
     oracle,
-    exhaustive_limit: int = LIMIT_FOUR_SET,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     mode: str = "auto",
@@ -413,13 +381,12 @@ def check_pairwise_redundancy_bound(
         return {"A": _bits(a_mask), "B": _bits(b_mask), "C": _bits(c_mask),
                 "lhs": lhs, "rhs": rhs}
 
-    return _run("pairwise_redundancy_bound", oracle, exhaustive_limit, mode,
+    return _run("pairwise_redundancy_bound", oracle, 4 ** oracle.ground_size, mode,
                 samples, seed, (domain, violation))
 
 
 def check_marginal_lower_bound(
     oracle,
-    exhaustive_limit: int = LIMIT_LOWER_BOUND,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     mode: str = "auto",
@@ -440,13 +407,13 @@ def check_marginal_lower_bound(
         return {"x": x, "S": _bits(s_mask),
                 "marginal": true_marginal, "lower_estimate": low}
 
-    return _run("marginal_lower_bound", oracle, exhaustive_limit, mode,
-                samples, seed, (domain, violation))
+    return _run("marginal_lower_bound", oracle,
+                _chosen_and_subset(oracle.ground_size, 1), mode, samples, seed,
+                (domain, violation))
 
 
 def check_nemhauser_inequality(
     oracle,
-    exhaustive_limit: int = LIMIT_FOUR_SET,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     mode: str = "auto",
@@ -466,7 +433,7 @@ def check_nemhauser_inequality(
             return None
         return {"S": _bits(s_mask), "T": _bits(t_mask), "f_T": f_t, "bound": bound}
 
-    return _run("nemhauser_inequality", oracle, exhaustive_limit, mode,
+    return _run("nemhauser_inequality", oracle, 4 ** oracle.ground_size, mode,
                 samples, seed, (domain, violation))
 
 

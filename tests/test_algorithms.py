@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -36,6 +37,7 @@ from pairsub import (
     run_algorithm,
     trace_from_dict,
 )
+from pairsub import validation
 from pairsub.algorithms import PAIRWISE_ALGORITHMS
 
 from _reference import (
@@ -230,9 +232,12 @@ class TestBruteForce:
         assert value == 2.0
         assert best == [0, 1]  # lexicographically smallest of the tied pairs
 
-    def test_limit(self, chain_coverage):
-        with pytest.raises(InstanceTooLarge):
-            brute_force_optimal(chain_coverage, 2, limit=2)
+    def test_limit(self, chain_coverage, monkeypatch):
+        monkeypatch.setattr(validation, "ENUMERATION_LIMIT", 3)  # C(3, 2)
+        assert brute_force_optimal(chain_coverage, 2) == ([0, 2], 4.0)
+        monkeypatch.setattr(validation, "ENUMERATION_LIMIT", 2)
+        with pytest.raises(InstanceTooLarge, match="needs 3 subsets"):
+            brute_force_optimal(chain_coverage, 2)
 
     def test_n_above_m(self, chain_coverage):
         with pytest.raises(CardinalityTooLarge):
@@ -263,6 +268,15 @@ def test_full_greedy_with_no_marginal_above_minus_inf_is_a_typed_error(value, n)
     oracle = SetFunctionOracle(3, lambda s: value if s else 0.0)
     with pytest.raises(NonFiniteValue, match=f"candidate 0 has {value}"):
         greedy_full(oracle, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "minus_inf"])
+def test_brute_force_with_no_value_above_minus_inf_is_a_typed_error(value, n):
+    oracle = SetFunctionOracle(3, lambda s: value)
+    last = list(range(3 - n, 3))
+    with pytest.raises(NonFiniteValue, match=re.escape(f"candidate {last} has {value}")):
+        brute_force_optimal(oracle, n)
 
 
 def test_result_records_are_slotted(chain_coverage):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pairsub import GridMismatch
+from pairsub import CardinalityTooLarge, GridMismatch, SetFunctionOracle
 from pairsub.bench import (
     CSV_HEADER,
     records_to_csv,
@@ -53,6 +53,13 @@ class TestScalingSweep:
     def test_requires_ascending_grid(self, small_city):
         with pytest.raises(ValueError):
             scaling_sweep(["optimistic"], small_city, [4, 2], 1)
+
+    def test_every_cardinality_is_checked_before_any_run(self):
+        calls = []
+        oracle = SetFunctionOracle(3, lambda s: calls.append(s) or float(len(s)))
+        with pytest.raises(CardinalityTooLarge, match="cardinality 9"):
+            scaling_sweep(["full"], oracle, [1, 2, 9], 1)
+        assert calls == []
 
     def test_pairwise_work_units_fit_linear_trend(self):
         """Work units (deterministic cost proxy) grow linearly in n for the

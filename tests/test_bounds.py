@@ -36,6 +36,7 @@ from pairsub import (
     post_hoc_bound,
     traditional_curvature,
 )
+from pairsub import validation
 
 from _reference import (
     naive_k_cardinality_curvature,
@@ -303,12 +304,14 @@ class TestCurvatures:
         oracle = random_soc_oracle(rng, 7).restricted(2)
         assert 0.0 <= k_cardinality_curvature(oracle, 2) <= 1.0
 
-    def test_tau_k_limit_counts_conditioning_sets_exactly(self):
+    def test_tau_k_limit_counts_conditioning_sets_exactly(self, monkeypatch):
         oracle = random_soc_oracle(random.Random(4), 7)
         needed = (6 + 15) * 7  # m * (C(6, 1) + C(6, 2)) for k=3
-        assert 0.0 <= k_cardinality_curvature(oracle, 3, limit=needed) <= 1.0
-        with pytest.raises(InstanceTooLarge):
-            k_cardinality_curvature(oracle, 3, limit=needed - 1)
+        monkeypatch.setattr(validation, "ENUMERATION_LIMIT", needed)
+        assert 0.0 <= k_cardinality_curvature(oracle, 3) <= 1.0
+        monkeypatch.setattr(validation, "ENUMERATION_LIMIT", needed - 1)
+        with pytest.raises(InstanceTooLarge, match=f"needs {needed} conditioning sets"):
+            k_cardinality_curvature(oracle, 3)
 
     def test_tau_k_equals_ordered_scan(self):
         rng = random.Random(61)
@@ -330,15 +333,17 @@ class TestCurvatures:
         for oracle in oracles:
             assert traditional_curvature(oracle) == naive_traditional_curvature(oracle)
 
-    def test_traditional_is_tau_m(self):
+    def test_traditional_is_tau_m(self, monkeypatch):
         oracle = random_soc_oracle(random.Random(73), 7)
         view = CountingOracle(oracle)
         assert traditional_curvature(view) == k_cardinality_curvature(oracle, 7)
         assert view.counts.total == 2**7 - 1
         needed = 7 * (2**6 - 1)  # m * (2^(m-1) - 1) conditioning sets
-        assert 0.0 <= traditional_curvature(oracle, limit=needed) <= 1.0
-        with pytest.raises(InstanceTooLarge):
-            traditional_curvature(oracle, limit=needed - 1)
+        monkeypatch.setattr(validation, "ENUMERATION_LIMIT", needed)
+        assert 0.0 <= traditional_curvature(oracle) <= 1.0
+        monkeypatch.setattr(validation, "ENUMERATION_LIMIT", needed - 1)
+        with pytest.raises(InstanceTooLarge, match=f"needs {needed} conditioning sets"):
+            traditional_curvature(oracle)
 
     def test_tau_k_asks_each_set_once(self):
         oracle = random_soc_oracle(random.Random(67), 7)
@@ -364,7 +369,7 @@ class TestCurvatures:
         oracle = build_modular(ModularSpec([1.0] * 20000))
         with pytest.raises(InstanceTooLarge, match="tau_20000 scan needs"):
             traditional_curvature(oracle)
-        with pytest.raises(InstanceTooLarge, match=r"C\(20000, 10000\) = "):
+        with pytest.raises(InstanceTooLarge, match=r"C\(20000, 10000\) needs at least 2\^"):
             brute_force_optimal(oracle, 10000)
 
     def test_ordering_c_dominates(self):

@@ -126,7 +126,7 @@ BAD_FLAGS = {
     "bench_k_without_k_wise": "bench --instance inst.json --algos full,optimistic --n-grid 1 --k 3",
     "bench_k_wise_without_k": "bench --instance inst.json --algos optimistic,k_wise_optimistic "
                               "--n-grid 1",
-    "samples_zero": "verify --instance inst.json --samples 0 --limit 2 --properties monotone",
+    "samples_zero": "verify --instance inst.json --samples 0 --properties monotone",
     "samples_negative": "verify --instance inst.json --samples -1",
 }
 
@@ -147,29 +147,33 @@ def test_bruteforce_refuses_a_count_too_long_to_print(inputs, capsys):
     assert "Traceback" not in out.err
 
 
-def test_verify_refuses_an_exhaustive_table_it_cannot_build(inputs, capsys):
+def test_verify_samples_a_ground_set_too_large_to_enumerate(inputs, capsys):
     instance = {"type": "modular", "params": {"weights": [1.0] * 30}}
     (inputs / "wide.json").write_text(json.dumps(instance), encoding="utf-8")
-    code, out = run_cli("verify --instance wide.json --limit 40 --properties monotone".split(),
-                        capsys)
-    assert code == 2
-    assert out.err.startswith("error: ") and out.out == ""
-    assert "1073741824 subsets" in out.err
+    code, out = run_cli("verify --instance wide.json --properties monotone".split(), capsys)
+    assert code == 0 and out.err == ""
+    doc = json.loads(out.out)
+    assert (doc["holds"], doc["mode"], doc["instances_checked"]) == (True, "sampled", 2000)
 
 
-def test_verify_walks_local_forms_and_refuses_a_4_to_the_m_space(inputs, capsys):
+def test_verify_walks_local_forms_and_samples_a_4_to_the_m_space(inputs, capsys):
     instance = {"type": "modular", "params": {"weights": [1.0] * 12}}
     (inputs / "wide.json").write_text(json.dumps(instance), encoding="utf-8")
-    argv = "verify --instance wide.json --limit 12 --properties".split()
-    code, out = run_cli([*argv, "supermodularity_of_conditioning"], capsys)
-    assert code == 0
-    doc = json.loads(out.out)
-    assert (doc["holds"], doc["mode"], doc["form"]) == (True, "exhaustive", "local")
-    assert doc["instances_checked"] == 66 * 2**10 + 220 * 2**9  # C(12,2)2^10 + C(12,3)2^9
-    code, out = run_cli([*argv, "nemhauser_inequality"], capsys)
-    assert code == 2
-    assert out.err.startswith("error: ") and out.out == ""
-    assert "16777216 tuples" in out.err and "Traceback" not in out.err
+    code, out = run_cli("verify --instance wide.json".split(), capsys)
+    assert code == 0 and out.err == ""
+    reports = {doc["property"]: (doc["holds"], doc["mode"], doc["form"],
+                                 doc["instances_checked"])
+               for doc in map(json.loads, out.out.splitlines())}
+    assert reports == {
+        "normalized": (True, "exhaustive", "quantified", 1),
+        "monotone": (True, "exhaustive", "quantified", 12 * 2**11),
+        "marginal_lower_bound": (True, "exhaustive", "quantified", 12 * 2**11),
+        "submodular": (True, "exhaustive", "local", 66 * 2**10),  # C(12,2)2^10
+        "supermodularity_of_conditioning":  # C(12,2)2^10 + C(12,3)2^9
+            (True, "exhaustive", "local", 66 * 2**10 + 220 * 2**9),
+        "pairwise_redundancy_bound": (True, "sampled", "quantified", 2000),  # 4^12 tuples
+        "nemhauser_inequality": (True, "sampled", "quantified", 2000),
+    }
 
 
 json_values = st.recursive(

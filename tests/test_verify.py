@@ -23,7 +23,8 @@ from pairsub import (
     check_submodular,
     check_supermodularity_of_conditioning,
 )
-from pairsub.verify import ALL_CHECKS, TABLE_LIMIT, TUPLE_LIMIT
+from pairsub import validation
+from pairsub.verify import ALL_CHECKS, subset_values
 
 from _reference import PROPERTIES, naive_local_check, naive_property_check
 from _synth import random_probabilistic_coverage, random_soc_oracle, random_weighted_coverage
@@ -80,9 +81,11 @@ class TestMonotone:
         assert check_monotone(oracle).holds
 
     def test_forced_exhaustive_raises_above_limit(self):
-        oracle = build_modular(ModularSpec([1] * 6))
-        with pytest.raises(InstanceTooLarge):
-            check_monotone(oracle, exhaustive_limit=4, mode="exhaustive")
+        calls = []
+        oracle = SetFunctionOracle(17, lambda s: calls.append(s) or float(len(s)))
+        with pytest.raises(InstanceTooLarge, match="needs 1114112 tuples"):  # 17 * 2^16
+            check_monotone(oracle, mode="exhaustive")
+        assert calls == []
 
 
 class TestSubmodular:
@@ -206,20 +209,21 @@ class TestConsistencyAndSampling:
     def test_sampled_mode_is_deterministic(self):
         rng = random.Random(10)
         oracle = random_weighted_coverage(rng, 14)
-        first = check_submodular(oracle, samples=200, seed=42)
-        second = check_submodular(oracle, samples=200, seed=42)
+        first = check_submodular(oracle, samples=200, seed=42, mode="sampled")
+        second = check_submodular(oracle, samples=200, seed=42, mode="sampled")
         assert first.to_dict() == second.to_dict()
         assert first.instances_checked <= 200
 
     @pytest.mark.parametrize("name", sorted(set(ALL_CHECKS) - {"normalized"}))
     @pytest.mark.parametrize("samples", [0, -1])
-    def test_sampling_nothing_is_rejected(self, name, samples):
+    def test_sampling_nothing_is_rejected(self, name, samples, monkeypatch):
         oracle = build_modular(ModularSpec([1.0, 2.0, 3.0]))
+        assert ALL_CHECKS[name](oracle, samples=samples).holds  # exhaustive, no draws
         with pytest.raises(InvalidArgument):
             ALL_CHECKS[name](oracle, samples=samples, mode="sampled")
+        monkeypatch.setattr(validation, "ENUMERATION_LIMIT", 0)  # auto now samples
         with pytest.raises(InvalidArgument):
-            ALL_CHECKS[name](oracle, samples=samples, exhaustive_limit=2)
-        assert ALL_CHECKS[name](oracle, samples=samples).holds  # exhaustive, no draws
+            ALL_CHECKS[name](oracle, samples=samples)
 
     def test_sampled_count_skips_degenerate_draws(self):
         calls = []
@@ -251,14 +255,15 @@ class TestConsistencyAndSampling:
 
     def test_exhaustive_table_above_the_limit_is_refused_before_any_query(self):
         calls = []
-        m = TABLE_LIMIT.bit_length()  # 2^m > TABLE_LIMIT
+        m = validation.ENUMERATION_LIMIT.bit_length()  # 2^m > ENUMERATION_LIMIT
         oracle = SetFunctionOracle(m, lambda s: calls.append(s) or float(len(s)))
-        with pytest.raises(InstanceTooLarge, match=f"{1 << m} subsets"):
-            check_monotone(oracle, exhaustive_limit=m)
+        with pytest.raises(InstanceTooLarge, match=f"needs {1 << m} subsets"):
+            subset_values(oracle)
         assert calls == []
 
     def test_sampled_mode_catches_gross_violation(self):
-        report = check_submodular(squared_cardinality(14), samples=500, seed=1)
+        report = check_submodular(squared_cardinality(14), samples=500, seed=1,
+                                  mode="sampled")
         assert not report.holds
 
     def test_reports_serialize(self, coverage):
@@ -287,11 +292,12 @@ class TestConsistencyAndSampling:
         calls = []
         m = 10  # 4^10 tuples, 2^10 subsets
         oracle = SetFunctionOracle(m, lambda s: calls.append(s) or float(len(s)))
-        assert 4 ** m > TUPLE_LIMIT >= 4 ** (m - 1)
-        with pytest.raises(InstanceTooLarge, match=f"{4 ** m} tuples"):
-            check(oracle, exhaustive_limit=m)
+        assert 4 ** m > validation.ENUMERATION_LIMIT >= 4 ** (m - 1)
+        with pytest.raises(InstanceTooLarge, match=f"needs {4 ** m} tuples"):
+            check(oracle, mode="exhaustive")
         assert calls == []
-        assert check(oracle, exhaustive_limit=m - 1, samples=20).holds  # sampled
+        report = check(oracle, samples=20)
+        assert report.holds and report.mode == "sampled"
 
 
 def _table(seed, m):
@@ -534,12 +540,22 @@ def test_local_forms_agree_with_the_quantified_definitions(check):
 
 
 @pytest.mark.parametrize("m", range(1, 9))
-def test_exhaustive_local_checks_walk_pairs_and_triples(m):
-    oracle = SetFunctionOracle(m, lambda s: float(len(s)))  # every check holds
+def test_exhaustive_local_checks_walk_pairs_and_triples(m, monkeypatch):
+    calls = []  # every check holds on |S|
+    oracle = SetFunctionOracle(m, lambda s: calls.append(s) or float(len(s)))
     pairs, triples = comb(m, 2) << m >> 2, comb(m, 3) << m >> 3
-    expected = {"submodular": pairs, "supermodularity_of_conditioning": pairs + triples,
-                "soc_disjoint": triples}
+    expected = {"monotone": m << m >> 1, "marginal_lower_bound": m << m >> 1,
+                "submodular": pairs, "supermodularity_of_conditioning": pairs + triples,
+                "soc_disjoint": triples,
+                "pairwise_redundancy_bound": 4 ** m, "nemhauser_inequality": 4 ** m}
     for check, count in expected.items():
         name, extra = GOLDEN_CHECKS[check]
-        report = ALL_CHECKS[name](oracle, mode="exhaustive", exhaustive_limit=8, **extra)
+        report = ALL_CHECKS[name](oracle, mode="exhaustive", **extra)
         assert (report.holds, report.instances_checked) == (True, count)
+        # the walk the checker states is the one it takes: one less does not fit
+        monkeypatch.setattr(validation, "ENUMERATION_LIMIT", count - 1)
+        calls.clear()
+        with pytest.raises(InstanceTooLarge, match=f"needs {count} tuples"):
+            ALL_CHECKS[name](oracle, mode="exhaustive", **extra)
+        assert calls == []
+        monkeypatch.undo()
