@@ -4,7 +4,9 @@ Every strategy emits a RunTrace recording, per iteration, the element chosen
 and the estimate value that won the argmax.  Ties always break toward the
 lowest element id, so runs are deterministic.  The pairwise strategies
 (optimistic, pessimistic) issue only size-1 and size-2 queries, at most
-m*(n+1) of them, via the incremental EstimateCache recursions.
+m*(n+1) of them, via the incremental EstimateCache recursions.  The full
+greedy asks f(S) once per round and f(S + y) for every remaining y:
+n*(m+2) - n*(n+1)/2 queries, of sets up to size n.
 """
 
 from __future__ import annotations
@@ -113,16 +115,22 @@ def _finish(algorithm, n, selections, view) -> RunTrace:
 
 
 def greedy_full(oracle, n: int) -> RunTrace:
-    """Classical greedy with full access: maximize the true marginal."""
+    """Classical greedy with full access: maximize the true marginal.
+
+    Round i asks f(S) once, S holding the i-1 picks so far, and f(S + y) for
+    each of the m-i+1 remaining y, scoring y by f(S + y) - f(S):
+    n*(m+2) - n*(n+1)/2 queries in all.
+    """
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
-    current: set[int] = set()
+    current: frozenset[int] = frozenset()
     selections = []
     for i in range(1, n + 1):
-        x, value = argmax({y: view.marginal(y, current)
+        f_s = view.evaluate(current)
+        x, value = argmax({y: view.evaluate(current | {y}) - f_s
                            for y in range(view.ground_size) if y not in current})
         selections.append(Selection(i, x, value))
-        current.add(x)
+        current |= {x}
     return _finish("full", n, selections, view)
 
 

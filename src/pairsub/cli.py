@@ -105,7 +105,7 @@ def cmd_run(args) -> int:
     if args.audit:
         trace = audit_trace(trace, oracle)
         doc = trace.to_dict()
-        full_trace = greedy_full(oracle, args.n)
+        full_trace = trace if args.algo == "full" else greedy_full(oracle, args.n)
         full_value = oracle.evaluate(full_trace.final_set)
         own_value = oracle.evaluate(trace.final_set)
         doc["percent_of_full_greedy"] = (

@@ -391,17 +391,37 @@ def check_marginal_lower_bound(
     seed: int = 0,
     mode: str = "auto",
 ) -> VerificationReport:
-    """f(x|S) >= f(x) - sum over S of (f(x) - f(x|x_j))."""
+    """f(x|S) >= f(x) - sum over S of (f(x) - f(x|x_j)).
+
+    The sum is folded in ascending j, so the estimate at S is the estimate
+    at S less its highest element, minus that element's term.  Estimates
+    are kept by S while the tuples keep one x.  An enumeration walks every S
+    of one x in ascending order, so it finds each predecessor kept and pays
+    one term per tuple; a sampled S whose predecessor is not kept folds it
+    afresh.
+    """
     domain = ((ELEMENT, lambda full: 0),  # x
               (SUBSET, lambda full, x: full ^ 1 << x))  # S without x
+    held_x, lows = None, {}  # lows[S] is the lower estimate of held_x given S
 
     def violation(at, t):
+        nonlocal held_x, lows
         x, s_mask = t
-        true_marginal = at[s_mask | (1 << x)] - at[s_mask]
-        fx = at[1 << x]
+        xbit = 1 << x
+        true_marginal = at[s_mask | xbit] - at[s_mask]
+        fx = at[xbit]
+        if x != held_x:
+            held_x, lows = x, {0: fx}
         low = fx
-        for y in _bits(s_mask):
-            low -= fx - (at[(1 << x) | (1 << y)] - at[1 << y])
+        if s_mask:
+            top = 1 << s_mask.bit_length() - 1
+            rest = s_mask ^ top
+            if rest in lows:
+                low = lows[rest]
+            else:
+                for y in _bits(rest):
+                    low -= fx - (at[xbit | 1 << y] - at[1 << y])
+            low = lows[s_mask] = low - (fx - (at[xbit | top] - at[top]))
         if at_least(true_marginal, low):
             return None
         return {"x": x, "S": _bits(s_mask),

@@ -1,4 +1,4 @@
-"""From-scratch references for the pairwise and k-wise greedy strategies,
+"""From-scratch references for the full, pairwise and k-wise greedy strategies,
 Algorithm 1, the tau_k scan, the traditional curvature and the exhaustive
 property checks, quantified and local.
 
@@ -49,6 +49,12 @@ def _naive_greedy(oracle, n, estimate):
         selected.append(best_x)
         estimates.append(best_v)
     return selected, estimates
+
+
+def naive_greedy_full(oracle, n):
+    """The textbook greedy: every candidate scored by oracle.marginal, which
+    asks f(S + x) and f(S) afresh."""
+    return _naive_greedy(oracle, n, lambda oracle, x, selected: oracle.marginal(x, selected))
 
 
 def naive_greedy_optimistic(oracle, n):

@@ -18,6 +18,7 @@ from pairsub import (
     InstanceTooLarge,
     ModularSpec,
     NonFiniteValue,
+    QueryCounts,
     Selection,
     SetFunctionOracle,
     UnknownElement,
@@ -41,6 +42,7 @@ from pairsub import validation
 from pairsub.algorithms import PAIRWISE_ALGORITHMS
 
 from _reference import (
+    naive_greedy_full,
     naive_greedy_k_wise,
     naive_greedy_optimistic,
     naive_greedy_pessimistic,
@@ -93,6 +95,30 @@ class TestGreedyFull:
             values = [s.estimate for s in trace.selections]
             for earlier, later in zip(values, values[1:]):
                 assert later <= earlier + 1e-9
+
+    def test_equals_the_textbook_greedy_on_every_n(self):
+        rng = random.Random(43)
+        cases = [(random_soc_oracle(rng, m), m) for m in (1, 2, 5, 9, 14)]
+        cases.append((city_oracle(seed=12, count=40), 6))
+        for oracle, top in cases:
+            for n in range(top + 1):
+                run = greedy_full(oracle, n)
+                assert (run.selected_order, [s.estimate for s in run.selections]) == (
+                    naive_greedy_full(oracle, n))
+
+    def test_asks_f_of_the_picks_once_per_round(self):
+        # round i: one set of size i-1, then one of size i per remaining candidate
+        rng = random.Random(47)
+        for m in (1, 2, 3, 7, 12):
+            oracle = random_soc_oracle(rng, m)
+            for n in range(m + 1):
+                expected = QueryCounts()
+                for i in range(1, n + 1):
+                    expected.record(i - 1)
+                    expected.record(i, times=m - i + 1)
+                counts = greedy_full(oracle, n).query_counts
+                assert counts == expected
+                assert counts.total == n * (m + 2) - n * (n + 1) // 2
 
 
 class TestGreedyUninformed:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pairsub import cli
 from pairsub.bench import CSV_HEADER
 from pairsub.cli import main
 
@@ -77,6 +78,42 @@ def test_malformed_trace_exits_2(inputs, capsys, text, method):
                         capsys)
     assert code == 2
     assert out.err.startswith("error: ") and out.out == ""
+
+
+COVERAGE = {"type": "weighted_coverage",
+            "params": {"universe_weights": [0.1, 0.7, 0.2, 0.3, 0.6, 0.4],
+                       "covers": [[0, 1], [1, 2, 3], [2, 4], [0, 5], [3, 4, 5]]}}
+# `run --instance COVERAGE --algo full --n 3 --audit` as greedy_full wrote it
+# when it asked f(S) once per candidate (query_counts other 8, size1 9, size2 7)
+FULL_AUDIT = {
+    "algorithm": "full", "final_set": [0, 1, 4], "n": 3, "percent_of_full_greedy": 100.0,
+    "schema": "pairsub/1",
+    "selections": [{"element": 4, "estimate": 1.2999999999999998, "i": 1},
+                   {"element": 1, "estimate": 0.9000000000000004, "i": 2},
+                   {"element": 0, "estimate": 0.09999999999999964, "i": 3}],
+    "true_marginals": [1.2999999999999998, 0.9000000000000004, 0.09999999999999964],
+}
+
+
+@pytest.mark.parametrize("algo", ["full", "optimistic"])
+def test_audit_runs_the_full_greedy_once(inputs, capsys, monkeypatch, algo):
+    calls, greedy_full = [], cli.greedy_full
+
+    def counted(oracle, n):  # the run itself and the audit's comparison run
+        calls.append(n)
+        return greedy_full(oracle, n)
+
+    monkeypatch.setattr(cli, "greedy_full", counted)
+    monkeypatch.setitem(cli.ALGORITHMS, "full", counted)
+    (inputs / "cov.json").write_text(json.dumps(COVERAGE), encoding="utf-8")
+    code, out = run_cli(["run", "--instance", "cov.json", "--algo", algo, "--n", "3",
+                         "--audit"], capsys)
+    assert code == 0 and out.err == ""
+    assert calls == [3]
+    if algo == "full":
+        # f(S) once per round: one query of size i-1 and 5-i+1 of size i
+        expected = {**FULL_AUDIT, "query_counts": {"other": 4, "size1": 6, "size2": 5}}
+        assert out.out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_bench_ratio_writes_full_over_each_pairwise_strategy(inputs, capsys):

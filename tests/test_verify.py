@@ -179,6 +179,21 @@ class TestMarginalLowerBound:
         w = report.witness
         assert w["marginal"] < w["lower_estimate"]
 
+    @pytest.mark.parametrize("run", ["exhaustive", "sampled"])
+    def test_witness_estimate_is_the_ascending_fold(self, run):
+        # probabilistic coverage with f(V) lowered: the only violations are
+        # (x, V - x), whose float estimates fold m - 1 terms
+        _, _, fold = PROPERTIES["marginal_lower_bound"]
+        for seed in range(30):
+            rng = random.Random(seed)
+            values = subset_values(random_probabilistic_coverage(rng, rng.randint(5, 8)))
+            values[-1] -= 100.0
+            report = check_marginal_lower_bound(
+                _Values(values), **{**GOLDEN_RUNS[run], "samples": 3000, "seed": seed})
+            w = report.witness
+            assert len(w["S"]) == len(values).bit_length() - 2
+            assert w == fold(values.__getitem__, w["x"], sum(1 << y for y in w["S"]))
+
 
 class TestNemhauser:
     def test_coverage(self, coverage):
