@@ -1,9 +1,10 @@
 """Timing harness for the quadratic-to-linear runtime separation.
 
-Wall-clock numbers are averaged over trials after one untimed warm-up run;
-the warm-up also supplies the (deterministic) oracle query counts, whose
-work_units field is the machine-independent cost signal the acceptance
-checks rely on.
+Each record keeps the mean, minimum and maximum wall-clock time over trials
+after one untimed warm-up run; the warm-up also supplies the (deterministic)
+oracle query counts, whose work_units field is the machine-independent cost
+signal the acceptance checks rely on.  Speedup ratios divide minima, so one
+preempted trial does not move them.
 """
 
 from __future__ import annotations
@@ -85,13 +86,13 @@ def scaling_sweep(algorithms, oracle, n_values, trials: int,
 
 
 def speedup_ratios(full_records, pairwise_records) -> list[tuple[int, float]]:
-    """(n, full mean / pairwise mean) pairs over a shared n grid."""
+    """(n, full min / pairwise min) pairs over a shared n grid."""
     full_grid = [r.n for r in full_records]
     pair_grid = [r.n for r in pairwise_records]
     if full_grid != pair_grid:
         raise GridMismatch(f"n grids differ: {full_grid} vs {pair_grid}")
     return [
-        (f.n, f.mean_seconds / p.mean_seconds)
+        (f.n, f.min_seconds / p.min_seconds)
         for f, p in zip(full_records, pairwise_records)
     ]
 

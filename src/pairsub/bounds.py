@@ -180,11 +180,14 @@ def k_marginal_curvature(full_oracle, x: int, ids, k: int) -> float:
 def k_cardinality_curvature(oracle, k: int) -> float:
     """tau_k = 1 - min over (x, |A| < k, f(x) > 0) of f(x|A)/f(x).
 
-    Needs only budget-k queries and asks every set of size at most k once:
-    each T with 2 <= |T| <= k yields f(x|T minus x) for all of its members x,
-    with f(T minus x) taken from the memo of the smaller sets.  The k=2 case
-    is the production path and costs m singletons plus one query per
-    unordered pair.
+    Needs only budget-k queries and asks every set of size at most k once,
+    the m singletons first.  Pairs are asked one column per x through
+    oracle.evaluate_pairs(x, ids above x), so in the lexicographic order of
+    the pairs, and each {x, y} yields f(x|y) and f(y|x); whether f(x) is near
+    zero is decided once per member.  Each larger T, 3 <= |T| <= k, yields
+    f(x|T minus x) for all of its members x, with f(T minus x) taken from the
+    memo of the smaller sets.  The k=2 case is the production path and costs
+    m singletons plus one query per unordered pair.
     """
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
@@ -192,9 +195,26 @@ def k_cardinality_curvature(oracle, k: int) -> float:
     pair_count = m * (2 ** (m - 1) - 1 if k >= m  # every nonempty A, without summing
                       else sum(comb(m - 1, size) for size in range(1, k)))
     check_enumeration(pair_count, f"tau_{k} scan", "conditioning sets")
-    memo: dict[tuple, float] = {(x,): oracle.evaluate((x,)) for x in range(m)}
+    single = [oracle.evaluate((x,)) for x in range(m)]
+    live = [not near_zero(fx) for fx in single]
+    memo: dict[tuple, float] = {(x,): fx for x, fx in enumerate(single)}
     min_ratio = 1.0
-    for size in range(2, k + 1):
+    ids = list(range(m))
+    for x in ids:
+        ys = ids[x + 1:]
+        fx, live_x = single[x], live[x]
+        for y, f_t in zip(ys, oracle.evaluate_pairs(x, ys)):
+            if k > 2:
+                memo[(x, y)] = f_t
+            if live_x:
+                ratio = (f_t - single[y]) / fx
+                if ratio < min_ratio:
+                    min_ratio = ratio
+            if live[y]:
+                ratio = (f_t - fx) / single[y]
+                if ratio < min_ratio:
+                    min_ratio = ratio
+    for size in range(3, k + 1):
         for t in combinations(range(m), size):
             f_t = oracle.evaluate(t)
             if size < k:

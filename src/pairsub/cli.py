@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated ascending n values")
     bench.add_argument("--trials", type=int, default=5)
     bench.add_argument("--k", type=int)
-    bench.add_argument("--ratio", help="also write full/pairwise ratio CSV here")
+    bench.add_argument("--ratio", help="also write the full/pairwise ratio of minimum times "
+                       "as CSV here")
     bench.add_argument("--out")
     bench.set_defaults(handler=cmd_bench)
 

@@ -10,9 +10,10 @@ Four families cover the test and experiment surface:
 Both coverage families answer singletons and pairs, the only queries of the
 pairwise strategies, in closed form from tables built at set-up: a pair
 costs one math.dist between two station rows or one intersection of two
-covers, not a pass per member.  Larger sets keep the general loop over their
+covers, not a pass per member.  Larger sets keep a general pass over their
 members in id order, so every family returns the same float for any order of
-the ids.
+the ids; for probabilistic coverage that pass is one chain of lazy products
+per query, evaluated district by district.
 
 Instances serialize as {"type": <family>, "params": {...}} with params named
 exactly after the spec dataclass fields.
@@ -24,12 +25,17 @@ import json
 from array import array
 from dataclasses import dataclass, fields
 from math import dist, hypot, inf, sqrt
-from operator import mul
+from operator import mul, sub
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import MalformedSpec
 from .oracles import SetFunctionOracle
+
+# Each lazy product pulls from the one before it by a C call, so a chain some
+# 10^5 deep overflows the C stack: a larger set lists its products every
+# _CHAIN_DEPTH members, which changes no operation.
+_CHAIN_DEPTH = 1000
 
 
 @dataclass(frozen=True)
@@ -123,8 +129,15 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     d = math.dist(s_x, s_y): one C loop per pair, symmetric bit for bit since
     dist works on |a - b|, and nothing cancels, since p <= 1 gives
     h[x] >= f(x) / 2 >= 0.  A station whose f(x) or |s_x|^2 overflows is
-    rejected.  Larger sets multiply the miss rows 1 - p_x^e in id order, so
-    they cost time linear in |S| times the number of districts.
+    rejected.
+
+    A larger set chains map(mul, miss, row) over the miss rows 1 - p_x^e of
+    its members in id order and takes sum((1 - q_e) * v_e) from the chain, so
+    no list is built per member.  Each district still gets the operations of
+    a plain loop over lists in the same order, the product ((q_1 q_2) q_3)...
+    in id order, then 1 - q_e, then * v_e, summed over the districts in
+    order, so the value is that loop's bit for bit.  The cost stays linear in
+    |S| times the number of districts.
     """
     demand_items = _keyed_items(spec.demands, "demands")
     district_index = {}
@@ -177,6 +190,7 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
         raise MalformedSpec("probabilities must declare at least one station")
 
     v = tuple(demands)
+    ones = (1.0,) * len(v)
 
     def _eval(s: frozenset) -> float:
         size = len(s)
@@ -191,10 +205,11 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
             return 0.0
         ordered = sorted(s)
         miss = rows[ordered[0]]
-        for x in ordered[1:]:
-            row = rows[x]
-            miss = [a * b for a, b in zip(miss, row)]
-        return sum((1.0 - q) * ve for q, ve in zip(miss, v))
+        for j in range(1, len(ordered)):
+            if not j % _CHAIN_DEPTH:
+                miss = list(miss)
+            miss = map(mul, miss, rows[ordered[j]])
+        return sum(map(mul, map(sub, ones, miss), v))
 
     return SetFunctionOracle(len(rows), _eval, name="probabilistic_coverage", spec=spec)
 

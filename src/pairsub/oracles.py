@@ -175,8 +175,6 @@ class CountingOracle:
         self.counts.record(2, times=len(values))
         return values
 
-    marginal = SetFunctionOracle.marginal
-
 
 def k_wise_upper_estimate(oracle, x: int, ids: Iterable[int], k: int) -> float:
     """min f(x|A) over all A within the set with |A| < k, A empty included.

@@ -1,6 +1,7 @@
 """From-scratch references for the full, pairwise and k-wise greedy strategies,
-Algorithm 1, the tau_k scan, the traditional curvature and the exhaustive
-property checks, quantified and local.
+Algorithm 1, the tau_k scan, the traditional curvature, the exhaustive
+property checks, quantified and local, and the probabilistic-coverage value
+of a set by the plain per-member loop.
 
 These recompute every estimate from raw oracle queries at every iteration,
 with the same fold order as the incremental recursions, so a correct cached
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import exp, inf
+from typing import Mapping
 
 from pairsub.validation import near_zero
 
@@ -135,6 +137,28 @@ def naive_traditional_curvature(oracle):
                 if ratio < min_ratio:
                     min_ratio = ratio
     return min(1.0, max(0.0, 1.0 - min_ratio))
+
+
+def naive_probabilistic_value(oracle, ids):
+    """f(S) of a probabilistic-coverage oracle by the plain loop, read from
+    its spec: one list of miss products per member in id order, then the
+    sum of (1 - q_e) * v_e over the districts in order."""
+    spec = oracle.spec
+    demands = list(_items(spec.demands))
+    index = {key: e for e, (key, _) in enumerate(demands)}
+    v = [float(d) for _, d in demands]
+    stations = [probs for _, probs in _items(spec.probabilities)]
+    miss = None
+    for x in sorted(ids):
+        row = [1.0] * len(v)
+        for key, p in _items(stations[x]):
+            row[index[key]] = 1.0 - float(p)
+        miss = row if miss is None else [a * b for a, b in zip(miss, row)]
+    return sum((1.0 - q) * ve for q, ve in zip(miss, v))
+
+
+def _items(obj):
+    return obj.items() if isinstance(obj, Mapping) else enumerate(obj)
 
 
 def _members(mask):

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from pairsub import CardinalityTooLarge, GridMismatch, SetFunctionOracle
+from pairsub import CardinalityTooLarge, GridMismatch, QueryCounts, SetFunctionOracle
 from pairsub.bench import (
     CSV_HEADER,
+    TimingRecord,
     records_to_csv,
     scaling_sweep,
     speedup_ratios,
@@ -91,6 +92,16 @@ class TestSpeedupRatios:
         records = scaling_sweep(["optimistic"], small_city, [2, 4], 1)
         ratios = speedup_ratios(records, records)
         assert ratios == [(2, 1.0), (4, 1.0)]
+
+    def test_ratio_divides_minima_not_means(self):
+        def record(algorithm, n, mean, low):
+            return TimingRecord(algorithm, 50, n, 5, mean, low, 2 * mean, QueryCounts())
+
+        # one preempted pairwise trial at n = 4 lifts its mean tenfold
+        full = [record("full", 4, 0.010, 0.008), record("full", 8, 0.030, 0.024)]
+        pairwise = [record("optimistic", 4, 0.011, 0.001),
+                    record("optimistic", 8, 0.002, 0.002)]
+        assert speedup_ratios(full, pairwise) == [(4, 0.008 / 0.001), (8, 0.024 / 0.002)]
 
     def test_grid_mismatch(self, small_city):
         a = scaling_sweep(["optimistic"], small_city, [2, 4], 1)

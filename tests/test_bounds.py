@@ -15,6 +15,7 @@ from pairsub import (
     InvalidAlpha,
     InvalidCurvature,
     ModularSpec,
+    ProbabilisticCoverageSpec,
     SetFunctionOracle,
     TraceMismatch,
     WeightedCoverageSpec,
@@ -25,6 +26,7 @@ from pairsub import (
     brute_force_optimal,
     build_adversarial,
     build_modular,
+    build_probabilistic_coverage,
     build_weighted_coverage,
     check_monotone,
     greedy_full,
@@ -317,6 +319,12 @@ class TestCurvatures:
         rng = random.Random(61)
         oracles = [random_soc_oracle(rng, rng.randint(2, 8)) for _ in range(12)]
         oracles.append(city_oracle(seed=8, count=25))
+        # a station that reaches no district, so f(x) = 0, between the others
+        spec = city_oracle(seed=9, count=12).spec
+        stations = list(spec.probabilities.items())
+        stations.insert(5, ("idle", {}))
+        oracles.append(build_probabilistic_coverage(
+            ProbabilisticCoverageSpec(spec.demands, dict(stations))))
         for oracle in oracles:
             for k in (2, 3):
                 assert k_cardinality_curvature(oracle, k) == naive_k_cardinality_curvature(

@@ -30,9 +30,10 @@ from pairsub import (
     spec_from_dict,
 )
 
+from pairsub import functions
 from pairsub.validation import tolerance
 
-from _reference import _scratch_lower, _scratch_upper
+from _reference import _scratch_lower, _scratch_upper, naive_probabilistic_value
 from _synth import (
     city_oracle,
     random_modular,
@@ -196,6 +197,54 @@ class TestProbabilisticPairKernel:
                 pair = oracle.evaluate([x, y])
                 loop = oracle.evaluate([x, y, idle])
                 assert abs(pair - loop) <= tolerance(pair, loop)
+
+
+def _edge_probabilities(rng, m, districts):
+    """Stations whose probabilities are often exactly 0 or 1."""
+    demands = [rng.uniform(0.0, 3.0) for _ in range(districts)]
+    probabilities = [[rng.choice((0.0, 1.0, rng.random())) for _ in range(districts)]
+                     for _ in range(m)]
+    return build_probabilistic_coverage(ProbabilisticCoverageSpec(demands, probabilities))
+
+
+class TestProbabilisticLargeSets:
+    @pytest.mark.parametrize("make", [
+        lambda: city_oracle(count=60),
+        lambda: random_probabilistic_coverage(random.Random(11), 30, districts=1),
+        lambda: random_probabilistic_coverage(random.Random(12), 30, districts=5),
+        lambda: random_probabilistic_coverage(random.Random(13), 30, districts=40),
+        lambda: _edge_probabilities(random.Random(14), 30, 7),
+    ], ids=["city", "1_district", "5_districts", "40_districts", "zero_and_one"])
+    def test_every_size_is_the_plain_loop_bit_for_bit(self, make):
+        oracle = make()
+        m = oracle.ground_size
+        rng = random.Random(m)
+        for size in range(3, m + 1):
+            for _ in range(5):
+                ids = rng.sample(range(m), size)  # shuffled id order
+                assert oracle.evaluate(ids) == naive_probabilistic_value(oracle, ids)
+
+    def test_sets_across_the_chain_depth_are_the_plain_loop(self):
+        rng = random.Random(15)
+        depth = functions._CHAIN_DEPTH
+        m = 2 * depth + 3
+        # small probabilities keep the products of thousands of miss rates off zero
+        probabilities = [[rng.uniform(0.0, 2e-3) for _ in range(3)] for _ in range(m)]
+        oracle = build_probabilistic_coverage(
+            ProbabilisticCoverageSpec([1.0, 2.0, 3.0], probabilities))
+        for size in (depth, depth + 1, 2 * depth, 2 * depth + 1, m):
+            ids = rng.sample(range(m), size)
+            value = oracle.evaluate(ids)
+            assert 0.0 < value < 6.0
+            assert value == naive_probabilistic_value(oracle, ids)
+
+    def test_a_set_of_120_000_stations_is_answered(self):
+        # an unbroken chain of lazy products this deep overflows the C stack
+        rng = random.Random(16)
+        m = 120_000
+        oracle = build_probabilistic_coverage(ProbabilisticCoverageSpec(
+            [1.0], [[rng.uniform(0.0, 1e-5)] for _ in range(m)]))
+        assert oracle.evaluate(range(m)) == naive_probabilistic_value(oracle, range(m))
 
 
 def _oracle_of(family, data):
