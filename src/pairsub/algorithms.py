@@ -11,7 +11,6 @@ n*(m+2) - n*(n+1)/2 queries, of sets up to size n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, inf
@@ -63,9 +62,6 @@ class RunTrace:
         if self.k is not None:
             doc["k"] = self.k
         return doc
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def _typed(value, kinds, field: str):
@@ -203,8 +199,7 @@ def greedy_k_wise_optimistic(oracle, n: int, k: int) -> RunTrace:
     greedy_optimistic; once k exceeds n it matches greedy_full on submodular
     f only.
     """
-    if k < 2:
-        raise InvalidArgument(f"k must be >= 2, got {k}")
+    check_run("k_wise_optimistic", k)
     return replace(_k_wise_greedy("k_wise_optimistic", oracle, n, k), k=k)
 
 
@@ -242,17 +237,26 @@ def audit_trace(trace: RunTrace, full_oracle) -> RunTrace:
     return replace(trace, true_marginals=[b - a for a, b in zip(values, values[1:])])
 
 
-def run_algorithm(name: str, oracle, n: int, k: int | None = None) -> RunTrace:
-    """Dispatch by algorithm name; k is accepted only by the k-wise strategy."""
+def check_run(name: str, k: int | None = None) -> None:
+    """InvalidArgument unless name is a strategy and k, which
+    k_wise_optimistic requires and no other strategy takes, is >= 2."""
     if name not in ALGORITHMS:
         raise InvalidArgument(f"unknown algorithm {name!r}; expected one of {sorted(ALGORITHMS)}")
-    if name == "k_wise_optimistic":
-        if k is None:
-            raise InvalidArgument("k_wise_optimistic requires k")
-        return greedy_k_wise_optimistic(oracle, n, k)
-    if k is not None:
-        raise InvalidArgument(f"k applies to k_wise_optimistic only, not {name!r}")
-    return ALGORITHMS[name](oracle, n)
+    if name != "k_wise_optimistic":
+        if k is not None:
+            raise InvalidArgument(f"k applies to k_wise_optimistic only, not {name!r}")
+    elif k is None:
+        raise InvalidArgument("k_wise_optimistic requires k")
+    elif k < 2:
+        raise InvalidArgument(f"k must be >= 2, got {k}")
+
+
+def run_algorithm(name: str, oracle, n: int, k: int | None = None) -> RunTrace:
+    """Dispatch by algorithm name, after check_run(name, k)."""
+    check_run(name, k)
+    if k is None:
+        return ALGORITHMS[name](oracle, n)
+    return greedy_k_wise_optimistic(oracle, n, k)
 
 
 ALGORITHMS = {

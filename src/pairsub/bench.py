@@ -13,7 +13,7 @@ import io
 import time
 from dataclasses import dataclass
 
-from .algorithms import run_algorithm
+from .algorithms import check_run, run_algorithm
 from .errors import GridMismatch, InvalidArgument
 from .oracles import QueryCounts
 from .validation import check_cardinality
@@ -66,23 +66,27 @@ def time_algorithm(algorithm: str, oracle, n: int, trials: int,
 
 def scaling_sweep(algorithms, oracle, n_values, trials: int,
                   k: int | None = None) -> list[TimingRecord]:
-    """One record per (algorithm, n); n_values must be ascending and each
-    within 0..m, which is checked before anything runs.
+    """One record per (algorithm, n).  Before anything is timed, the lists
+    must be nonempty, each algorithm must pass check_run and each n lie
+    within 0..m, ascending.
 
     k goes to k_wise_optimistic only, so one sweep can time it beside the
-    other strategies.
+    other strategies; a k with no k_wise_optimistic to take it is refused.
     """
-    n_values = list(n_values)
+    algorithms, n_values = list(algorithms), list(n_values)
+    ks = {name: k if name == "k_wise_optimistic" else None for name in algorithms}
+    if not algorithms or not n_values:
+        raise InvalidArgument(f"nothing to time: algorithms {algorithms}, n values {n_values}")
+    if k is not None and "k_wise_optimistic" not in ks:
+        raise InvalidArgument(f"k applies to k_wise_optimistic only, not {algorithms}")
+    for name, k_arg in ks.items():
+        check_run(name, k_arg)
     if n_values != sorted(n_values):
         raise InvalidArgument(f"n_values must be ascending, got {n_values}")
     for n in n_values:
         check_cardinality(n, oracle.ground_size)
-    records = []
-    for algorithm in algorithms:
-        k_arg = k if algorithm == "k_wise_optimistic" else None
-        for n in n_values:
-            records.append(time_algorithm(algorithm, oracle, n, trials, k=k_arg))
-    return records
+    return [time_algorithm(name, oracle, n, trials, k=ks[name])
+            for name in algorithms for n in n_values]
 
 
 def speedup_ratios(full_records, pairwise_records) -> list[tuple[int, float]]:

@@ -31,7 +31,6 @@ bound_from_alphas(alphas_pessimistic(tau_2, n)).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, exp, inf
@@ -61,9 +60,6 @@ class BoundReport:
             "alphas": ["inf" if a == inf else a for a in self.alphas],
             "gamma": self.gamma,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def bound_from_alphas(alphas, n: int) -> float:
@@ -133,7 +129,7 @@ def alphas_pessimistic(tau2: float, n: int) -> list[float]:
             for i in range(1, n + 1)]
 
 
-def post_hoc_bound(solution, oracle, m: int | None = None) -> BoundReport:
+def post_hoc_bound(solution, oracle) -> BoundReport:
     """Pairwise-information certificate for an ordered solution.
 
     For each prefix, the factor is _factor(best remaining upper estimate,
@@ -143,10 +139,7 @@ def post_hoc_bound(solution, oracle, m: int | None = None) -> BoundReport:
     """
     solution = list(solution)
     view = CountingOracle(oracle)
-    ground = view.ground_size
-    if m is not None and m != ground:
-        raise InvalidArgument(f"declared m={m} but the oracle has ground size {ground}")
-    check_order(solution, ground)
+    check_order(solution, view.ground_size)
     cache = EstimateCache(view)
     alphas = []
     for i, x_i in enumerate(solution, 1):

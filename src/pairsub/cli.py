@@ -1,8 +1,11 @@
 """Command-line front-end: run, bound, verify, bench, bruteforce.
 
-Exit code 0 means the command completed (a property-violation report is
-data, not an error); any operational failure exits nonzero with a message
-on stderr.  All JSON documents embed "schema": "pairsub/1".
+The CLI parses flags and files into library calls, and the library checks
+the values: a rule such as "k belongs to k_wise_optimistic" is written once,
+where the library applies it.  Exit code 0 means the command completed (a
+property-violation report is data, not an error); any operational failure,
+a typed PairsubError or an OSError, exits 2 with a one-line message on
+stderr.  All JSON documents embed "schema": "pairsub/1".
 """
 
 from __future__ import annotations
@@ -31,15 +34,11 @@ from .bounds import (
     post_hoc_bound,
 )
 from .data import KernelConfig, build_coverage_instance, load_districts
-from .errors import PairsubError, ParseError
+from .errors import InvalidArgument, PairsubError, ParseError
 from .functions import AdversarialSpec, build_oracle, load_instance
 from .verify import ALL_CHECKS, DEFAULT_SAMPLES, check_normalized
 
 SCHEMA = "pairsub/1"
-
-
-class ConfigError(PairsubError):
-    """Invalid command-line configuration."""
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -59,41 +58,40 @@ def _write_json(doc: dict, out: str | None) -> None:
 def _load_oracle(args):
     sources = [s for s in (args.instance, args.districts) if s is not None]
     if len(sources) != 1:
-        raise ConfigError("exactly one of --instance or --districts is required")
+        raise InvalidArgument("exactly one of --instance or --districts is required")
     if args.instance is not None:
-        if getattr(args, "rs", None) is not None:
-            raise ConfigError("--rs applies to --districts input only")
-        oracle = load_instance(args.instance)
-    else:
-        if getattr(args, "rs", None) is None:
-            raise ConfigError("--rs is required when running on a districts CSV")
-        districts = load_districts(args.districts)
-        oracle = build_oracle(
-            build_coverage_instance(districts, KernelConfig(r_s=args.rs))
-        )
-    budget = getattr(args, "budget", None)
-    if budget is not None:
-        oracle = oracle.restricted(budget)
-    return oracle
+        if args.rs is not None:
+            raise InvalidArgument("--rs applies to --districts input only")
+        return load_instance(args.instance)
+    if args.rs is None:
+        raise InvalidArgument("--rs is required when running on a districts CSV")
+    districts = load_districts(args.districts)
+    return build_oracle(build_coverage_instance(districts, KernelConfig(r_s=args.rs)))
 
 
-def _add_instance_args(parser, with_budget: bool = False):
+def _add_instance_args(parser):
     parser.add_argument("--instance", help="instance JSON file")
     parser.add_argument("--districts", help="districts CSV file")
     parser.add_argument("--rs", type=float,
                         help="Gaussian kernel range for --districts")
-    if with_budget:
-        parser.add_argument(
-            "--budget", type=int,
-            help="restrict the oracle to sets of at most this size",
-        )
+    parser.add_argument("--out", help="output file; standard output if absent or -")
+
+
+def _list(text: str, flag: str, convert=str) -> list:
+    """The comma-separated values of a flag, blank tokens dropped."""
+    try:
+        return [convert(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise InvalidArgument(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def cmd_run(args) -> int:
     if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
+        raise InvalidArgument(f"--n must be >= 1, got {args.n}")
     oracle = _load_oracle(args)
-    spec = getattr(oracle, "spec", None)
+    if args.budget is not None:
+        oracle = oracle.restricted(args.budget)
+    spec = oracle.spec
     if isinstance(spec, AdversarialSpec) and args.n != len(spec.V_star):
         print(
             f"warning: adversarial instance has |V_star|={len(spec.V_star)} "
@@ -117,23 +115,19 @@ def cmd_run(args) -> int:
 
 def _ordered_solution(args):
     if (args.trace is None) == (args.solution is None):
-        raise ConfigError("exactly one of --trace or --solution is required")
+        raise InvalidArgument("exactly one of --trace or --solution is required")
     if args.trace is not None:
         try:
             doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{args.trace}: invalid JSON ({exc})") from None
         trace = trace_from_dict(doc)
         if not trace.selections:
-            raise ConfigError(f"{args.trace}: the trace selects no element")
+            raise InvalidArgument(f"{args.trace}: the trace selects no element")
         return trace, trace.selected_order
-    try:
-        ids = [int(tok) for tok in args.solution.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"--solution must be comma-separated ids, got "
-                          f"{args.solution!r}") from None
+    ids = _list(args.solution, "--solution", int)
     if not ids:
-        raise ConfigError("--solution is empty")
+        raise InvalidArgument("--solution is empty")
     return None, ids
 
 
@@ -144,23 +138,20 @@ def cmd_bound(args) -> int:
     if method == "algorithm1":
         report = post_hoc_bound(solution, oracle)
     elif method == "theorem5":
-        n = trace.n if trace is not None else args.n
-        if n is None:
-            n = len(solution)
         tau2 = args.tau2
         if tau2 is None:
             tau2 = k_cardinality_curvature(oracle, 2)
-        alphas = alphas_pessimistic(tau2, n)
-        report = BoundReport(alphas, bound_from_alphas(alphas, n), method)
+        alphas = alphas_pessimistic(tau2, len(solution))
+        report = BoundReport(alphas, bound_from_alphas(alphas, len(solution)), method)
     else:  # theorem2, or theorem3: Theorem 2 is Theorem 3 at k=2
         if trace is None:
-            raise ConfigError(f"--method {method} needs --trace")
+            raise InvalidArgument(f"--method {method} needs --trace")
         if method == "theorem2":
             alphas = alphas_optimistic(trace, oracle)
         else:
             k = args.k if args.k is not None else trace.k
             if k is None:
-                raise ConfigError("--method theorem3 needs --k")
+                raise InvalidArgument("--method theorem3 needs --k")
             alphas = alphas_k_wise(trace, oracle, k)
         report = BoundReport(alphas, bound_from_alphas(alphas, trace.n), method)
     _write_json(report.to_dict(), args.out)
@@ -169,15 +160,15 @@ def cmd_bound(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+        raise InvalidArgument(f"--samples must be >= 1, got {args.samples}")
     oracle = _load_oracle(args)
     if args.properties == "all":
         names = list(ALL_CHECKS)
     else:
-        names = [p.strip() for p in args.properties.split(",") if p.strip()]
+        names = _list(args.properties, "--properties")
         unknown = [p for p in names if p not in ALL_CHECKS]
         if unknown:
-            raise ConfigError(
+            raise InvalidArgument(
                 f"unknown properties {unknown}; available: {sorted(ALL_CHECKS)}"
             )
     lines = []
@@ -195,26 +186,12 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     oracle = _load_oracle(args)
-    algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
-    unknown = [a for a in algorithms if a not in ALGORITHMS]
-    if unknown:
-        raise ConfigError(f"unknown algorithms {unknown}; available: "
-                          f"{sorted(ALGORITHMS)}")
-    if not algorithms:
-        raise ConfigError("--algos names no algorithm")
-    if (args.k is not None) != ("k_wise_optimistic" in algorithms):
-        raise ConfigError("--k is required with k_wise_optimistic in --algos, "
-                          "and applies to it only")
+    algorithms = _list(args.algos, "--algos")
     if args.ratio is not None and ("full" not in algorithms or len(algorithms) < 2):
-        raise ConfigError("--ratio needs 'full' plus at least one other "
-                          "algorithm in --algos")
-    try:
-        n_values = [int(tok) for tok in args.n_grid.split(",")]
-    except ValueError:
-        raise ConfigError(f"--n-grid must be comma-separated integers, got "
-                          f"{args.n_grid!r}") from None
-    records = bench_mod.scaling_sweep(algorithms, oracle, n_values, args.trials,
-                                      k=args.k)
+        raise InvalidArgument("--ratio needs 'full' plus at least one other "
+                              "algorithm in --algos")
+    records = bench_mod.scaling_sweep(algorithms, oracle, _list(args.n_grid, "--n-grid", int),
+                                      args.trials, k=args.k)
     _write_text(bench_mod.records_to_csv(records), args.out)
     if args.ratio is not None:
         per_algo = {a: [r for r in records if r.algorithm == a] for a in algorithms}
@@ -243,14 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a greedy strategy")
-    _add_instance_args(run, with_budget=True)
+    _add_instance_args(run)
+    run.add_argument("--budget", type=int,
+                     help="restrict the oracle to sets of at most this size")
     run.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     run.add_argument("--n", type=int, required=True)
     run.add_argument("--k", type=int)
     run.add_argument("--audit", action="store_true",
                      help="fill true marginals and percent-of-full-greedy "
                           "(needs a full-budget instance)")
-    run.add_argument("--out")
     run.set_defaults(handler=cmd_run)
 
     bound = sub.add_parser("bound", help="certify a solution")
@@ -261,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["algorithm1", "theorem2", "theorem3", "theorem5"])
     bound.add_argument("--tau2", type=float)
     bound.add_argument("--k", type=int)
-    bound.add_argument("--n", type=int)
-    bound.add_argument("--out")
     bound.set_defaults(handler=cmd_bound)
 
     verify = sub.add_parser("verify", help="check function properties")
@@ -270,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--properties", default="all")
     verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--out")
     verify.set_defaults(handler=cmd_verify)
 
     bench = sub.add_parser("bench", help="time algorithms over an n grid")
@@ -283,13 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--k", type=int)
     bench.add_argument("--ratio", help="also write the full/pairwise ratio of minimum times "
                        "as CSV here")
-    bench.add_argument("--out")
     bench.set_defaults(handler=cmd_bench)
 
     brute = sub.add_parser("bruteforce", help="exact optimum by enumeration")
     _add_instance_args(brute)
     brute.add_argument("--n", type=int, required=True)
-    brute.add_argument("--out")
     brute.set_defaults(handler=cmd_bruteforce)
 
     return parser
@@ -300,10 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except PairsubError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PairsubError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -96,8 +96,11 @@ def _parse_rows(reader, source: str) -> list[District]:
 
 def load_districts(path) -> list[District]:
     """Read districts from a CSV file, preserving row order."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        return _parse_rows(csv.reader(handle), str(path))
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            return _parse_rows(csv.reader(handle), str(path))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def parse_districts(text: str, source: str = "<string>") -> list[District]:

@@ -29,7 +29,7 @@ from operator import mul, sub
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import MalformedSpec
+from .errors import MalformedSpec, PairsubError
 from .oracles import SetFunctionOracle
 
 # Each lazy product pulls from the one before it by a C call, so a chain some
@@ -221,11 +221,13 @@ def build_adversarial(spec: AdversarialSpec) -> SetFunctionOracle:
     view cannot distinguish V elements from V* elements.
     """
     try:
-        v_set = frozenset(int(x) for x in spec.V)
-        star_set = frozenset(int(x) for x in spec.V_star)
-        k = int(spec.k)
+        v_ids, star_ids, k = [int(x) for x in spec.V], [int(x) for x in spec.V_star], int(spec.k)
     except (ValueError, OverflowError) as exc:  # NaN and +-inf among them
         raise MalformedSpec(f"V, V_star and k must be finite integers: {exc}") from None
+    for given, value in zip((*spec.V, *spec.V_star, spec.k), (*v_ids, *star_ids, k)):
+        if given != value:  # 0.5 or "3", which int() takes
+            raise MalformedSpec(f"V, V_star and k must be integers, got {given!r}")
+    v_set, star_set = frozenset(v_ids), frozenset(star_ids)
     if v_set & star_set:
         raise MalformedSpec(f"V and V_star overlap: {sorted(v_set & star_set)}")
     if k < 1:
@@ -296,12 +298,20 @@ def build_oracle(spec) -> SetFunctionOracle:
 
 
 def instance_from_dict(doc: Mapping) -> SetFunctionOracle:
-    return build_oracle(spec_from_dict(doc))
+    """The oracle of an instance document.  A value its family cannot take,
+    such as a string weight or a cover that is not a list, is a MalformedSpec
+    naming the family and the value."""
+    try:
+        return build_oracle(spec_from_dict(doc))
+    except PairsubError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedSpec(f"{doc['type']!r} instance has a bad value: {exc}") from None
 
 
 def load_instance(path) -> SetFunctionOracle:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedSpec(f"{path}: invalid JSON ({exc})") from exc
     return instance_from_dict(doc)

@@ -100,9 +100,8 @@ class SetFunctionOracle:
         return self.evaluate(s | {x}) - self.evaluate(s)
 
     def restricted(self, budget: int) -> "SetFunctionOracle":
-        """A view of the same function with a (tighter) budget."""
-        if budget < 1:
-            raise InvalidArgument("budget must be >= 1")
+        """A view of the same function with a (tighter) budget, which the
+        constructor checks."""
         effective = budget if self.budget is None else min(budget, self.budget)
         return SetFunctionOracle(
             self.ground_size, self._eval, budget=effective, name=self.name, spec=self.spec
@@ -158,10 +157,6 @@ class CountingOracle:
     @property
     def ground_size(self) -> int:
         return self.inner.ground_size
-
-    @property
-    def budget(self):
-        return self.inner.budget
 
     def evaluate(self, ids: Iterable[int]) -> float:
         s = as_id_set(ids)

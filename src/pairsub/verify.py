@@ -23,9 +23,8 @@ that replays through plain oracle evaluations and the quantified definition.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import repeat
 from math import comb
@@ -49,18 +48,7 @@ class VerificationReport:
     mode: str  # "exhaustive" or "sampled"
     form: str  # "local" or "quantified"
 
-    def to_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "holds": self.holds,
-            "witness": self.witness,
-            "instances_checked": self.instances_checked,
-            "mode": self.mode,
-            "form": self.form,
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
+    to_dict = asdict
 
 
 def subset_values(oracle) -> list[float]:

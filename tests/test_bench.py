@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from pairsub import CardinalityTooLarge, GridMismatch, QueryCounts, SetFunctionOracle
+from pairsub import (
+    CardinalityTooLarge,
+    GridMismatch,
+    InvalidArgument,
+    QueryCounts,
+    SetFunctionOracle,
+)
+from pairsub import bench
 from pairsub.bench import (
     CSV_HEADER,
     TimingRecord,
@@ -61,6 +68,22 @@ class TestScalingSweep:
         with pytest.raises(CardinalityTooLarge, match="cardinality 9"):
             scaling_sweep(["full"], oracle, [1, 2, 9], 1)
         assert calls == []
+
+    @pytest.mark.parametrize(("algorithms", "k", "message"), [
+        (["full", "greedy"], None, "unknown algorithm 'greedy'"),
+        (["full", "optimistic"], 3, "k applies to k_wise_optimistic only"),
+        (["optimistic", "k_wise_optimistic"], None, "k_wise_optimistic requires k"),
+        (["k_wise_optimistic"], 1, "k must be >= 2"),
+        ([], None, "nothing to time"),
+    ], ids=["unknown", "k_without_k_wise", "k_wise_without_k", "k_below_two", "empty"])
+    def test_strategies_are_checked_before_any_timing(self, monkeypatch, algorithms, k,
+                                                      message):
+        timed = []
+        monkeypatch.setattr(bench, "time_algorithm", lambda *args, **kw: timed.append(args))
+        oracle = SetFunctionOracle(3, lambda s: float(len(s)))
+        with pytest.raises(InvalidArgument, match=message):
+            scaling_sweep(algorithms, oracle, [1, 2], 1, k=k)
+        assert timed == []
 
     def test_pairwise_work_units_fit_linear_trend(self):
         """Work units (deterministic cost proxy) grow linearly in n for the

@@ -153,7 +153,6 @@ BAD_FLAGS = {
     "k_below_two": "run --instance inst.json --algo k_wise_optimistic --n 2 --k 1",
     "k_with_optimistic": "run --instance inst.json --algo optimistic --n 2 --k 3",
     "k_wise_without_k": "run --instance inst.json --algo k_wise_optimistic --n 2",
-    "theorem5_n_zero": "bound --instance inst.json --solution 0,1 --method theorem5 --n 0",
     "solution_unknown_id": "bound --instance inst.json --solution 0,9",
     "trials_zero": "bench --instance inst.json --algos optimistic --n-grid 1,2 --trials 0",
     "grid_descending": "bench --instance inst.json --algos optimistic --n-grid 2,1",
@@ -173,6 +172,81 @@ def test_bad_flag_exits_2(inputs, capsys, argv):
     code, out = run_cli(argv.split(), capsys)
     assert code == 2
     assert out.err.startswith("error: ") and out.out == ""
+
+
+BAD_INSTANCES = {
+    "string_weight": {"type": "modular", "params": {"weights": [1, "a"]}},
+    "null_weight": {"type": "weighted_coverage",
+                    "params": {"universe_weights": [1, None], "covers": [[0], [1]]}},
+    "null_probability": {"type": "probabilistic_coverage",
+                         "params": {"demands": [1, 2], "probabilities": [[0.5, None]]}},
+    "string_demand": {"type": "probabilistic_coverage",
+                      "params": {"demands": ["x"], "probabilities": [[0.5]]}},
+    "cover_not_iterable": {"type": "weighted_coverage",
+                           "params": {"universe_weights": [1, 2], "covers": [[0], 1]}},
+    "weights_not_iterable": {"type": "modular", "params": {"weights": 5}},
+    "unhashable_universe_key": {"type": "weighted_coverage",
+                                "params": {"universe_weights": [1, 2], "covers": [[[0]], [1]]}},
+    "type_is_a_list": {"type": ["modular"], "params": {"weights": [1, 2]}},
+    "params_is_a_list": {"type": "modular", "params": ["weights"]},
+    "int_too_large_for_a_float": {"type": "modular", "params": {"weights": [10**400]}},
+    "adversarial_k_not_integral": {"type": "adversarial",
+                                   "params": {"V": [0, 1], "V_star": [2], "k": 1.5}},
+    "adversarial_id_not_integral": {"type": "adversarial",
+                                    "params": {"V": [0.5, 1], "V_star": [2], "k": 1}},
+}
+
+
+@pytest.mark.parametrize("raw", [json.dumps(doc).encode() for doc in BAD_INSTANCES.values()]
+                         + [json.dumps(MODULAR).encode() + b"\xff"],
+                         ids=[*BAD_INSTANCES, "not_utf8"])
+def test_malformed_instance_exits_2(inputs, capsys, raw):
+    (inputs / "bad.json").write_bytes(raw)
+    code, out = run_cli("run --instance bad.json --algo optimistic --n 1".split(), capsys)
+    assert code == 2
+    assert out.err.startswith("error: ") and out.out == ""
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv", ["run --districts bad.csv --rs 1 --algo optimistic --n 1",
+                                  "bound --instance inst.json --trace bad.csv"])
+def test_non_utf8_file_exits_2(inputs, capsys, argv):
+    (inputs / "bad.csv").write_bytes(DISTRICTS.encode() + b"\xe9,0,0,1\n")
+    code, out = run_cli(argv.split(), capsys)
+    assert code == 2
+    assert out.err.startswith("error: ") and out.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "bound", "verify", "bench", "bruteforce"])
+def test_every_subcommand_has_help_listing_out(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert "--out" in capsys.readouterr().out
+
+
+def test_list_flags_drop_blank_tokens_and_spaces(inputs, capsys):
+    code, out = run_cli(["bench", "--instance", "inst.json", "--algos", " optimistic, ,full,",
+                         "--n-grid", "1, 2,,", "--trials", "1"], capsys)
+    assert code == 0 and out.err == ""
+    assert [row.split(",")[:3] for row in out.out.splitlines()[1:]] == [
+        ["optimistic", "4", "1"], ["optimistic", "4", "2"], ["full", "4", "1"], ["full", "4", "2"]]
+    code, out = run_cli(["bound", "--instance", "inst.json", "--solution", " 3, ,0 ,"], capsys)
+    assert code == 0
+    assert out.out == run_cli(["bound", "--instance", "inst.json", "--solution", "3,0"],
+                              capsys)[1].out
+
+
+@pytest.mark.parametrize("argv", [
+    "bench --instance inst.json --algos optimistic --n-grid 1,two",
+    "bench --instance inst.json --algos optimistic --n-grid 1.5",
+    "bound --instance inst.json --solution 0,x",
+])
+def test_non_integer_list_flag_exits_2_naming_it(inputs, capsys, argv):
+    code, out = run_cli(argv.split(), capsys)
+    flag = argv.split()[-2]
+    assert code == 2
+    assert out.err.startswith(f"error: {flag} must be comma-separated integers")
 
 
 def test_bruteforce_refuses_a_count_too_long_to_print(inputs, capsys):

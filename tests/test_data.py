@@ -71,6 +71,12 @@ class TestLoadDistricts:
             parse_districts("district_id,x,y,demand\n" + ",".join(row) + "\n")
         assert f"column {column + 1}" in str(err.value)
 
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"district_id,x,y,demand\n\xe9,0,0,1\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_districts(path)
+
     def test_wrong_header(self):
         with pytest.raises(ParseError):
             parse_districts("id,x,y,demand\na,0,0,1\n")

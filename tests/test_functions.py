@@ -331,6 +331,19 @@ class TestAdversarial:
         with pytest.raises(MalformedSpec):
             build_adversarial(AdversarialSpec(V=[0, 2], V_star=[5], k=1))
 
+    @pytest.mark.parametrize("spec", [
+        AdversarialSpec(V=[0, 1], V_star=[2], k=1.5),
+        AdversarialSpec(V=[0.5, 1], V_star=[2], k=1),
+        AdversarialSpec(V=[0, 1], V_star=["2"], k=1),
+    ], ids=["k", "V", "V_star_string"])
+    def test_non_integral_ids_and_k_rejected(self, spec):
+        with pytest.raises(MalformedSpec, match="must be integers"):
+            build_adversarial(spec)
+
+    def test_integral_floats_accepted(self):
+        oracle = build_adversarial(AdversarialSpec(V=[0.0, 1], V_star=[2], k=2.0))
+        assert oracle.evaluate([0, 1, 2]) == 3.0
+
 
 class TestModular:
     def test_sum(self):
@@ -388,6 +401,16 @@ def test_random_instances_pass_property_suite():
 
 
 class TestInstanceSchema:
+    def test_value_a_family_cannot_take_names_family_and_value(self):
+        doc = {"type": "modular", "params": {"weights": [1, "heavy"]}}
+        with pytest.raises(MalformedSpec, match="'modular' instance.*'heavy'"):
+            instance_from_dict(doc)
+
+    def test_builder_errors_pass_through_unchanged(self):
+        doc = {"type": "modular", "params": {"weights": [1, -2]}}
+        with pytest.raises(MalformedSpec, match="^weight -2.0 for element 1 is negative"):
+            instance_from_dict(doc)
+
     def test_round_trip_each_type(self):
         docs = [
             {

@@ -60,6 +60,11 @@ class TestEvaluate:
         with pytest.raises(BudgetExceeded):
             pairwise.evaluate([0, 1, 2])
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_restricted_budget_below_one_rejected_by_constructor(self, chain_coverage, budget):
+        with pytest.raises(InvalidArgument, match="budget must be >= 1"):
+            chain_coverage.restricted(budget)
+
     def test_budget_two_rejects_every_triple(self, chain_coverage):
         pairwise = chain_coverage.restricted(2)
         assert pairwise.evaluate([0, 1]) == 3.0

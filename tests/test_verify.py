@@ -285,7 +285,7 @@ class TestConsistencyAndSampling:
         import json
 
         report = check_monotone(coverage)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict(), sort_keys=True))
         assert set(doc) == {"property", "holds", "witness", "instances_checked",
                             "mode", "form"}
 
