@@ -159,18 +159,15 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise InvalidArgument(f"--samples must be >= 1, got {args.samples}")
     oracle = _load_oracle(args)
     if args.properties == "all":
         names = list(ALL_CHECKS)
     else:
         names = _list(args.properties, "--properties")
         unknown = [p for p in names if p not in ALL_CHECKS]
-        if unknown:
-            raise InvalidArgument(
-                f"unknown properties {unknown}; available: {sorted(ALL_CHECKS)}"
-            )
+        if unknown or not names:
+            raise InvalidArgument(f"--properties must name some of {sorted(ALL_CHECKS)}, "
+                                  f"got {args.properties!r}")
     lines = []
     for name in names:
         checker = ALL_CHECKS[name]

@@ -3,22 +3,22 @@
 A checker is a domain plus a violation.  The domain states the property's
 quantifiers once, as slots in order: each ranges over the subsets of a mask,
 or over the elements outside one, and the mask follows from the earlier
-slots.  Submodularity and supermodularity of conditioning also have a local
-form, which an enumeration walks in place of the quantified one: pairs
-(D, x, y) and triples (D, x, y, z) of elements outside D.  Each checker
-states in closed form how many tuples its enumeration walks: m*2^(m-1) for
-monotonicity and the marginal lower bound, C(m,2)*2^(m-2) pairs and
-C(m,3)*2^(m-3) triples for the local forms (where the quantified spaces hold
-m*3^(m-1) and 8^m), and 4^m for the redundancy bound and Nemhauser's
-inequality.  mode="auto" enumerates every tuple when that walk fits
-validation.ENUMERATION_LIMIT, so holds=True is then a proof, and otherwise
-draws seeded uniform tuples from the quantified slots, asking f at most once
-per set; mode="exhaustive" refuses a walk that does not fit before any
-query.  At a limit of 10^6, a walk that fits has a table of 2^m values that
-fits too.  A violation reads f by subscript, at[mask], from that table when
-enumerating and from a lazy per-set memo when sampling; an enumeration lists
-each slot's values once per run.  A failed check always carries a witness
-that replays through plain oracle evaluations and the quantified definition.
+slots.  Submodularity, supermodularity of conditioning and Nemhauser's
+inequality also have a local form, which an enumeration walks in place of
+the quantified one: elements (D, x), pairs (D, x, y) and triples (D, x, y,
+z) of elements outside D, m*2^(m-1), C(m,2)*2^(m-2) and C(m,3)*2^(m-3) of
+them.  Each checker states in closed form how many tuples its enumeration
+walks: m*2^(m-1) for monotonicity and the marginal lower bound, the pairs
+for submodularity, the pairs and triples for SoC, the elements and pairs
+for Nemhauser's inequality, and 4^m for the redundancy bound.  mode="auto"
+enumerates when that walk fits validation.ENUMERATION_LIMIT (10^6: up to
+m = 14 for Nemhauser's inequality, 9 for the redundancy bound), so
+holds=True is then a proof, and otherwise draws seeded uniform tuples from
+the quantified slots one slot after another, asking f at most once per set;
+mode="exhaustive" refuses a walk that does not fit before any query.  A
+violation reads f by subscript, at[mask], from the table of all 2^m values
+(it fits when the walk does) when enumerating and from a lazy per-set memo
+when sampling.  A witness replays through the quantified definition.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from functools import cache
-from itertools import repeat
 from math import comb
 
 from . import validation
@@ -94,6 +93,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _singletons(mask: int) -> list[int]:
+    """1 << e for each element e of mask, ascending."""
+    return [1 << e for e in _bits(mask)]
+
+
 def _submasks(mask: int) -> list[int]:
     """All submasks of mask, ascending."""
     out = [0]
@@ -120,36 +124,32 @@ def _run(name, oracle, walk, mode, samples, seed, quantified,
     ELEMENT.  violation(at, t) returns a witness dict for a violating tuple
     t, else None.
 
-    Enumeration walks every tuple of each part in nested-loop order, the
-    local parts when given and else the quantified part, over one list of f
-    on all subsets, and lists each slot's values for a given mask once per
-    run; it visits walk tuples, which mode="auto" enumerates when they fit
-    the enumeration limit and mode="exhaustive" refuses when they do not.
-    Sampling draws samples >= 1 tuples of the quantified part slot by slot
-    from random.Random(seed) and subscripts a memo that asks f once per set
-    on first read; a draw with no element outside an ELEMENT slot's mask
-    stops there and is not counted.
+    samples < 1 is refused in every mode.  Enumeration walks every tuple of
+    each part in nested-loop order, the local parts when given and else the
+    quantified part, over one list of f on all subsets, listing each slot's
+    values for a given mask once per part; it visits walk tuples, which
+    mode="auto" enumerates when they fit the enumeration limit and
+    mode="exhaustive" refuses when they do not.  Sampling makes samples
+    draws of the quantified part (see _draws) from random.Random(seed) and
+    subscripts a memo that asks f once per set on first read.
     """
     m = oracle.ground_size
+    if samples < 1:
+        raise InvalidArgument(f"a check needs samples >= 1, got {samples}")
     if mode == "auto":
         mode = "exhaustive" if walk <= validation.ENUMERATION_LIMIT else "sampled"
     if mode == "exhaustive":
         check_enumeration(walk, f"exhaustive {name} check", "tuples")
         parts = local or (quantified,)
         at = subset_values(oracle)
-        values = cache(_every)
-        walks = [(_tuples(domain, [()], values, m), violation)
-                 for domain, violation in parts]
+        walks = [(_walk(domain, cache(_every), m), violation) for domain, violation in parts]
         how = ("exhaustive", "local" if local else "quantified")
     elif mode != "sampled":
         raise InvalidArgument(f"mode must be auto|exhaustive|sampled, got {mode!r}")
-    elif samples < 1:
-        raise InvalidArgument(f"a sampled check needs samples >= 1, got {samples}")
     else:
         domain, violation = quantified
         at = _Memo(oracle)
-        tuples = _tuples(domain, repeat((), samples), _uniform(random.Random(seed)), m)
-        walks = [(tuples, violation)]
+        walks = [(_draws(domain, samples, random.Random(seed), m), violation)]
         how = ("sampled", "quantified")
     checked = 0
     for tuples, violation in walks:
@@ -161,11 +161,13 @@ def _run(name, oracle, walk, mode, samples, seed, quantified,
     return VerificationReport(name, True, None, checked, *how)
 
 
-def _tuples(domain, starts, values, m: int):
-    """Each start followed by every value of each slot in turn, lazily."""
-    for kind, within in domain:
-        starts = _extend(starts, values, kind, within, m)
-    return starts
+def _walk(domain, values, m: int, tuples=((),)):
+    """Each of tuples followed by every value of each slot in turn, lazily."""
+    if not domain:
+        return tuples
+    (kind, within), full = domain[0], (1 << m) - 1
+    return _walk(domain[1:], values, m,
+                 (t + (v,) for t in tuples for v in values(kind, within(full, *t), m)))
 
 
 def _every(kind, mask: int, m: int) -> list[int]:
@@ -175,20 +177,22 @@ def _every(kind, mask: int, m: int) -> list[int]:
     return [x for x in range(m) if not mask >> x & 1]
 
 
-def _uniform(rng):
-    """A slot's values as one uniform draw, or none when no element is outside."""
-    def values(kind, mask: int, m: int) -> tuple:
-        if kind == SUBSET:
-            return (rng.getrandbits(m) & mask,)
-        outside = _every(ELEMENT, mask, m)
-        return (rng.choice(outside),) if outside else ()
-    return values
-
-
-def _extend(tuples, values, kind, within, m: int):
-    """Each tuple followed by each of the next slot's values, lazily."""
-    full = (1 << m) - 1
-    return (t + (v,) for t in tuples for v in values(kind, within(full, *t), m))
+def _draws(domain, samples: int, rng, m: int):
+    """samples uniform tuples of the domain, drawn slot by slot; a draw with
+    no element outside an ELEMENT slot's mask stops there and is not yielded."""
+    full, outside = (1 << m) - 1, cache(_every)
+    for _ in range(samples):
+        t = ()
+        for kind, within in domain:
+            mask = within(full, *t)
+            if kind == SUBSET:
+                t += (rng.getrandbits(m) & mask,)
+            elif ids := outside(ELEMENT, mask, m):
+                t += (rng.choice(ids),)
+            else:
+                break
+        else:
+            yield t
 
 
 def _chosen_and_subset(m: int, *sizes: int) -> int:
@@ -197,15 +201,21 @@ def _chosen_and_subset(m: int, *sizes: int) -> int:
     return sum(comb(m, j) << m >> j for j in sizes)
 
 
+# The local domains: one element (D, x), pairs (D, x, y) and triples
+# (D, x, y, z) of distinct elements outside D, in increasing order.
+SINGLES = ((SUBSET, lambda full: full),  # D
+           (ELEMENT, lambda full, d: d))  # x outside D
+PAIRS = SINGLES + ((ELEMENT, lambda full, d, x: d | (2 << x) - 1),)  # y > x outside D
+TRIPLES = PAIRS + ((ELEMENT, lambda full, d, x, y: d | (2 << y) - 1),)  # z > y
+
+
 def check_monotone(
     oracle,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     mode: str = "auto",
 ) -> VerificationReport:
-    """f(A) <= f(B) along every single-element extension chain."""
-    domain = ((SUBSET, lambda full: full),  # A
-              (ELEMENT, lambda full, a: a))  # x outside A, B = A + x
+    """f(A) <= f(B) for B = A + x and every x outside A: SINGLES as (A, x)."""
 
     def violation(at, t):
         a_mask, x = t
@@ -217,15 +227,7 @@ def check_monotone(
         return {"A": _bits(a_mask), "B": _bits(b_mask), "f_A": fa, "f_B": fb}
 
     return _run("monotone", oracle, _chosen_and_subset(oracle.ground_size, 1),
-                mode, samples, seed, (domain, violation))
-
-
-# The local domains: pairs (D, x, y) and triples (D, x, y, z) of distinct
-# elements outside D, in increasing order.
-PAIRS = ((SUBSET, lambda full: full),  # D
-         (ELEMENT, lambda full, d: d),  # x outside D
-         (ELEMENT, lambda full, d, x: d | (2 << x) - 1))  # y > x outside D
-TRIPLES = PAIRS + ((ELEMENT, lambda full, d, x, y: d | (2 << y) - 1),)  # z > y
+                mode, samples, seed, (SINGLES, violation))
 
 
 def _submodular_violation(at, t):
@@ -354,6 +356,7 @@ def check_pairwise_redundancy_bound(
     domain = ((SUBSET, lambda full: full),  # A
               (SUBSET, lambda full, a: full ^ a),  # B outside A
               (SUBSET, lambda full, a, b: full ^ a ^ b))  # C outside A u B
+    singletons = cache(_singletons)
 
     def violation(at, t):
         a_mask, b_mask, c_mask = t
@@ -361,8 +364,7 @@ def check_pairwise_redundancy_bound(
             at[a_mask | b_mask | c_mask] - at[b_mask | c_mask]
         )
         rhs = 0.0
-        for c in _bits(c_mask):
-            cbit = 1 << c
+        for cbit in singletons(c_mask):
             rhs += at[cbit] - (at[a_mask | cbit] - at[a_mask])
         if at_least(rhs, lhs):
             return None
@@ -426,23 +428,39 @@ def check_nemhauser_inequality(
     seed: int = 0,
     mode: str = "auto",
 ) -> VerificationReport:
-    """f(T) <= f(S) + sum over x in T\\S of f(x|S); characterizes monotone
-    submodularity."""
+    """f(T) <= f(S) + sum over x in T\\S of f(x|S) for all S and T, which
+    holds exactly when f is monotone and submodular (Nemhauser, Wolsey and
+    Fisher, 1978).
+
+    An enumeration checks the local form: f(D) <= f(D+x) on SINGLES (S =
+    D + x, T = D), then f(y|D+x) <= f(y|D) on PAIRS (S = D, T = D + x + y).
+    Each local tuple is an instance, so its witness replays as one.
+    Conversely the singles give monotonicity and the pairs submodularity
+    (see check_submodular), and then, with T\\S = {t_1..t_k}, f(T) <= f(S u
+    T) = f(S) + sum of f(t_i | S u {t_1..t_i-1}) <= f(S) + sum of f(t_i|S).
+    Sampling draws from the quantified domain.  The forms agree in exact
+    arithmetic; with at_least they can split on a near-tie, where a
+    quantified gap sums local gaps that each fall within the tolerance.
+    """
     domain = ((SUBSET, lambda full: full),  # S
               (SUBSET, lambda full, s: full))  # T
+    singletons = cache(_singletons)
 
     def violation(at, t):
         s_mask, t_mask = t
         f_t = at[t_mask]
         bound = at[s_mask]
-        for x in _bits(t_mask & ~s_mask):
-            bound += at[s_mask | (1 << x)] - at[s_mask]
+        for xbit in singletons(t_mask & ~s_mask):
+            bound += at[s_mask | xbit] - at[s_mask]
         if at_least(bound, f_t):
             return None
         return {"S": _bits(s_mask), "T": _bits(t_mask), "f_T": f_t, "bound": bound}
 
-    return _run("nemhauser_inequality", oracle, 4 ** oracle.ground_size, mode,
-                samples, seed, (domain, violation))
+    local = ((SINGLES, lambda at, t: violation(at, (t[0] | 1 << t[1], t[0]))),
+             (PAIRS, lambda at, t: violation(at, (t[0], t[0] | 1 << t[1] | 1 << t[2]))))
+    return _run("nemhauser_inequality", oracle,
+                _chosen_and_subset(oracle.ground_size, 1, 2), mode, samples, seed,
+                (domain, violation), local)
 
 
 ALL_CHECKS = {

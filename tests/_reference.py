@@ -1,7 +1,7 @@
 """From-scratch references for the full, pairwise and k-wise greedy strategies,
-Algorithm 1, the tau_k scan, the traditional curvature, the exhaustive
-property checks, quantified and local, and the probabilistic-coverage value
-of a set by the plain per-member loop.
+Algorithm 1, the tau_k scan, the traditional curvature, the property
+checks, exhaustive (quantified and local) and sampled, and the
+probabilistic-coverage value of a set by the plain per-member loop.
 
 These recompute every estimate from raw oracle queries at every iteration,
 with the same fold order as the incremental recursions, so a correct cached
@@ -11,6 +11,7 @@ bit.  Intentionally independent of EstimateCache.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 from math import exp, inf
 from typing import Mapping
@@ -253,20 +254,26 @@ def naive_property_check(name, oracle, require_disjoint=False):
 
 def naive_local_check(name, oracle, require_disjoint=False):
     """(holds, witness, instances_checked) of an exhaustive check of
-    submodularity or supermodularity of conditioning by its local form, by a
-    scan of every D in mask order and every x < y outside it, then every
-    x < y < z, with f asked afresh for every set.
+    submodularity, supermodularity of conditioning or Nemhauser's inequality
+    by its local form, by a scan of every D in mask order and every x
+    outside it, every x < y, or every x < y < z, with f asked afresh for
+    every set.
 
     Submodularity scans the pairs: f(x|D) >= f(x|D+y).  SoC scans the pairs
     as S = C = {x} and then the triples as S = {x}, C = {z}, each with A = D
-    and B = D + y; require_disjoint scans the triples alone.  Witnesses are
-    those of the quantified definition.  Comparisons are exact, so f should
-    take integer values.
+    and B = D + y; require_disjoint scans the triples alone.  Nemhauser's
+    inequality scans every x as S = D + x, T = D (monotonicity) and then the
+    pairs as S = D, T = D + x + y (submodularity).  Witnesses are those of
+    the quantified definition.  Comparisons are exact, so f should take
+    integer values.
     """
     m = oracle.ground_size
     f = lambda mask: oracle.evaluate(_members(mask))  # noqa: E731
     if name == "submodular":
         scans = [(2, lambda d, x, y: _submodular(f, d | 1 << y, x, d))]
+    elif name == "nemhauser_inequality":
+        scans = [(1, lambda d, x: _nemhauser(f, d | 1 << x, d)),
+                 (2, lambda d, x, y: _nemhauser(f, d, d | 1 << x | 1 << y))]
     else:
         triple = lambda d, x, y, z: _soc(f, d | 1 << y, d, 1 << z, 1 << x)  # noqa: E731
         scans = [(3, triple)]
@@ -281,4 +288,57 @@ def naive_local_check(name, oracle, require_disjoint=False):
                 witness = violation(d, *elements)
                 if witness is not None:
                     return False, witness, checked
+    return True, None, checked
+
+
+# name -> the mask of each slot of a sampled draw, from the earlier slots: a
+# subset slot ranges over the subsets of its mask, an element slot over the
+# elements outside it.  The masks state the constraints of PROPERTIES.
+SAMPLED_MASKS = {
+    "monotone": (lambda full: full, lambda full, a: a),
+    "submodular": (lambda full: full, lambda full, b: b, lambda full, b, x: b),
+    "supermodularity_of_conditioning": (
+        lambda full: full, lambda full, b: b, lambda full, b, a: full & ~b,
+        lambda full, b, a, c: full),
+    "pairwise_redundancy_bound": (lambda full: full, lambda full, a: full & ~a,
+                                  lambda full, a, b: full & ~(a | b)),
+    "marginal_lower_bound": (lambda full: 0, lambda full, x: full & ~(1 << x)),
+    "nemhauser_inequality": (lambda full: full, lambda full, s: full),
+}
+
+
+def naive_sampled_check(name, oracle, samples, seed, require_disjoint=False):
+    """(holds, witness, instances_checked) of a sampled check, by samples
+    draws from random.Random(seed), slot by slot: a subset slot takes
+    getrandbits(m) & its mask, an element slot rng.choice of the ids outside
+    its mask in ascending order, and a draw with no such id ends there and
+    is not counted.  f is asked afresh for every set, and comparisons are
+    exact, so f should take integer values.
+    """
+    m = oracle.ground_size
+    full = (1 << m) - 1
+    kinds, keep, violation = PROPERTIES[name]
+    masks = list(SAMPLED_MASKS[name])
+    if require_disjoint:  # S outside B u C
+        masks[3] = lambda full, b, a, c: full & ~(b | c)
+    f = lambda mask: oracle.evaluate(_members(mask))  # noqa: E731
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(samples):
+        t = []
+        for kind, mask in zip(kinds, masks):
+            within = mask(full, *t)
+            if kind == "S":
+                t.append(rng.getrandbits(m) & within)
+                continue
+            outside = [e for e in range(m) if not within >> e & 1]
+            if not outside:
+                break
+            t.append(rng.choice(outside))
+        else:
+            assert keep(*t)
+            checked += 1
+            witness = violation(f, *t)
+            if witness is not None:
+                return False, witness, checked
     return True, None, checked

@@ -164,6 +164,9 @@ BAD_FLAGS = {
                               "--n-grid 1",
     "samples_zero": "verify --instance inst.json --samples 0 --properties monotone",
     "samples_negative": "verify --instance inst.json --samples -1",
+    "properties_empty": "verify --instance inst.json --properties=",
+    "properties_blank": "verify --instance inst.json --properties=,",
+    "properties_unknown": "verify --instance inst.json --properties monotone,convex",
 }
 
 
@@ -283,7 +286,8 @@ def test_verify_walks_local_forms_and_samples_a_4_to_the_m_space(inputs, capsys)
         "supermodularity_of_conditioning":  # C(12,2)2^10 + C(12,3)2^9
             (True, "exhaustive", "local", 66 * 2**10 + 220 * 2**9),
         "pairwise_redundancy_bound": (True, "sampled", "quantified", 2000),  # 4^12 tuples
-        "nemhauser_inequality": (True, "sampled", "quantified", 2000),
+        "nemhauser_inequality":  # 12*2^11 + C(12,2)2^10
+            (True, "exhaustive", "local", 12 * 2**11 + 66 * 2**10),
     }
 
 
@@ -296,16 +300,40 @@ json_values = st.recursive(
 )
 
 
-@st.composite
-def trace_documents(draw):
-    """The fields of a valid trace, each kept, dropped or replaced."""
+def _kept_dropped_or_replaced(draw, fields: dict) -> dict:
     doc = {}
-    for key, value in TRACE.items():
+    for key, value in fields.items():
         choice = draw(st.sampled_from(["keep", "drop", "replace"]))
         if choice == "keep":
             doc[key] = value
         elif choice == "replace":
             doc[key] = draw(json_values)
+    return doc
+
+
+@st.composite
+def trace_documents(draw):
+    """The fields of a valid trace, each kept, dropped or replaced."""
+    return _kept_dropped_or_replaced(draw, TRACE)
+
+
+INSTANCES = (
+    MODULAR, COVERAGE,
+    {"type": "probabilistic_coverage",
+     "params": {"demands": {"e1": 2.0, "e2": 3.0},
+                "probabilities": {"x": {"e1": 0.5}, "y": {"e1": 0.5, "e2": 1.0}, "z": [0.2]}}},
+    {"type": "adversarial", "params": {"V": [0, 1, 2], "V_star": [3, 4], "k": 2}},
+)
+
+
+@st.composite
+def instance_documents(draw):
+    """The fields of a valid instance, each kept, dropped or replaced, and
+    the parameters of kept params the same way."""
+    valid = draw(st.sampled_from(INSTANCES))
+    doc = _kept_dropped_or_replaced(draw, valid)
+    if "params" in doc and doc["params"] is valid["params"]:
+        doc["params"] = _kept_dropped_or_replaced(draw, valid["params"])
     return doc
 
 
@@ -324,3 +352,23 @@ def test_fuzzed_trace_never_raises(inputs, capsys, text, method):
     assert code in (0, 2)
     if code == 2:
         assert out.err.startswith("error: ")
+
+
+COMMANDS = ("run --instance inst.json --algo optimistic --n 2",
+            "bound --instance inst.json --solution 1,0",
+            "verify --instance inst.json --samples 50",
+            "bruteforce --instance inst.json --n 2")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.sampled_from(INSTANCES), instance_documents()).map(json.dumps)
+       | st.text(max_size=30),
+       st.sampled_from(COMMANDS))
+def test_fuzzed_instance_never_raises(inputs, capsys, text, command):
+    (inputs / "inst.json").write_text(text, encoding="utf-8")
+    code, out = run_cli(command.split(), capsys)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.err.startswith("error: ") and out.out == ""
+    assert "Traceback" not in out.err

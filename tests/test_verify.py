@@ -4,6 +4,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsub import (
     AdversarialSpec,
@@ -26,7 +28,12 @@ from pairsub import (
 from pairsub import validation
 from pairsub.verify import ALL_CHECKS, subset_values
 
-from _reference import PROPERTIES, naive_local_check, naive_property_check
+from _reference import (
+    PROPERTIES,
+    naive_local_check,
+    naive_property_check,
+    naive_sampled_check,
+)
 from _synth import random_probabilistic_coverage, random_soc_oracle, random_weighted_coverage
 
 
@@ -231,14 +238,13 @@ class TestConsistencyAndSampling:
 
     @pytest.mark.parametrize("name", sorted(set(ALL_CHECKS) - {"normalized"}))
     @pytest.mark.parametrize("samples", [0, -1])
-    def test_sampling_nothing_is_rejected(self, name, samples, monkeypatch):
-        oracle = build_modular(ModularSpec([1.0, 2.0, 3.0]))
-        assert ALL_CHECKS[name](oracle, samples=samples).holds  # exhaustive, no draws
-        with pytest.raises(InvalidArgument):
-            ALL_CHECKS[name](oracle, samples=samples, mode="sampled")
-        monkeypatch.setattr(validation, "ENUMERATION_LIMIT", 0)  # auto now samples
-        with pytest.raises(InvalidArgument):
-            ALL_CHECKS[name](oracle, samples=samples)
+    def test_sampling_nothing_is_rejected(self, name, samples):
+        calls = []  # refused in every mode, an enumeration too, before any query
+        oracle = SetFunctionOracle(3, lambda s: calls.append(s) or float(len(s)))
+        for mode in ("auto", "exhaustive", "sampled"):
+            with pytest.raises(InvalidArgument, match="samples >= 1"):
+                ALL_CHECKS[name](oracle, samples=samples, mode=mode)
+        assert calls == []
 
     def test_sampled_count_skips_degenerate_draws(self):
         calls = []
@@ -295,20 +301,22 @@ class TestConsistencyAndSampling:
         if check is check_normalized:
             runs = {("exhaustive", "quantified"): check(coverage)}
         else:
-            local = name in ("submodular", "supermodularity_of_conditioning")
+            local = name in LOCAL_CHECKS
             runs = {("exhaustive", "local" if local else "quantified"): check(coverage),
                     ("sampled", "quantified"): check(coverage, mode="sampled", samples=5)}
         for how, report in runs.items():
             assert (report.mode, report.form) == how
 
-    @pytest.mark.parametrize("check", [check_pairwise_redundancy_bound,
-                                       check_nemhauser_inequality])
-    def test_a_subset_space_above_the_limit_is_refused_before_any_query(self, check):
+    @pytest.mark.parametrize("check, walk", [
+        (check_pairwise_redundancy_bound, lambda m: 4 ** m),
+        # the local form: m*2^(m-1) singles and C(m,2)*2^(m-2) pairs
+        (check_nemhauser_inequality, lambda m: (m << m >> 1) + (comb(m, 2) << m >> 2))])
+    def test_a_subset_space_above_the_limit_is_refused_before_any_query(self, check, walk):
         calls = []
-        m = 10  # 4^10 tuples, 2^10 subsets
+        m = next(m for m in range(1, 20) if walk(m) > validation.ENUMERATION_LIMIT)
+        assert m == (10 if check is check_pairwise_redundancy_bound else 15)
         oracle = SetFunctionOracle(m, lambda s: calls.append(s) or float(len(s)))
-        assert 4 ** m > validation.ENUMERATION_LIMIT >= 4 ** (m - 1)
-        with pytest.raises(InstanceTooLarge, match=f"needs {4 ** m} tuples"):
+        with pytest.raises(InstanceTooLarge, match=f"needs {walk(m)} tuples"):
             check(oracle, mode="exhaustive")
         assert calls == []
         report = check(oracle, samples=20)
@@ -336,12 +344,14 @@ GOLDEN_INSTANCES = {
 GOLDEN_RUNS = {"exhaustive": {}, "sampled": {"mode": "sampled", "samples": 60, "seed": 5}}
 GOLDEN_CHECKS = {name: (name, {}) for name in ALL_CHECKS}
 GOLDEN_CHECKS["soc_disjoint"] = ("supermodularity_of_conditioning", {"require_disjoint": True})
+LOCAL_CHECKS = ("submodular", "supermodularity_of_conditioning", "soc_disjoint",
+                "nemhauser_inequality")
 
 # (check, instance, run) -> (holds, instances_checked, oracle calls, witness),
 # recorded once and kept: any change to a checker's enumeration order, its
-# sampling, its counting or its memo shows here.  Exhaustive submodular and
-# SoC rows walk the local form, so their counts and witnesses are those of
-# _reference.naive_local_check.
+# sampling, its counting or its memo shows here.  Exhaustive submodular, SoC
+# and Nemhauser rows walk the local form, so their counts and witnesses are
+# those of _reference.naive_local_check.
 GOLDEN = {
     ('normalized', 'coverage', 'exhaustive'):
         (True, 1, 1, None),
@@ -366,7 +376,7 @@ GOLDEN = {
     ('marginal_lower_bound', 'coverage', 'sampled'):
         (True, 60, 31, None),
     ('nemhauser_inequality', 'coverage', 'exhaustive'):
-        (True, 1024, 32, None),
+        (True, 160, 32, None),
     ('nemhauser_inequality', 'coverage', 'sampled'):
         (True, 60, 32, None),
     ('soc_disjoint', 'coverage', 'exhaustive'):
@@ -396,7 +406,7 @@ GOLDEN = {
     ('marginal_lower_bound', 'squared', 'sampled'):
         (True, 60, 31, None),
     ('nemhauser_inequality', 'squared', 'exhaustive'):
-        (False, 4, 32, {'S': [], 'T': [0, 1], 'f_T': 4.0, 'bound': 2.0}),
+        (False, 81, 32, {'S': [], 'T': [0, 1], 'f_T': 4.0, 'bound': 2.0}),
     ('nemhauser_inequality', 'squared', 'sampled'):
         (False, 7, 15, {'S': [], 'T': [1, 3, 4], 'f_T': 9.0, 'bound': 3.0}),
     ('soc_disjoint', 'squared', 'exhaustive'):
@@ -426,7 +436,7 @@ GOLDEN = {
     ('marginal_lower_bound', 'negated', 'sampled'):
         (True, 60, 31, None),
     ('nemhauser_inequality', 'negated', 'exhaustive'):
-        (False, 33, 32, {'S': [0], 'T': [], 'f_T': -0.0, 'bound': -1.0}),
+        (False, 1, 32, {'S': [0], 'T': [], 'f_T': -0.0, 'bound': -1.0}),
     ('nemhauser_inequality', 'negated', 'sampled'):
         (False, 1, 3, {'S': [0, 1, 4], 'T': [3], 'f_T': -1.0, 'bound': -4.0}),
     ('soc_disjoint', 'negated', 'exhaustive'):
@@ -456,7 +466,7 @@ GOLDEN = {
     ('marginal_lower_bound', 'table', 'sampled'):
         (True, 60, 16, None),
     ('nemhauser_inequality', 'table', 'exhaustive'):
-        (False, 19, 16, {'S': [0], 'T': [1], 'f_T': 7.0, 'bound': 6.0}),
+        (False, 8, 16, {'S': [0, 1], 'T': [1], 'f_T': 7.0, 'bound': 6.0}),
     ('nemhauser_inequality', 'table', 'sampled'):
         (False, 2, 6, {'S': [0, 1, 3], 'T': [0, 2], 'f_T': 8.0, 'bound': 7.0}),
     ('soc_disjoint', 'table', 'exhaustive'):
@@ -478,9 +488,6 @@ def test_reports_match_the_golden_table(check, instance, run):
     assert (report.holds, report.instances_checked, len(calls), report.witness) == \
         GOLDEN[check, instance, run]
     assert len(set(calls)) == len(calls)  # each set asked at most once
-
-
-LOCAL_CHECKS = ("submodular", "supermodularity_of_conditioning", "soc_disjoint")
 
 
 @pytest.mark.parametrize("check", sorted(set(GOLDEN_CHECKS) - {"normalized"}))
@@ -512,8 +519,9 @@ class _Values:
 
 def _near_coverage(seed):
     """A seeded integer weighted coverage on m <= 4 elements with up to two
-    sets moved by one.  Of the tables with m > 1, a quarter to two fifths
-    violate each of submodularity, SoC and SoC on disjoint sets."""
+    sets moved by one.  Of the tables with m > 1, a quarter to a half
+    violate each of submodularity, SoC, SoC on disjoint sets and Nemhauser's
+    inequality, which a table with m = 1 can violate too."""
     rng = random.Random(seed)
     m = 1 + seed % 4
     weights = [rng.randint(1, 3) for _ in range(2 * m)]
@@ -542,16 +550,18 @@ def test_local_forms_agree_with_the_quantified_definitions(check):
         violated += 1
         # the local witness is a violating tuple of the quantified definition
         w = report.witness
-        masks = {key: sum(1 << e for e in w[key]) for key in "SABC" if key in w}
+        masks = {key: sum(1 << e for e in w[key]) for key in "SABCT" if key in w}
         if name == "submodular":
             t = (masks["B"], w["x"], masks["A"])
+        elif name == "nemhauser_inequality":
+            t = (masks["S"], masks["T"])
         else:
             t = (masks["B"], masks["A"], masks["C"], masks["S"])
             if extra:  # require_disjoint: S outside B u C
                 assert not t[3] & (t[0] | t[2])
         assert keep(*t)
         assert violation(lambda mask: oracle.values[mask], *t) == w
-    assert 150 <= violated <= 400  # of 750 tables with m > 1
+    assert 150 <= violated <= 400  # of 1000 tables, 750 of them with m > 1
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -562,7 +572,8 @@ def test_exhaustive_local_checks_walk_pairs_and_triples(m, monkeypatch):
     expected = {"monotone": m << m >> 1, "marginal_lower_bound": m << m >> 1,
                 "submodular": pairs, "supermodularity_of_conditioning": pairs + triples,
                 "soc_disjoint": triples,
-                "pairwise_redundancy_bound": 4 ** m, "nemhauser_inequality": 4 ** m}
+                "pairwise_redundancy_bound": 4 ** m,
+                "nemhauser_inequality": (m << m >> 1) + pairs}
     for check, count in expected.items():
         name, extra = GOLDEN_CHECKS[check]
         report = ALL_CHECKS[name](oracle, mode="exhaustive", **extra)
@@ -574,3 +585,29 @@ def test_exhaustive_local_checks_walk_pairs_and_triples(m, monkeypatch):
             ALL_CHECKS[name](oracle, mode="exhaustive", **extra)
         assert calls == []
         monkeypatch.undo()
+
+
+@st.composite
+def integer_tables(draw):
+    """f by bitmask on m <= 6 elements: a modular table with non-negative
+    integer weights, on which every check holds, or that table with some
+    sets moved by a small integer."""
+    m = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    values = [float(sum(w for x, w in enumerate(weights) if mask >> x & 1))
+              for mask in range(1 << m)]
+    moves = draw(st.lists(st.tuples(st.integers(0, (1 << m) - 1), st.integers(-3, 3)),
+                          max_size=4))
+    for mask, move in moves:
+        values[mask] += move
+    return _Values(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_tables(), st.integers(0, 2**32), st.integers(1, 200))
+def test_sampled_reports_match_the_reference_sampler(oracle, seed, samples):
+    for check in sorted(set(GOLDEN_CHECKS) - {"normalized"}):
+        name, extra = GOLDEN_CHECKS[check]
+        report = ALL_CHECKS[name](oracle, mode="sampled", samples=samples, seed=seed, **extra)
+        assert (report.holds, report.witness, report.instances_checked) == \
+            naive_sampled_check(name, oracle, samples, seed, **extra), check
