@@ -5,8 +5,8 @@ and the estimate value that won the argmax.  Ties always break toward the
 lowest element id, so runs are deterministic.  The pairwise strategies
 (optimistic, pessimistic) issue only size-1 and size-2 queries, at most
 m*(n+1) of them, via the incremental EstimateCache recursions.  The full
-greedy asks f(S) once per round and f(S + y) for every remaining y:
-n*(m+2) - n*(n+1)/2 queries, of sets up to size n.
+greedy asks f(empty) once and f(S + y) for every remaining y in each round:
+1 + n*(m+1) - n*(n+1)/2 queries, of sets up to size n.
 """
 
 from __future__ import annotations
@@ -113,20 +113,21 @@ def _finish(algorithm, n, selections, view) -> RunTrace:
 def greedy_full(oracle, n: int) -> RunTrace:
     """Classical greedy with full access: maximize the true marginal.
 
-    Round i asks f(S) once, S holding the i-1 picks so far, and f(S + y) for
-    each of the m-i+1 remaining y, scoring y by f(S + y) - f(S):
-    n*(m+2) - n*(n+1)/2 queries in all.
+    Round i scores each of the m-i+1 remaining y by f(S + y) - f(S), S the
+    i-1 picks so far; f(S) is f(empty), asked once, then the pick's f(S + x)
+    from the round before: 1 + n*(m+1) - n*(n+1)/2 queries in all.
     """
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
     current: frozenset[int] = frozenset()
+    f_s = view.evaluate(current)
     selections = []
     for i in range(1, n + 1):
-        f_s = view.evaluate(current)
-        x, value = argmax({y: view.evaluate(current | {y}) - f_s
-                           for y in range(view.ground_size) if y not in current})
+        raw = {y: view.evaluate(current | {y}) for y in range(view.ground_size) if y not in current}
+        x, value = argmax({y: f - f_s for y, f in raw.items()})
         selections.append(Selection(i, x, value))
         current |= {x}
+        f_s = raw[x]
     return _finish("full", n, selections, view)
 
 

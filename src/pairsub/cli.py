@@ -86,19 +86,17 @@ def _list(text: str, flag: str, convert=str) -> list:
 
 
 def cmd_run(args) -> int:
-    if args.n < 1:
-        raise InvalidArgument(f"--n must be >= 1, got {args.n}")
     oracle = _load_oracle(args)
     if args.budget is not None:
         oracle = oracle.restricted(args.budget)
-    spec = oracle.spec
+    trace = run_algorithm(args.algo, oracle, args.n, k=args.k)
+    spec = oracle.spec  # warned only for a run that was answered
     if isinstance(spec, AdversarialSpec) and args.n != len(spec.V_star):
         print(
             f"warning: adversarial instance has |V_star|={len(spec.V_star)} "
             f"but n={args.n}; the k/n tightness statement does not apply",
             file=sys.stderr,
         )
-    trace = run_algorithm(args.algo, oracle, args.n, k=args.k)
     doc = trace.to_dict()
     if args.audit:
         trace = audit_trace(trace, oracle)

@@ -46,7 +46,7 @@ class DuplicateElement(PairsubError, ValueError):
 
 
 class NonFiniteValue(PairsubError, ValueError):
-    """No candidate's value compares above -inf, so none can be picked."""
+    """A candidate's value is NaN, or none compares above -inf: none can be picked."""
 
 
 class GridMismatch(PairsubError, ValueError):

@@ -9,11 +9,11 @@ Four families cover the test and experiment surface:
 
 Both coverage families answer singletons and pairs, the only queries of the
 pairwise strategies, in closed form from tables built at set-up: a pair
-costs one math.dist between two station rows or one intersection of two
-covers, not a pass per member.  Larger sets keep a general pass over their
-members in id order, so every family returns the same float for any order of
-the ids; for probabilistic coverage that pass is one chain of lazy products
-per query, evaluated district by district.
+costs one math.dist between two station rows or a disjointness test of two
+covers, intersected only if they meet.  Larger sets keep a general pass over
+their members in id order, so every family returns the same float for any
+order of the ids; for probabilistic coverage that pass is one chain of lazy
+products per query over miss rows boxed once, evaluated district by district.
 
 Instances serialize as {"type": <family>, "params": {...}} with params named
 exactly after the spec dataclass fields.
@@ -36,6 +36,17 @@ from .oracles import SetFunctionOracle
 # 10^5 deep overflows the C stack: a larger set lists its products every
 # _CHAIN_DEPTH members, which changes no operation.
 _CHAIN_DEPTH = 1000
+
+
+class _Boxed(dict):
+    """tuple(rows[x]) for each station x, made the first time x is read."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __missing__(self, x):
+        row = self[x] = tuple(self.rows[x])
+        return row
 
 
 @dataclass(frozen=True)
@@ -85,6 +96,7 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
             )
         index[key] = len(weights)
         weights.append(w)
+    weight = weights.__getitem__
     cover_sets = []
     single = []
     for key, cover in _keyed_items(spec.covers, "covers"):
@@ -95,7 +107,7 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
                 f"cover {key!r} references unknown universe element {exc.args[0]!r}"
             ) from None
         cover_sets.append(members)
-        single.append(sum(map(weights.__getitem__, members)))
+        single.append(sum(map(weight, members)))
     if not cover_sets:
         raise MalformedSpec("covers must declare at least one element")
 
@@ -103,17 +115,16 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
         size = len(s)
         if size == 2:
             x, y = s  # + is commutative and the shared ids are summed sorted
-            shared = cover_sets[x] & cover_sets[y]
-            if not shared:
+            if cover_sets[x].isdisjoint(cover_sets[y]):
                 return single[x] + single[y]
-            return single[x] + single[y] - sum(weights[i] for i in sorted(shared))
+            return single[x] + single[y] - sum(map(weight, sorted(cover_sets[x] & cover_sets[y])))
         if size == 1:
             (x,) = s
             return single[x]
         covered = set()
         for x in sorted(s):  # the union's iteration order follows insertion order
             covered |= cover_sets[x]
-        return sum(weights[i] for i in covered)
+        return sum(map(weight, covered))
 
     return SetFunctionOracle(len(cover_sets), _eval, name="weighted_coverage", spec=spec)
 
@@ -133,11 +144,14 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
 
     A larger set chains map(mul, miss, row) over the miss rows 1 - p_x^e of
     its members in id order and takes sum((1 - q_e) * v_e) from the chain, so
-    no list is built per member.  Each district still gets the operations of
-    a plain loop over lists in the same order, the product ((q_1 q_2) q_3)...
-    in id order, then 1 - q_e, then * v_e, summed over the districts in
-    order, so the value is that loop's bit for bit.  The cost stays linear in
-    |S| times the number of districts.
+    no list is built per member.  Each row, an array of doubles, is boxed
+    into a tuple of floats the first time a larger set reads it, so a query
+    boxes no float per member; the restricted() views share the tuples, and
+    a fill that races another stores an equal one.  Each district still gets
+    the operations of a plain loop over lists in the same order, the product
+    ((q_1 q_2) q_3)... in id order, then 1 - q_e, then * v_e, summed over the
+    districts in order, so the value is that loop's bit for bit.  The cost
+    stays linear in |S| times the number of districts.
     """
     demand_items = _keyed_items(spec.demands, "demands")
     district_index = {}
@@ -191,6 +205,7 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
 
     v = tuple(demands)
     ones = (1.0,) * len(v)
+    boxed = _Boxed(rows)
 
     def _eval(s: frozenset) -> float:
         size = len(s)
@@ -204,11 +219,11 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
         if not s:
             return 0.0
         ordered = sorted(s)
-        miss = rows[ordered[0]]
+        miss = boxed[ordered[0]]
         for j in range(1, len(ordered)):
             if not j % _CHAIN_DEPTH:
                 miss = list(miss)
-            miss = map(mul, miss, rows[ordered[j]])
+            miss = map(mul, miss, boxed[ordered[j]])
         return sum(map(mul, map(sub, ones, miss), v))
 
     return SetFunctionOracle(len(rows), _eval, name="probabilistic_coverage", spec=spec)
@@ -252,7 +267,7 @@ def build_modular(spec: ModularSpec) -> SetFunctionOracle:
             raise MalformedSpec(f"weight {w} for element {i} is negative or not finite")
 
     def _eval(s: frozenset) -> float:
-        return sum(weights[x] for x in sorted(s))
+        return sum(map(weights.__getitem__, sorted(s)))
 
     return SetFunctionOracle(len(weights), _eval, name="modular", spec=spec)
 

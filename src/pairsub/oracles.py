@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import inf
+from math import inf, isnan
 from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, DuplicateElement, InvalidArgument, NonFiniteValue
@@ -42,7 +42,8 @@ class SetFunctionOracle:
 
     Queries above the budget raise BudgetExceeded rather than being answered.
     Instances are immutable after construction and safe for concurrent
-    read-only evaluation.
+    read-only evaluation; an eval_fn may still fill a cache shared with the
+    restricted() views, if each fill is idempotent and changes no answer.
     """
 
     __slots__ = ("ground_size", "budget", "name", "spec", "_eval")
@@ -209,18 +210,22 @@ def argmax(table: dict) -> tuple[int, float]:
     """The key of table with the highest value, and that value.
 
     Ties go to the key that comes first, the lowest id when keys ascend.
-    NonFiniteValue if no value compares above -inf (all NaN or -inf).
+    NonFiniteValue names the first NaN value, found by a scan only when the
+    sum of the values is NaN, or the first key if no value is above -inf.
     """
     if not table:
         raise InvalidArgument("no candidates remain")
-    best_x = None
-    best_v = -inf
+    if isnan(sum(table.values())):  # a NaN, or +inf and -inf together
+        for x, v in table.items():
+            if v != v:
+                raise NonFiniteValue(f"candidate {x} has {v}, which cannot be ranked")
+    best_x, best_v = None, -inf
     for x, v in table.items():
         if v > best_v:
             best_v, best_x = v, x
-    if best_x is None:
-        x, v = next(iter(table.items()))
-        raise NonFiniteValue(f"no candidate has a value above -inf; candidate {x} has {v}")
+    if best_x is None:  # every value is -inf
+        raise NonFiniteValue("no candidate has a value above -inf; "
+                             f"candidate {next(iter(table))} has -inf")
     return best_x, best_v
 
 

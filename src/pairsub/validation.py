@@ -9,6 +9,7 @@ from .errors import (
     CardinalityTooLarge,
     DuplicateElement,
     InstanceTooLarge,
+    InvalidArgument,
     UnknownElement,
 )
 
@@ -79,8 +80,8 @@ def check_order(order: list[int], ground_size: int) -> None:
 
 
 def check_cardinality(n: int, ground_size: int) -> None:
-    if n < 0:
-        raise CardinalityTooLarge(f"cardinality must be non-negative, got {n}")
+    if n < 1:
+        raise InvalidArgument(f"cardinality must be >= 1, got {n}")
     if n > ground_size:
         raise CardinalityTooLarge(
             f"cardinality {n} exceeds ground set size {ground_size}"

@@ -16,6 +16,7 @@ from pairsub import (
     CountingOracle,
     DuplicateElement,
     InstanceTooLarge,
+    InvalidArgument,
     ModularSpec,
     NonFiniteValue,
     QueryCounts,
@@ -101,24 +102,25 @@ class TestGreedyFull:
         cases = [(random_soc_oracle(rng, m), m) for m in (1, 2, 5, 9, 14)]
         cases.append((city_oracle(seed=12, count=40), 6))
         for oracle, top in cases:
-            for n in range(top + 1):
+            for n in range(1, top + 1):
                 run = greedy_full(oracle, n)
                 assert (run.selected_order, [s.estimate for s in run.selections]) == (
                     naive_greedy_full(oracle, n))
 
     def test_asks_f_of_the_picks_once_per_round(self):
-        # round i: one set of size i-1, then one of size i per remaining candidate
+        # f(empty) once, then round i asks one set of size i per remaining
+        # candidate and reuses the pick's answer as the next round's f(S)
         rng = random.Random(47)
         for m in (1, 2, 3, 7, 12):
             oracle = random_soc_oracle(rng, m)
-            for n in range(m + 1):
+            for n in range(1, m + 1):
                 expected = QueryCounts()
+                expected.record(0)
                 for i in range(1, n + 1):
-                    expected.record(i - 1)
                     expected.record(i, times=m - i + 1)
                 counts = greedy_full(oracle, n).query_counts
                 assert counts == expected
-                assert counts.total == n * (m + 2) - n * (n + 1) // 2
+                assert counts.total == 1 + n * (m + 1) - n * (n + 1) // 2
 
 
 class TestGreedyUninformed:
@@ -286,6 +288,25 @@ def test_no_value_above_minus_inf_is_a_typed_error(strategy, value):
     oracle = SetFunctionOracle(3, lambda s: value if s else 0.0)
     with pytest.raises(NonFiniteValue, match=f"candidate 0 has {value}"):
         strategy(oracle, 2)
+
+
+@pytest.mark.parametrize("strategy", ARGMAX_STRATEGIES.values(), ids=ARGMAX_STRATEGIES.keys())
+def test_a_nan_among_finite_values_is_a_typed_error(strategy):
+    # every set holding 1 is NaN, so the first round already ranks a NaN
+    oracle = SetFunctionOracle(3, lambda s: math.nan if 1 in s else float(len(s)))
+    with pytest.raises(NonFiniteValue, match="candidate 1 has nan"):
+        strategy(oracle, 2)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("run", [*ARGMAX_STRATEGIES.values(), brute_force_optimal],
+                         ids=[*ARGMAX_STRATEGIES, "brute_force"])
+def test_a_cardinality_below_one_is_refused_before_any_query(run, n):
+    calls = []
+    oracle = SetFunctionOracle(3, lambda s: calls.append(s) or float(len(s)))
+    with pytest.raises(InvalidArgument, match=f"cardinality must be >= 1, got {n}"):
+        run(oracle, n)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -111,8 +111,8 @@ def test_audit_runs_the_full_greedy_once(inputs, capsys, monkeypatch, algo):
     assert code == 0 and out.err == ""
     assert calls == [3]
     if algo == "full":
-        # f(S) once per round: one query of size i-1 and 5-i+1 of size i
-        expected = {**FULL_AUDIT, "query_counts": {"other": 4, "size1": 6, "size2": 5}}
+        # f(empty) once, then 5-i+1 queries of size i in round i
+        expected = {**FULL_AUDIT, "query_counts": {"other": 4, "size1": 5, "size2": 4}}
         assert out.out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
@@ -150,6 +150,9 @@ BAD_FLAGS = {
     "rs_zero": "run --districts d.csv --rs 0 --algo optimistic --n 1",
     "rs_nan": "run --districts d.csv --rs nan --algo optimistic --n 1",
     "rs_inf": "run --districts d.csv --rs inf --algo optimistic --n 1",
+    "n_zero": "run --instance inst.json --algo optimistic --n 0",
+    "bruteforce_n_zero": "bruteforce --instance inst.json --n 0",
+    "grid_with_zero": "bench --instance inst.json --algos optimistic --n-grid 0,1",
     "k_below_two": "run --instance inst.json --algo k_wise_optimistic --n 2 --k 1",
     "k_with_optimistic": "run --instance inst.json --algo optimistic --n 2 --k 3",
     "k_wise_without_k": "run --instance inst.json --algo k_wise_optimistic --n 2",
@@ -175,6 +178,16 @@ def test_bad_flag_exits_2(inputs, capsys, argv):
     code, out = run_cli(argv.split(), capsys)
     assert code == 2
     assert out.err.startswith("error: ") and out.out == ""
+
+
+def test_refused_adversarial_run_prints_only_the_error(inputs, capsys):
+    adversarial = {"type": "adversarial", "params": {"V": [0, 1], "V_star": [2], "k": 1}}
+    (inputs / "adv.json").write_text(json.dumps(adversarial), encoding="utf-8")
+    code, out = run_cli("run --instance adv.json --algo optimistic --n 0".split(), capsys)
+    assert code == 2
+    assert out.err == "error: cardinality must be >= 1, got 0\n" and out.out == ""
+    code, out = run_cli("run --instance adv.json --algo optimistic --n 2".split(), capsys)
+    assert code == 0 and out.err.startswith("warning: adversarial instance has |V_star|=1 ")
 
 
 BAD_INSTANCES = {

@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from pairsub import (
     AdversarialSpec,
+    BudgetExceeded,
     MalformedSpec,
     ModularSpec,
     ProbabilisticCoverageSpec,
@@ -67,6 +69,29 @@ class TestWeightedCoverage:
     def test_negative_weight(self):
         with pytest.raises(MalformedSpec):
             build_weighted_coverage(WeightedCoverageSpec({1: -0.5}, [{1}]))
+
+    def test_pairs_with_shared_and_disjoint_covers(self):
+        # dyadic weights sum exactly in any order, so each pair is its union's sum
+        weights = {u: 2.0 ** -u for u in range(8)}
+        covers = [{0, 1}, {1, 2, 3}, {4}, {3, 4, 5}, set(), {0, 1, 2, 3, 4, 5, 6, 7}]
+        oracle = build_weighted_coverage(WeightedCoverageSpec(weights, covers))
+        for x, y in itertools.combinations(range(len(covers)), 2):
+            union = sum(weights[u] for u in covers[x] | covers[y])
+            assert oracle.evaluate([x, y]) == union, (x, y)
+
+    def test_pairs_are_the_inclusion_exclusion_sum_bit_for_bit(self):
+        rng = random.Random(9)
+        weights = [rng.uniform(0.0, 2.0) for _ in range(60)]
+        covers = [rng.sample(range(60), rng.randint(0, 8)) for _ in range(25)]
+        oracle = build_weighted_coverage(WeightedCoverageSpec(weights, covers))
+        single = [oracle.evaluate([x]) for x in range(len(covers))]
+        met = 0
+        for x, y in itertools.combinations(range(len(covers)), 2):
+            shared = sorted(set(covers[x]) & set(covers[y]))
+            met += bool(shared)
+            expected = single[x] + single[y] - sum(weights[u] for u in shared)
+            assert oracle.evaluate([x, y]) == expected, (x, y)
+        assert 0 < met < 300  # both branches are taken
 
     def test_properties_small(self):
         rng = random.Random(0)
@@ -223,6 +248,57 @@ class TestProbabilisticLargeSets:
             for _ in range(5):
                 ids = rng.sample(range(m), size)  # shuffled id order
                 assert oracle.evaluate(ids) == naive_probabilistic_value(oracle, ids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_first_read_order_is_the_plain_loop_bit_for_bit(self, data):
+        # rows are boxed on their first read by a larger set, so the order of
+        # the queries decides when; the budget-2 view and a wide view share
+        # the boxed rows with the oracle
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        deep = data.draw(st.booleans(), label="past the chain depth")
+        if deep:
+            m = functions._CHAIN_DEPTH + 2
+            oracle = build_probabilistic_coverage(ProbabilisticCoverageSpec(
+                [1.0, 2.0], [[rng.uniform(0.0, 2e-3) for _ in range(2)] for _ in range(m)]))
+        else:
+            m = data.draw(st.integers(3, 12), label="m")
+            oracle = _edge_probabilities(rng, m, 5)
+        pair_view, wide_view = oracle.restricted(2), oracle.restricted(m)
+        queries = data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1,
+                                              max_size=min(m, 6), unique=True),
+                                     min_size=1, max_size=8), label="queries")
+        if deep:
+            queries.insert(data.draw(st.integers(0, len(queries))), rng.sample(range(m), m))
+        for ids in queries:
+            if len(ids) <= 2:
+                assert pair_view.evaluate(ids) == oracle.evaluate(ids)
+                continue
+            with pytest.raises(BudgetExceeded):
+                pair_view.evaluate(ids)
+            asked = data.draw(st.sampled_from([oracle, wide_view]), label="asked")
+            assert asked.evaluate(ids) == naive_probabilistic_value(oracle, ids)
+
+    def test_threads_filling_the_boxed_rows_together_change_no_value(self):
+        # more threads than cores, switching often, race to box the same rows
+        rng = random.Random(17)
+        oracle = random_probabilistic_coverage(rng, 40, districts=30)
+        sets = [rng.sample(range(40), rng.randint(3, 12)) for _ in range(200)]
+        expected = [naive_probabilistic_value(oracle, ids) for ids in sets]
+        answers = [[] for _ in range(8)]
+        threads = [threading.Thread(target=lambda out: out.extend(map(oracle.evaluate, sets)),
+                                    args=(out,)) for out in answers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [expected] * len(threads)
 
     def test_sets_across_the_chain_depth_are_the_plain_loop(self):
         rng = random.Random(15)

@@ -15,6 +15,7 @@ from pairsub import (
     EstimateCache,
     InvalidArgument,
     ModularSpec,
+    NonFiniteValue,
     SetFunctionOracle,
     UnknownElement,
     WeightedCoverageSpec,
@@ -251,8 +252,19 @@ class TestEstimateCache:
             with pytest.raises(InvalidArgument, match="no candidates remain"):
                 empty()
 
-    def test_argmax_skips_a_nan_among_finite_values(self):
-        assert argmax({0: math.nan, 1: 2.0, 2: 1.0}) == (1, 2.0)
+    @pytest.mark.parametrize(("table", "named"), [
+        ({0: math.nan, 1: 2.0, 2: 1.0}, 0),
+        ({0: 1.0, 1: math.nan, 2: 0.5}, 1),
+        ({0: math.inf, 1: -math.inf, 2: math.nan}, 2),
+    ], ids=["nan_first", "nan_between", "nan_after_both_infs"])
+    def test_argmax_refuses_a_nan_among_finite_values(self, table, named):
+        with pytest.raises(NonFiniteValue, match=f"candidate {named} has nan"):
+            argmax(table)
+
+    def test_argmax_ranks_plus_and_minus_inf_together(self):
+        # their sum is NaN, but no value is
+        assert argmax({0: -math.inf, 1: 2.0, 2: math.inf, 3: math.inf}) == (2, math.inf)
+        assert argmax({0: -math.inf, 1: 2.0}) == (1, 2.0)
 
 
 class TestPairColumn:
