@@ -210,19 +210,24 @@ def brute_force_optimal(oracle, n: int):
     Monotonicity means only size-n subsets need scanning.  Returns the
     lexicographically smallest maximizer and its value.  InstanceTooLarge,
     before any query, when C(m, n) exceeds the enumeration limit;
-    NonFiniteValue when no subset's value compares above -inf.
+    NonFiniteValue when no subset's value compares above -inf, naming the
+    last subset, or else when a value is NaN, naming the first such subset.
     """
     m = oracle.ground_size
     check_cardinality(n, m)
     check_enumeration(comb(m, n), f"brute force over C({m}, {n})", "subsets")
-    best_set, best_v = None, -inf
+    best_set, best_v, nan_set = None, -inf, None
     for combo in combinations(range(m), n):  # at least one, as n <= m
         v = oracle.evaluate(combo)
         if v > best_v:
             best_v, best_set = v, combo
-    if best_set is None:  # name the last subset scanned
+        elif v != v and nan_set is None:
+            nan_set = combo
+    if best_set is None:
         raise NonFiniteValue(f"no candidate has a value above -inf; "
                              f"candidate {list(combo)} has {v}")
+    if nan_set is not None:
+        raise NonFiniteValue(f"candidate {list(nan_set)} has nan, which cannot be ranked")
     return list(best_set), best_v
 
 

@@ -10,7 +10,10 @@ Four families cover the test and experiment surface:
 Both coverage families answer singletons and pairs, the only queries of the
 pairwise strategies, in closed form from tables built at set-up: a pair
 costs one math.dist between two station rows or a disjointness test of two
-covers, intersected only if they meet.  Larger sets keep a general pass over
+covers, intersected only if they meet.  Each also hands its oracle a
+pairs(x, ys) column function, so that evaluate_pairs answers a whole column
+{y, x} for y in ys in one call; its size-2 _eval branch is a column of one,
+so each pair formula is written once.  Larger sets keep a general pass over
 their members in id order, so every family returns the same float for any
 order of the ids; for probabilistic coverage that pass is one chain of lazy
 products per query over miss rows boxed once, evaluated district by district.
@@ -107,17 +110,23 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
                 f"cover {key!r} references unknown universe element {exc.args[0]!r}"
             ) from None
         cover_sets.append(members)
-        single.append(sum(map(weight, members)))
+        single.append(float(sum(map(weight, members))))  # 0.0, not 0, for an empty cover
     if not cover_sets:
         raise MalformedSpec("covers must declare at least one element")
+
+    def pairs(x: int, ys: list) -> list:
+        # + is commutative and the shared ids are summed sorted, so f({x, y})
+        # does not depend on which of the two is x
+        cover_x, single_x = cover_sets[x], single[x]
+        return [single_x + single[y] if cover_x.isdisjoint(cover_sets[y])
+                else single_x + single[y] - sum(map(weight, sorted(cover_x & cover_sets[y])))
+                for y in ys]
 
     def _eval(s: frozenset) -> float:
         size = len(s)
         if size == 2:
-            x, y = s  # + is commutative and the shared ids are summed sorted
-            if cover_sets[x].isdisjoint(cover_sets[y]):
-                return single[x] + single[y]
-            return single[x] + single[y] - sum(map(weight, sorted(cover_sets[x] & cover_sets[y])))
+            x, y = s
+            return pairs(x, (y,))[0]
         if size == 1:
             (x,) = s
             return single[x]
@@ -126,7 +135,8 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
             covered |= cover_sets[x]
         return sum(map(weight, covered))
 
-    return SetFunctionOracle(len(cover_sets), _eval, name="weighted_coverage", spec=spec)
+    return SetFunctionOracle(len(cover_sets), _eval, name="weighted_coverage", spec=spec,
+                             pairs_fn=pairs)
 
 
 def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunctionOracle:
@@ -207,12 +217,16 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     ones = (1.0,) * len(v)
     boxed = _Boxed(rows)
 
+    def pairs(x: int, ys: list) -> list:
+        half_x, scaled_x = half[x], scaled[x]
+        return [half_x + half[y] + d * d / 2  # d ** 2 raises OverflowError
+                for y in ys for d in (dist(scaled_x, scaled[y]),)]
+
     def _eval(s: frozenset) -> float:
         size = len(s)
         if size == 2:
             x, y = s
-            d = dist(scaled[x], scaled[y])
-            return half[x] + half[y] + d * d / 2  # d ** 2 raises OverflowError
+            return pairs(x, (y,))[0]
         if size == 1:
             (x,) = s
             return single[x]
@@ -226,7 +240,8 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
             miss = map(mul, miss, boxed[ordered[j]])
         return sum(map(mul, map(sub, ones, miss), v))
 
-    return SetFunctionOracle(len(rows), _eval, name="probabilistic_coverage", spec=spec)
+    return SetFunctionOracle(len(rows), _eval, name="probabilistic_coverage", spec=spec,
+                             pairs_fn=pairs)
 
 
 def build_adversarial(spec: AdversarialSpec) -> SetFunctionOracle:

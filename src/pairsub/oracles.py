@@ -19,9 +19,11 @@ EstimateCache keeps the upper and lower tables for the pairwise strategies
 and updates them in constant time per candidate when the partial solution
 grows, which is what makes them linear in the number of selections.  Each
 growth step asks for one column of pairs {x, x_i} over the remaining
-candidates through evaluate_pairs, which still answers every pair through
-SetFunctionOracle.evaluate, with its id and budget checks, and counts the
-column once.
+candidates through evaluate_pairs, which CountingOracle counts once per
+column.  A family that can answer a whole column at once hands the oracle a
+pairs(x, ys) function: evaluate_pairs then checks the ids and the budget
+once per column and calls it.  Without one, every pair goes through
+SetFunctionOracle.evaluate, with its id and budget checks.
 """
 
 from __future__ import annotations
@@ -44,9 +46,12 @@ class SetFunctionOracle:
     Instances are immutable after construction and safe for concurrent
     read-only evaluation; an eval_fn may still fill a cache shared with the
     restricted() views, if each fill is idempotent and changes no answer.
+
+    pairs_fn, if given, is pairs(x, ys) -> [f({y, x}) for y in ys] for in-range
+    int ids with x not in ys, the same floats eval_fn gives for those pairs.
     """
 
-    __slots__ = ("ground_size", "budget", "name", "spec", "_eval")
+    __slots__ = ("ground_size", "budget", "name", "spec", "_eval", "_pairs")
 
     def __init__(
         self,
@@ -55,6 +60,7 @@ class SetFunctionOracle:
         budget: int | None = None,
         name: str = "oracle",
         spec=None,
+        pairs_fn: Callable[[int, list[int]], list[float]] | None = None,
     ):
         if ground_size < 1:
             raise InvalidArgument("ground_size must be a positive integer")
@@ -65,6 +71,7 @@ class SetFunctionOracle:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "_eval", eval_fn)
+        object.__setattr__(self, "_pairs", pairs_fn)
 
     def __setattr__(self, key, value):
         raise AttributeError("oracles are immutable")
@@ -84,14 +91,29 @@ class SetFunctionOracle:
         return float(self._eval(s))
 
     def evaluate_pairs(self, x: int, ys: list[int]) -> list[float]:
-        """[f({y, x}) for y in ys], every pair answered by evaluate.
+        """[f({y, x}) for y in ys], each value the float evaluate gives.
 
-        ys must not contain x, so that every query is a pair.
+        ys must not contain x, so that every query is a pair.  With a pairs_fn
+        the ids and the budget are checked once for the column, with
+        evaluate's errors, and pairs_fn answers it; an empty ys is [] either
+        way.  Without one, every pair is answered by evaluate.
         """
         if x in ys:
             raise DuplicateElement(f"element {x} cannot be paired with itself")
-        evaluate = self.evaluate
-        return [evaluate(frozenset((y, x))) for y in ys]
+        pairs = self._pairs
+        if pairs is None:
+            evaluate = self.evaluate
+            return [evaluate(frozenset((y, x))) for y in ys]
+        if not ys:
+            return []
+        ground = self.ground_size
+        if type(x) is not int or not 0 <= x < ground:
+            check_element_ids((x,), ground)
+        if not {*map(type, ys)} <= {int} or min(ys) < 0 or max(ys) >= ground:
+            check_element_ids(ys, ground)
+        if self.budget is not None and self.budget < 2:
+            raise BudgetExceeded(f"query of size 2 exceeds information budget {self.budget}")
+        return pairs(x, ys)
 
     def marginal(self, x: int, ids: Iterable[int]) -> float:
         """f(x|S) = f(S u {x}) - f(S)."""
@@ -104,9 +126,8 @@ class SetFunctionOracle:
         """A view of the same function with a (tighter) budget, which the
         constructor checks."""
         effective = budget if self.budget is None else min(budget, self.budget)
-        return SetFunctionOracle(
-            self.ground_size, self._eval, budget=effective, name=self.name, spec=self.spec
-        )
+        return SetFunctionOracle(self.ground_size, self._eval, budget=effective,
+                                 name=self.name, spec=self.spec, pairs_fn=self._pairs)
 
 
 @dataclass(slots=True)
@@ -194,14 +215,19 @@ def fold_k_wise(oracle, upper: dict, earlier, y: int, f_y: float, k: int) -> Non
     """Lower upper[x], for each candidate x in upper, to f(x|A) over every new A:
     the fresh id y plus at most k-2 ids of earlier (none at k = 1).
 
-    f_y is f({y}), which the caller has already asked.
+    f_y is f({y}), which the caller has already asked.  For A = {y} the sets
+    A + x are pairs, asked as one evaluate_pairs column.
     """
     for size in range(min(k - 2, len(earlier)) + 1):
         for extra in combinations(earlier, size):
-            a = extra + (y,)
-            f_a = oracle.evaluate(a) if extra else f_y
-            for x in upper:
-                marg = oracle.evaluate(a + (x,)) - f_a
+            if extra:
+                a = extra + (y,)
+                f_a = oracle.evaluate(a)
+                column = [oracle.evaluate(a + (x,)) for x in upper]
+            else:
+                f_a, column = f_y, oracle.evaluate_pairs(y, list(upper))
+            for x, f_ax in zip(upper, column):
+                marg = f_ax - f_a
                 if marg < upper[x]:
                     upper[x] = marg
 

@@ -326,6 +326,14 @@ def test_brute_force_with_no_value_above_minus_inf_is_a_typed_error(value, n):
         brute_force_optimal(oracle, n)
 
 
+@pytest.mark.parametrize(("n", "named"), [(1, [1]), (2, [0, 1])])
+def test_brute_force_refuses_a_nan_among_finite_values(n, named):
+    # every subset holding 1 is NaN; the finite maximum would be [0, 2]
+    oracle = SetFunctionOracle(3, lambda s: math.nan if 1 in s else float(len(s)))
+    with pytest.raises(NonFiniteValue, match=re.escape(f"candidate {named} has nan")):
+        brute_force_optimal(oracle, n)
+
+
 def test_result_records_are_slotted(chain_coverage):
     run = greedy_optimistic(chain_coverage, 2)
     records = (run, run.selections[0], run.query_counts,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairsub import (
+    AdversarialSpec,
     BudgetExceeded,
     CountingOracle,
     DuplicateElement,
@@ -19,6 +20,7 @@ from pairsub import (
     SetFunctionOracle,
     UnknownElement,
     WeightedCoverageSpec,
+    build_adversarial,
     build_modular,
     build_weighted_coverage,
     greedy_optimistic,
@@ -31,7 +33,13 @@ from pairsub.oracles import argmax
 from pairsub.validation import values_close
 
 from _reference import _scratch_lower, _scratch_upper
-from _synth import city_oracle, random_soc_oracle
+from _synth import (
+    city_oracle,
+    random_modular,
+    random_probabilistic_coverage,
+    random_soc_oracle,
+    random_weighted_coverage,
+)
 
 
 @pytest.fixture
@@ -267,6 +275,62 @@ class TestEstimateCache:
         assert argmax({0: -math.inf, 1: 2.0}) == (1, 2.0)
 
 
+def _no_column(oracle):
+    """The same function and budget without the family's column: every pair
+    of evaluate_pairs goes through evaluate."""
+    return SetFunctionOracle(oracle.ground_size, oracle._eval, budget=oracle.budget)
+
+
+def _shared_covers():
+    # integer weights, so every pair value is exact: covers that meet, covers
+    # that do not, and two empty ones
+    spec = WeightedCoverageSpec({u: u + 1 for u in range(5)},
+                                [[0, 1], [1, 2], [3], [], [0, 1, 2, 3, 4], []])
+    return build_weighted_coverage(spec)
+
+
+SHARED_PAIRS = {(0, 1): 6.0, (0, 2): 7.0, (0, 3): 3.0, (0, 4): 15.0, (0, 5): 3.0,
+                (1, 2): 9.0, (1, 3): 5.0, (1, 4): 15.0, (1, 5): 5.0, (2, 3): 4.0,
+                (2, 4): 15.0, (2, 5): 4.0, (3, 4): 15.0, (3, 5): 0.0, (4, 5): 15.0}
+
+PAIR_FAMILIES = {
+    "weighted": lambda: random_weighted_coverage(random.Random(79), 12),
+    "shared_cover": _shared_covers,
+    "probabilistic": lambda: random_probabilistic_coverage(random.Random(83), 12, 9),
+    "adversarial": lambda: build_adversarial(AdversarialSpec([0, 2, 4, 6], [1, 3, 5], 2)),
+    "modular": lambda: random_modular(random.Random(89), 12),
+}
+
+# Every family as built, behind restricted(2), and each coverage family
+# rebuilt without its column, next to the two original cases.
+PAIR_ORACLES = {
+    "soc": lambda: random_soc_oracle(random.Random(73), 12),
+    "city": lambda: city_oracle(seed=5, count=30),
+    **PAIR_FAMILIES,
+    **{f"{name}_restricted": lambda make=make: make().restricted(2)
+       for name, make in PAIR_FAMILIES.items()},
+    **{f"{name}_no_column": lambda make=make: _no_column(make())
+       for name, make in PAIR_FAMILIES.items()
+       if name not in ("adversarial", "modular")},
+}
+
+# Six stations each, so id 6 is out of range.
+COLUMN_FAMILIES = {"weighted": _shared_covers,
+                   "probabilistic": lambda: random_probabilistic_coverage(random.Random(83), 6, 9)}
+
+# (x, ys, error) for a column that both the family's column and the per-pair
+# fallback must refuse alike.
+BAD_COLUMNS = {
+    "bool_x": (True, [0, 2], UnknownElement),
+    "bool_y": (2, [1, True], UnknownElement),
+    "negative_x": (-1, [0, 2], UnknownElement),
+    "negative_y": (0, [2, -1], UnknownElement),
+    "x_out_of_range": (6, [0, 2], UnknownElement),
+    "y_out_of_range": (0, [2, 6], UnknownElement),
+    "x_in_ys": (1, [0, 1], DuplicateElement),
+}
+
+
 class TestPairColumn:
     def test_counter_sees_every_pair(self, monkeypatch):
         rng = random.Random(71)
@@ -296,9 +360,7 @@ class TestPairColumn:
         assert len(views) == 1
         assert len(calls) == views[0].counts.total == 15 + 14 + 13 + 12
 
-    @pytest.mark.parametrize("make", [lambda: random_soc_oracle(random.Random(73), 12),
-                                      lambda: city_oracle(seed=5, count=30)],
-                             ids=["soc", "city"])
+    @pytest.mark.parametrize("make", PAIR_ORACLES.values(), ids=PAIR_ORACLES.keys())
     def test_column_equals_per_pair_evaluate(self, make):
         oracle = make()
         m = oracle.ground_size
@@ -308,9 +370,59 @@ class TestPairColumn:
             column = view.evaluate_pairs(x, ys)
             expected = [oracle.evaluate((y, x)) for y in ys]
             assert [v.hex() for v in column] == [v.hex() for v in expected]
+            fallback = _no_column(oracle).evaluate_pairs(x, ys[::-1])[::-1]
+            assert [v.hex() for v in column] == [v.hex() for v in fallback]
             counts = view.counts
             assert (counts.size1, counts.size2, counts.other) == (0, len(ys), 0)
             assert counts.work_units == 2 * len(ys)
+            assert view.evaluate_pairs(x, []) == []
+            assert view.counts.total == len(ys)
+
+    def test_shared_covers_by_hand(self):
+        oracle = _shared_covers()
+        for x in range(6):
+            ys = [y for y in range(6) if y != x]
+            column = oracle.evaluate_pairs(x, ys)
+            assert column == [SHARED_PAIRS[min(x, y), max(x, y)] for y in ys]
+            assert all(type(v) is float for v in column)
+
+    def test_a_column_is_answered_without_eval(self):
+        def one_at_a_time(s):
+            raise AssertionError(f"{sorted(s)} asked through eval_fn")
+
+        column = _shared_covers()._pairs
+        oracle = SetFunctionOracle(6, one_at_a_time, pairs_fn=column).restricted(2)
+        view = CountingOracle(oracle)
+        assert view.evaluate_pairs(0, [1, 2, 3]) == [6.0, 7.0, 3.0]
+        assert view.counts.size2 == 3
+
+    @pytest.mark.parametrize("case", BAD_COLUMNS.values(), ids=BAD_COLUMNS.keys())
+    @pytest.mark.parametrize("family", COLUMN_FAMILIES.values(), ids=COLUMN_FAMILIES.keys())
+    def test_column_and_fallback_refuse_alike(self, family, case):
+        x, ys, error = case
+        oracle = family()
+        messages = []
+        for source in (oracle, _no_column(oracle)):
+            for view in (source, source.restricted(2)):
+                counted = CountingOracle(view)
+                with pytest.raises(error) as raised:
+                    counted.evaluate_pairs(x, ys)
+                messages.append(str(raised.value))
+                assert (counted.counts.total, counted.counts.work_units) == (0, 0)
+        assert len(set(messages)) == 1, messages
+
+    @pytest.mark.parametrize("family", COLUMN_FAMILIES.values(), ids=COLUMN_FAMILIES.keys())
+    def test_budget_one_column_and_fallback_alike(self, family):
+        oracle = family()
+        messages = []
+        for source in (oracle, _no_column(oracle)):
+            counted = CountingOracle(source.restricted(1))
+            with pytest.raises(BudgetExceeded) as raised:
+                counted.evaluate_pairs(0, [1, 2])
+            messages.append(str(raised.value))
+            assert counted.evaluate_pairs(0, []) == []
+            assert (counted.counts.total, counted.counts.work_units) == (0, 0)
+        assert messages == ["query of size 2 exceeds information budget 1"] * 2
 
     def test_budget_one_view_raises_and_counts_nothing(self, chain_coverage):
         view = CountingOracle(chain_coverage.restricted(1))
