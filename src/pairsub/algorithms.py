@@ -11,6 +11,7 @@ greedy asks f(empty) once and f(S + y) for every remaining y in each round:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, inf
@@ -114,19 +115,22 @@ def greedy_full(oracle, n: int) -> RunTrace:
     """Classical greedy with full access: maximize the true marginal.
 
     Round i scores each of the m-i+1 remaining y by f(S + y) - f(S), S the
-    i-1 picks so far; f(S) is f(empty), asked once, then the pick's f(S + x)
+    i-1 picks so far, asked as one evaluate_extensions column over the
+    remaining ids; f(S) is f(empty), asked once, then the pick's f(S + x)
     from the round before: 1 + n*(m+1) - n*(n+1)/2 queries in all.
     """
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
-    current: frozenset[int] = frozenset()
-    f_s = view.evaluate(current)
+    picks: list[int] = []  # ascending
+    remaining = list(range(view.ground_size))
+    f_s = view.evaluate(())
     selections = []
     for i in range(1, n + 1):
-        raw = {y: view.evaluate(current | {y}) for y in range(view.ground_size) if y not in current}
+        raw = dict(zip(remaining, view.evaluate_extensions(tuple(picks), remaining)))
         x, value = argmax({y: f - f_s for y, f in raw.items()})
         selections.append(Selection(i, x, value))
-        current |= {x}
+        remaining.remove(x)
+        insort(picks, x)
         f_s = raw[x]
     return _finish("full", n, selections, view)
 
@@ -176,7 +180,8 @@ def _k_wise_greedy(algorithm, oracle, n: int, k: int) -> RunTrace:
     """Maximize the k-wise upper estimate, folding each pick but the last in."""
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
-    singletons = {x: view.evaluate((x,)) for x in range(view.ground_size)}
+    ids = list(range(view.ground_size))
+    singletons = dict(zip(ids, view.evaluate_extensions((), ids)))
     upper = dict(singletons)
     selected: list[int] = []
     selections = []

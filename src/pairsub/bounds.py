@@ -174,13 +174,15 @@ def k_cardinality_curvature(oracle, k: int) -> float:
     """tau_k = 1 - min over (x, |A| < k, f(x) > 0) of f(x|A)/f(x).
 
     Needs only budget-k queries and asks every set of size at most k once,
-    the m singletons first.  Pairs are asked one column per x through
-    oracle.evaluate_pairs(x, ids above x), so in the lexicographic order of
-    the pairs, and each {x, y} yields f(x|y) and f(y|x); whether f(x) is near
-    zero is decided once per member.  Each larger T, 3 <= |T| <= k, yields
-    f(x|T minus x) for all of its members x, with f(T minus x) taken from the
-    memo of the smaller sets.  The k=2 case is the production path and costs
-    m singletons plus one query per unordered pair.
+    in lexicographic order within each size, the m singletons first as one
+    column.  Pairs are asked one column per x through
+    oracle.evaluate_pairs(x, ids above x), and each {x, y} yields f(x|y) and
+    f(y|x); whether f(x) is near zero is decided once per member.  Each
+    larger T, 3 <= |T| <= k, is asked in one evaluate_extensions column per
+    T minus its largest id and yields f(x|T minus x) for all of its members
+    x, with f(T minus x) taken from the memo of the smaller sets.  The k=2
+    case is the production path and costs m singletons plus one query per
+    unordered pair.
     """
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
@@ -188,11 +190,11 @@ def k_cardinality_curvature(oracle, k: int) -> float:
     pair_count = m * (2 ** (m - 1) - 1 if k >= m  # every nonempty A, without summing
                       else sum(comb(m - 1, size) for size in range(1, k)))
     check_enumeration(pair_count, f"tau_{k} scan", "conditioning sets")
-    single = [oracle.evaluate((x,)) for x in range(m)]
+    ids = list(range(m))
+    single = oracle.evaluate_extensions((), ids)
     live = [not near_zero(fx) for fx in single]
     memo: dict[tuple, float] = {(x,): fx for x, fx in enumerate(single)}
     min_ratio = 1.0
-    ids = list(range(m))
     for x in ids:
         ys = ids[x + 1:]
         fx, live_x = single[x], live[x]
@@ -208,15 +210,17 @@ def k_cardinality_curvature(oracle, k: int) -> float:
                 if ratio < min_ratio:
                     min_ratio = ratio
     for size in range(3, k + 1):
-        for t in combinations(range(m), size):
-            f_t = oracle.evaluate(t)
-            if size < k:
-                memo[t] = f_t
-            for j, x in enumerate(t):
-                fx = memo[(x,)]
-                if near_zero(fx):
-                    continue
-                ratio = (f_t - memo[t[:j] + t[j + 1:]]) / fx
-                if ratio < min_ratio:
-                    min_ratio = ratio
+        for head in combinations(ids, size - 1):
+            ys = ids[head[-1] + 1:]
+            for y, f_t in zip(ys, oracle.evaluate_extensions(head, ys)):
+                t = head + (y,)
+                if size < k:
+                    memo[t] = f_t
+                for j, x in enumerate(t):
+                    fx = memo[(x,)]
+                    if near_zero(fx):
+                        continue
+                    ratio = (f_t - memo[t[:j] + t[j + 1:]]) / fx
+                    if ratio < min_ratio:
+                        min_ratio = ratio
     return min(1.0, max(0.0, 1.0 - min_ratio))

@@ -10,13 +10,16 @@ Four families cover the test and experiment surface:
 Both coverage families answer singletons and pairs, the only queries of the
 pairwise strategies, in closed form from tables built at set-up: a pair
 costs one math.dist between two station rows or a disjointness test of two
-covers, intersected only if they meet.  Each also hands its oracle a
-pairs(x, ys) column function, so that evaluate_pairs answers a whole column
-{y, x} for y in ys in one call; its size-2 _eval branch is a column of one,
-so each pair formula is written once.  Larger sets keep a general pass over
-their members in id order, so every family returns the same float for any
-order of the ids; for probabilistic coverage that pass is one chain of lazy
-products per query over miss rows boxed once, evaluated district by district.
+covers, intersected only if they meet.  Each also hands its oracle an
+extensions(a, ys) column function, so that evaluate_extensions answers
+f(a + {y}) for every y in ys in one call, whatever the size of a; its
+size-2 _eval branch is a column of one, so each pair formula is written
+once.  Larger sets keep a general pass over their members in id order, so
+every family returns the same float for any order of the ids.  For
+probabilistic coverage that pass is one chain of lazy products over miss
+rows boxed once, evaluated district by district; a column starts each chain
+from the product of the members of a below y, built once per column, and
+_eval's larger sets are a column of one.
 
 Instances serialize as {"type": <family>, "params": {...}} with params named
 exactly after the spec dataclass fields.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect
 from dataclasses import dataclass, fields
 from math import dist, hypot, inf, sqrt
 from operator import mul, sub
@@ -135,8 +139,13 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
             covered |= cover_sets[x]
         return sum(map(weight, covered))
 
+    def extensions(a: tuple, ys: list) -> list:
+        if len(a) < 2:
+            return pairs(a[0], ys) if a else [single[y] for y in ys]
+        return [float(_eval(frozenset((y, *a)))) for y in ys]
+
     return SetFunctionOracle(len(cover_sets), _eval, name="weighted_coverage", spec=spec,
-                             pairs_fn=pairs)
+                             extensions_fn=extensions)
 
 
 def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunctionOracle:
@@ -162,6 +171,15 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     ((q_1 q_2) q_3)... in id order, then 1 - q_e, then * v_e, summed over the
     districts in order, so the value is that loop's bit for bit.  The cost
     stays linear in |S| times the number of districts.
+
+    A column f(a + {y}), |a| >= 2, keeps the prefix products of a's rows in
+    id order, each built once, as far as the column needs them.  With p the
+    number of members of a below y, the chain for y starts from the prefix
+    of max(p, 1) members times y's row, then multiplies in the members above
+    it: p = 0 and p = 1 are the same operation, since one multiply commutes
+    exactly, so a column does exactly the operations of the chain above.
+    _eval's larger sets are a column of one with y their lowest member, so
+    they start from a boxed row and build no prefix.
     """
     demand_items = _keyed_items(spec.demands, "demands")
     district_index = {}
@@ -222,6 +240,23 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
         return [half_x + half[y] + d * d / 2  # d ** 2 raises OverflowError
                 for y in ys for d in (dist(scaled_x, scaled[y]),)]
 
+    def extensions(a: tuple, ys: list) -> list:
+        if len(a) < 2:
+            return pairs(a[0], ys) if a else [single[y] for y in ys]
+        prefix = [None, boxed[a[0]]]  # prefix[i]: the product of a[:i]'s rows
+        values = []
+        for y in ys:
+            start = bisect(a, y) or 1
+            while len(prefix) <= start:
+                prefix.append(list(map(mul, prefix[-1], boxed[a[len(prefix) - 1]])))
+            miss = map(mul, prefix[start], boxed[y])
+            for j, x in enumerate(a[start:], 1):
+                if not j % _CHAIN_DEPTH:
+                    miss = list(miss)
+                miss = map(mul, miss, boxed[x])
+            values.append(sum(map(mul, map(sub, ones, miss), v)))
+        return values
+
     def _eval(s: frozenset) -> float:
         size = len(s)
         if size == 2:
@@ -233,15 +268,10 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
         if not s:
             return 0.0
         ordered = sorted(s)
-        miss = boxed[ordered[0]]
-        for j in range(1, len(ordered)):
-            if not j % _CHAIN_DEPTH:
-                miss = list(miss)
-            miss = map(mul, miss, boxed[ordered[j]])
-        return sum(map(mul, map(sub, ones, miss), v))
+        return extensions(tuple(ordered[1:]), (ordered[0],))[0]
 
     return SetFunctionOracle(len(rows), _eval, name="probabilistic_coverage", spec=spec,
-                             pairs_fn=pairs)
+                             extensions_fn=extensions)
 
 
 def build_adversarial(spec: AdversarialSpec) -> SetFunctionOracle:

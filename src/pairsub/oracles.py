@@ -19,10 +19,15 @@ EstimateCache keeps the upper and lower tables for the pairwise strategies
 and updates them in constant time per candidate when the partial solution
 grows, which is what makes them linear in the number of selections.  Each
 growth step asks for one column of pairs {x, x_i} over the remaining
-candidates through evaluate_pairs, which CountingOracle counts once per
-column.  A family that can answer a whole column at once hands the oracle a
-pairs(x, ys) function: evaluate_pairs then checks the ids and the budget
-once per column and calls it.  Without one, every pair goes through
+candidates through evaluate_pairs.
+
+Every strategy asks its sets by column: evaluate_extensions(a, ys) is
+[f(a + {y}) for y in ys], checked once per column with evaluate's errors and
+counted by CountingOracle once it is all answered.  A singleton scan is the
+column a = (), a pair column is a = (x,) (evaluate_pairs), and the full and
+k-wise greedy ask f(A + x) for every candidate x as one column per A.  A
+family that can answer a whole column at once hands the oracle an
+extensions(a, ys) function; without one, every set goes through
 SetFunctionOracle.evaluate, with its id and budget checks.
 """
 
@@ -47,11 +52,12 @@ class SetFunctionOracle:
     read-only evaluation; an eval_fn may still fill a cache shared with the
     restricted() views, if each fill is idempotent and changes no answer.
 
-    pairs_fn, if given, is pairs(x, ys) -> [f({y, x}) for y in ys] for in-range
-    int ids with x not in ys, the same floats eval_fn gives for those pairs.
+    extensions_fn, if given, is extensions(a, ys) -> [f(a + {y}) for y in ys]
+    for a sorted tuple a of distinct in-range int ids and in-range int ys,
+    none of them in a: the same floats evaluate gives for those sets.
     """
 
-    __slots__ = ("ground_size", "budget", "name", "spec", "_eval", "_pairs")
+    __slots__ = ("ground_size", "budget", "name", "spec", "_eval", "_extensions")
 
     def __init__(
         self,
@@ -60,7 +66,7 @@ class SetFunctionOracle:
         budget: int | None = None,
         name: str = "oracle",
         spec=None,
-        pairs_fn: Callable[[int, list[int]], list[float]] | None = None,
+        extensions_fn: Callable[[tuple, list[int]], list[float]] | None = None,
     ):
         if ground_size < 1:
             raise InvalidArgument("ground_size must be a positive integer")
@@ -71,7 +77,7 @@ class SetFunctionOracle:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "_eval", eval_fn)
-        object.__setattr__(self, "_pairs", pairs_fn)
+        object.__setattr__(self, "_extensions", extensions_fn)
 
     def __setattr__(self, key, value):
         raise AttributeError("oracles are immutable")
@@ -90,30 +96,39 @@ class SetFunctionOracle:
             )
         return float(self._eval(s))
 
-    def evaluate_pairs(self, x: int, ys: list[int]) -> list[float]:
-        """[f({y, x}) for y in ys], each value the float evaluate gives.
+    def evaluate_extensions(self, a: tuple, ys: list[int]) -> list[float]:
+        """[f(a + {y}) for y in ys], each value the float evaluate gives.
 
-        ys must not contain x, so that every query is a pair.  With a pairs_fn
-        the ids and the budget are checked once for the column, with
-        evaluate's errors, and pairs_fn answers it; an empty ys is [] either
-        way.  Without one, every pair is answered by evaluate.
+        a holds distinct ids and no y may be in a, so every set has |a| + 1
+        members.  Once per column, and with evaluate's errors, the ids in a
+        and ys are checked, then the overlap, then the budget; an empty ys
+        is [] before any check.  The family's extensions_fn answers the
+        column in one call; without one, every set is answered by evaluate.
         """
-        if x in ys:
-            raise DuplicateElement(f"element {x} cannot be paired with itself")
-        pairs = self._pairs
-        if pairs is None:
-            evaluate = self.evaluate
-            return [evaluate(frozenset((y, x))) for y in ys]
         if not ys:
             return []
         ground = self.ground_size
-        if type(x) is not int or not 0 <= x < ground:
-            check_element_ids((x,), ground)
-        if not {*map(type, ys)} <= {int} or min(ys) < 0 or max(ys) >= ground:
-            check_element_ids(ys, ground)
-        if self.budget is not None and self.budget < 2:
-            raise BudgetExceeded(f"query of size 2 exceeds information budget {self.budget}")
-        return pairs(x, ys)
+        for ids in (a, ys):
+            if ids and (not {*map(type, ids)} <= {int} or min(ids) < 0 or max(ids) >= ground):
+                check_element_ids(ids, ground)
+        members = frozenset(a)
+        if len(members) < len(a):
+            raise DuplicateElement(f"the set {list(a)} repeats an element")
+        if not members.isdisjoint(ys):
+            y = next(y for y in ys if y in members)
+            raise DuplicateElement(f"element {y} cannot be paired with itself" if len(a) == 1
+                                   else f"element {y} is already in the set {sorted(a)}")
+        size = len(a) + 1
+        if self.budget is not None and size > self.budget:
+            raise BudgetExceeded(f"query of size {size} exceeds information budget {self.budget}")
+        if self._extensions is not None:
+            return self._extensions(tuple(sorted(a)), ys)
+        evaluate = self.evaluate
+        return [evaluate(frozenset((y, *a))) for y in ys]
+
+    def evaluate_pairs(self, x: int, ys: list[int]) -> list[float]:
+        """[f({y, x}) for y in ys]: the column evaluate_extensions((x,), ys)."""
+        return self.evaluate_extensions((x,), ys)
 
     def marginal(self, x: int, ids: Iterable[int]) -> float:
         """f(x|S) = f(S u {x}) - f(S)."""
@@ -127,7 +142,8 @@ class SetFunctionOracle:
         constructor checks."""
         effective = budget if self.budget is None else min(budget, self.budget)
         return SetFunctionOracle(self.ground_size, self._eval, budget=effective,
-                                 name=self.name, spec=self.spec, pairs_fn=self._pairs)
+                                 name=self.name, spec=self.spec,
+                                 extensions_fn=self._extensions)
 
 
 @dataclass(slots=True)
@@ -186,11 +202,14 @@ class CountingOracle:
         self.counts.record(len(s))
         return value
 
-    def evaluate_pairs(self, x: int, ys: list[int]) -> list[float]:
-        """The inner oracle's column of pairs, counted once it is all answered."""
-        values = self.inner.evaluate_pairs(x, ys)
-        self.counts.record(2, times=len(values))
+    def evaluate_extensions(self, a: tuple, ys: list[int]) -> list[float]:
+        """The inner oracle's column, counted once it is all answered."""
+        values = self.inner.evaluate_extensions(a, ys)
+        self.counts.record(len(a) + 1, times=len(values))
         return values
+
+    def evaluate_pairs(self, x: int, ys: list[int]) -> list[float]:
+        return self.evaluate_extensions((x,), ys)
 
 
 def k_wise_upper_estimate(oracle, x: int, ids: Iterable[int], k: int) -> float:
@@ -204,10 +223,11 @@ def k_wise_upper_estimate(oracle, x: int, ids: Iterable[int], k: int) -> float:
     s = as_id_set(ids)
     if x in s:
         raise DuplicateElement(f"element {x} already in the conditioning set")
-    upper = {x: oracle.evaluate((x,))}  # A = empty set
     members = sorted(s)
-    for j, y in enumerate(members):
-        fold_k_wise(oracle, upper, members[:j], y, oracle.evaluate((y,)), k)
+    f_x, *singles = oracle.evaluate_extensions((), [x, *members])
+    upper = {x: f_x}  # A = empty set
+    for j, (y, f_y) in enumerate(zip(members, singles)):
+        fold_k_wise(oracle, upper, members[:j], y, f_y, k)
     return upper[x]
 
 
@@ -215,17 +235,14 @@ def fold_k_wise(oracle, upper: dict, earlier, y: int, f_y: float, k: int) -> Non
     """Lower upper[x], for each candidate x in upper, to f(x|A) over every new A:
     the fresh id y plus at most k-2 ids of earlier (none at k = 1).
 
-    f_y is f({y}), which the caller has already asked.  For A = {y} the sets
-    A + x are pairs, asked as one evaluate_pairs column.
+    f_y is f({y}), which the caller has already asked; any larger f(A) is
+    asked first.  The sets A + x are one evaluate_extensions column per A.
     """
     for size in range(min(k - 2, len(earlier)) + 1):
         for extra in combinations(earlier, size):
-            if extra:
-                a = extra + (y,)
-                f_a = oracle.evaluate(a)
-                column = [oracle.evaluate(a + (x,)) for x in upper]
-            else:
-                f_a, column = f_y, oracle.evaluate_pairs(y, list(upper))
+            a = extra + (y,)
+            f_a = oracle.evaluate(a) if extra else f_y
+            column = oracle.evaluate_extensions(a, list(upper))
             for x, f_ax in zip(upper, column):
                 marg = f_ax - f_a
                 if marg < upper[x]:
@@ -258,16 +275,17 @@ def argmax(table: dict) -> tuple[int, float]:
 class EstimateCache:
     """Current upper/lower marginal estimates for every unselected element.
 
-    base holds f(x) for all elements; upper and lower hold the estimates
-    conditioned on the current partial solution, keyed by the remaining
-    candidates in ascending order.  condition_on folds one new selection
-    into both estimates with one column of pairwise queries, asked through
-    oracle.evaluate_pairs, over the remaining candidates.  Owned by a single
-    run.
+    base holds f(x) for all elements, asked as one column; upper and lower
+    hold the estimates conditioned on the current partial solution, keyed
+    by the remaining candidates in ascending order.  condition_on folds one
+    new selection into both estimates with one column of pairwise queries,
+    asked through oracle.evaluate_pairs, over the remaining candidates.
+    Owned by a single run.
     """
 
     def __init__(self, oracle):
-        self.base = {x: oracle.evaluate((x,)) for x in range(oracle.ground_size)}
+        ids = list(range(oracle.ground_size))
+        self.base = dict(zip(ids, oracle.evaluate_extensions((), ids)))
         self.upper = dict(self.base)
         self.lower = dict(self.base)
 

@@ -9,6 +9,7 @@ from pairsub import (
     KernelConfig,
     ModularSpec,
     ProbabilisticCoverageSpec,
+    SetFunctionOracle,
     WeightedCoverageSpec,
     build_coverage_instance,
     build_modular,
@@ -49,6 +50,12 @@ SOC_FAMILIES = (random_weighted_coverage, random_probabilistic_coverage, random_
 def random_soc_oracle(rng: random.Random, m: int):
     """One of the three supermodularity-of-conditioning families."""
     return SOC_FAMILIES[rng.randrange(len(SOC_FAMILIES))](rng, m)
+
+
+def no_column(oracle):
+    """The same function and budget without the family's column: every set
+    of evaluate_extensions and evaluate_pairs goes through evaluate."""
+    return SetFunctionOracle(oracle.ground_size, oracle._eval, budget=oracle.budget)
 
 
 def synthetic_districts(rng: random.Random, count: int, demand_rng=None):

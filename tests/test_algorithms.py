@@ -39,7 +39,7 @@ from pairsub import (
     run_algorithm,
     trace_from_dict,
 )
-from pairsub import validation
+from pairsub import bounds, validation
 from pairsub.algorithms import PAIRWISE_ALGORITHMS
 
 from _reference import (
@@ -49,7 +49,7 @@ from _reference import (
     naive_greedy_pessimistic,
     naive_post_hoc_bound,
 )
-from _synth import city_oracle, random_soc_oracle
+from _synth import city_oracle, no_column, random_soc_oracle
 
 
 @pytest.fixture
@@ -390,6 +390,48 @@ class TestIncrementalEqualsNaive:
             ref_sel, ref_est = naive_greedy_pessimistic(oracle, n)
             assert fast.selected_order == ref_sel
             assert [s.estimate for s in fast.selections] == ref_est
+
+
+def _parity_oracles():
+    rng = random.Random(137)
+    socs = {f"soc{i}": random_soc_oracle(rng, rng.randint(5, 12)) for i in range(10)}
+    return {"city": city_oracle(seed=19, count=40), **socs}
+
+
+PARITY_ORACLES = _parity_oracles()
+
+
+def _column_digest(oracle, n: int):
+    """Selections, estimates (.hex()) and query counts of every strategy and
+    bound that asks by column."""
+    pairwise = oracle.restricted(2)
+    runs = [greedy_full(oracle, n), greedy_uninformed(oracle, n),
+            greedy_k_wise_optimistic(oracle, n, 3), greedy_k_wise_optimistic(oracle, n, 4),
+            greedy_optimistic(pairwise, n), greedy_pessimistic(pairwise, n)]
+    digest = [(r.algorithm, r.selected_order, [s.estimate.hex() for s in r.selections],
+               r.query_counts) for r in runs]
+    for k in (2, 3):
+        view = CountingOracle(oracle.restricted(k))
+        digest.append((k, bounds.k_cardinality_curvature(view, k).hex(), view.counts))
+    view = CountingOracle(pairwise)
+    cert = post_hoc_bound(runs[-1].selected_order, view)
+    digest.append(([a.hex() for a in cert.alphas], cert.gamma.hex(), view.counts))
+    return digest
+
+
+@pytest.mark.parametrize("oracle", PARITY_ORACLES.values(), ids=PARITY_ORACLES.keys())
+def test_family_columns_and_per_set_fallback_run_alike(oracle):
+    m = oracle.ground_size
+    n = min(6, m)
+    digest = _column_digest(oracle, n)
+    assert digest == _column_digest(no_column(oracle), n)
+    full_counts = digest[0][3]
+    expected = QueryCounts()
+    expected.record(0)
+    for i in range(1, n + 1):
+        expected.record(i, times=m - i + 1)
+    assert full_counts == expected
+    assert full_counts.total == 1 + n * (m + 1) - n * (n + 1) // 2
 
 
 @st.composite

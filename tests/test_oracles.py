@@ -17,24 +17,28 @@ from pairsub import (
     InvalidArgument,
     ModularSpec,
     NonFiniteValue,
+    ProbabilisticCoverageSpec,
+    QueryCounts,
     SetFunctionOracle,
     UnknownElement,
     WeightedCoverageSpec,
     build_adversarial,
     build_modular,
+    build_probabilistic_coverage,
     build_weighted_coverage,
     greedy_optimistic,
     greedy_pessimistic,
     k_wise_upper_estimate,
     post_hoc_bound,
 )
-from pairsub import bounds
+from pairsub import bounds, functions
 from pairsub.oracles import argmax
 from pairsub.validation import values_close
 
-from _reference import _scratch_lower, _scratch_upper
+from _reference import _scratch_lower, _scratch_upper, naive_probabilistic_value
 from _synth import (
     city_oracle,
+    no_column,
     random_modular,
     random_probabilistic_coverage,
     random_soc_oracle,
@@ -275,12 +279,6 @@ class TestEstimateCache:
         assert argmax({0: -math.inf, 1: 2.0}) == (1, 2.0)
 
 
-def _no_column(oracle):
-    """The same function and budget without the family's column: every pair
-    of evaluate_pairs goes through evaluate."""
-    return SetFunctionOracle(oracle.ground_size, oracle._eval, budget=oracle.budget)
-
-
 def _shared_covers():
     # integer weights, so every pair value is exact: covers that meet, covers
     # that do not, and two empty ones
@@ -309,7 +307,7 @@ PAIR_ORACLES = {
     **PAIR_FAMILIES,
     **{f"{name}_restricted": lambda make=make: make().restricted(2)
        for name, make in PAIR_FAMILIES.items()},
-    **{f"{name}_no_column": lambda make=make: _no_column(make())
+    **{f"{name}_no_column": lambda make=make: no_column(make())
        for name, make in PAIR_FAMILIES.items()
        if name not in ("adversarial", "modular")},
 }
@@ -328,6 +326,25 @@ BAD_COLUMNS = {
     "x_out_of_range": (6, [0, 2], UnknownElement),
     "y_out_of_range": (0, [2, 6], UnknownElement),
     "x_in_ys": (1, [0, 1], DuplicateElement),
+    # True == 1, so only checking the ids before the overlap makes these
+    # UnknownElement, as evaluate([True]) is
+    "bool_x_equal_to_y": (True, [1], UnknownElement),
+    "bool_y_equal_to_x": (1, [True], UnknownElement),
+}
+
+# (a, ys, error) for a column of larger sets that the family's column and the
+# per-set fallback must refuse alike, ids first, then the overlap, then the
+# budget.
+BAD_EXTENSIONS = {
+    "bool_in_a": ((0, True), [2, 3], UnknownElement),
+    "false_y_equal_to_a_member": ((0, 1), [2, False], UnknownElement),
+    "float_y": ((0, 1), [2.0], UnknownElement),
+    "negative_in_a": ((-1, 2), [3], UnknownElement),
+    "a_out_of_range": ((2, 6), [0], UnknownElement),
+    "y_out_of_range": ((0, 1, 2), [3, 6], UnknownElement),
+    "bad_y_after_y_in_a": ((0, 1), [1, 7], UnknownElement),
+    "y_in_a": ((0, 2, 4), [1, 4], DuplicateElement),
+    "a_repeats": ((0, 2, 0), [1], DuplicateElement),
 }
 
 
@@ -370,13 +387,56 @@ class TestPairColumn:
             column = view.evaluate_pairs(x, ys)
             expected = [oracle.evaluate((y, x)) for y in ys]
             assert [v.hex() for v in column] == [v.hex() for v in expected]
-            fallback = _no_column(oracle).evaluate_pairs(x, ys[::-1])[::-1]
+            fallback = no_column(oracle).evaluate_pairs(x, ys[::-1])[::-1]
             assert [v.hex() for v in column] == [v.hex() for v in fallback]
             counts = view.counts
             assert (counts.size1, counts.size2, counts.other) == (0, len(ys), 0)
             assert counts.work_units == 2 * len(ys)
             assert view.evaluate_pairs(x, []) == []
             assert view.counts.total == len(ys)
+
+    @pytest.mark.parametrize("make", PAIR_ORACLES.values(), ids=PAIR_ORACLES.keys())
+    def test_extension_column_equals_per_set_evaluate(self, make):
+        oracle = make()
+        m = oracle.ground_size
+        rng = random.Random(m)
+        for size in range(min(m - 1, 8) + 1):
+            a = tuple(rng.sample(range(m), size))  # unsorted
+            ys = [y for y in range(m) if y not in a]
+            rng.shuffle(ys)
+            for view in (oracle, oracle.restricted(size + 1)):
+                if view.budget is not None and view.budget <= size:
+                    continue  # a budget-2 entry asked for sets of three or more
+                counted = CountingOracle(view)
+                column = counted.evaluate_extensions(a, ys)
+                expected = [view.evaluate(frozenset((*a, y))) for y in ys]
+                fallback = no_column(view).evaluate_extensions(a, ys)
+                assert [v.hex() for v in column] == [v.hex() for v in expected]
+                assert [v.hex() for v in column] == [v.hex() for v in fallback]
+                if size >= 2 and view.name == "probabilistic_coverage":
+                    # evaluate asks a column of one, so check the plain loop too
+                    plain = [naive_probabilistic_value(view, (*a, y)) for y in ys]
+                    assert [v.hex() for v in column] == [v.hex() for v in plain]
+                counts = QueryCounts()
+                counts.record(size + 1, times=len(ys))
+                assert counted.counts == counts
+                assert counted.evaluate_extensions(a, []) == []
+                assert counted.counts == counts
+
+    def test_extension_column_past_the_chain_depth(self):
+        # a is deeper than one chain of lazy products may be, for a y below,
+        # amid and above its members
+        m = functions._CHAIN_DEPTH + 8
+        rng = random.Random(97)
+        oracle = build_probabilistic_coverage(ProbabilisticCoverageSpec(
+            [1.0, 2.0, 0.5], [[rng.uniform(0.0, 2e-3) for _ in range(3)] for _ in range(m)]))
+        ys = [0, m // 2, m - 1, 3]
+        a = [x for x in range(m) if x not in ys]
+        rng.shuffle(a)
+        column = oracle.evaluate_extensions(tuple(a), ys)
+        expected = [naive_probabilistic_value(oracle, (*a, y)) for y in ys]
+        assert [v.hex() for v in column] == [v.hex() for v in expected]
+        assert column == [oracle.evaluate((*a, y)) for y in ys]
 
     def test_shared_covers_by_hand(self):
         oracle = _shared_covers()
@@ -390,8 +450,8 @@ class TestPairColumn:
         def one_at_a_time(s):
             raise AssertionError(f"{sorted(s)} asked through eval_fn")
 
-        column = _shared_covers()._pairs
-        oracle = SetFunctionOracle(6, one_at_a_time, pairs_fn=column).restricted(2)
+        column = _shared_covers()._extensions
+        oracle = SetFunctionOracle(6, one_at_a_time, extensions_fn=column).restricted(2)
         view = CountingOracle(oracle)
         assert view.evaluate_pairs(0, [1, 2, 3]) == [6.0, 7.0, 3.0]
         assert view.counts.size2 == 3
@@ -402,7 +462,7 @@ class TestPairColumn:
         x, ys, error = case
         oracle = family()
         messages = []
-        for source in (oracle, _no_column(oracle)):
+        for source in (oracle, no_column(oracle)):
             for view in (source, source.restricted(2)):
                 counted = CountingOracle(view)
                 with pytest.raises(error) as raised:
@@ -415,7 +475,7 @@ class TestPairColumn:
     def test_budget_one_column_and_fallback_alike(self, family):
         oracle = family()
         messages = []
-        for source in (oracle, _no_column(oracle)):
+        for source in (oracle, no_column(oracle)):
             counted = CountingOracle(source.restricted(1))
             with pytest.raises(BudgetExceeded) as raised:
                 counted.evaluate_pairs(0, [1, 2])
@@ -423,6 +483,37 @@ class TestPairColumn:
             assert counted.evaluate_pairs(0, []) == []
             assert (counted.counts.total, counted.counts.work_units) == (0, 0)
         assert messages == ["query of size 2 exceeds information budget 1"] * 2
+
+    @pytest.mark.parametrize("case", BAD_EXTENSIONS.values(), ids=BAD_EXTENSIONS.keys())
+    @pytest.mark.parametrize("family", COLUMN_FAMILIES.values(), ids=COLUMN_FAMILIES.keys())
+    def test_extension_column_and_fallback_refuse_alike(self, family, case):
+        a, ys, error = case
+        oracle = family()
+        messages = []
+        for source in (oracle, no_column(oracle)):
+            # a budget-2 view still reports the bad id or the overlap first
+            for view in (source, source.restricted(len(a) + 1), source.restricted(2)):
+                counted = CountingOracle(view)
+                with pytest.raises(error) as raised:
+                    counted.evaluate_extensions(a, ys)
+                messages.append(str(raised.value))
+                assert counted.evaluate_extensions(a, []) == []
+                assert (counted.counts.total, counted.counts.work_units) == (0, 0)
+        assert len(set(messages)) == 1, messages
+
+    @pytest.mark.parametrize("family", COLUMN_FAMILIES.values(), ids=COLUMN_FAMILIES.keys())
+    def test_budget_below_the_column_refuses_alike(self, family):
+        oracle = family()
+        for size in (1, 2, 3):
+            a = tuple(range(size))
+            messages = []
+            for source in (oracle, no_column(oracle)):
+                counted = CountingOracle(source.restricted(size))
+                with pytest.raises(BudgetExceeded) as raised:
+                    counted.evaluate_extensions(a, [4, 5])
+                messages.append(str(raised.value))
+                assert (counted.counts.total, counted.counts.work_units) == (0, 0)
+            assert messages == [f"query of size {size + 1} exceeds information budget {size}"] * 2
 
     def test_budget_one_view_raises_and_counts_nothing(self, chain_coverage):
         view = CountingOracle(chain_coverage.restricted(1))
