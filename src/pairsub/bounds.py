@@ -140,6 +140,8 @@ def post_hoc_bound(solution, oracle) -> BoundReport:
     solution = list(solution)
     view = CountingOracle(oracle)
     check_order(solution, view.ground_size)
+    if not solution:  # before the cache asks its m singletons
+        raise InvalidArgument("n must be >= 1, got 0")
     cache = EstimateCache(view)
     alphas = []
     for i, x_i in enumerate(solution, 1):

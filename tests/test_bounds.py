@@ -13,6 +13,7 @@ from pairsub import (
     DuplicateElement,
     InstanceTooLarge,
     InvalidAlpha,
+    InvalidArgument,
     InvalidCurvature,
     ModularSpec,
     ProbabilisticCoverageSpec,
@@ -254,6 +255,12 @@ class TestPostHocBound:
         # m-i pairs after pick i, and none after the last
         assert len(pairs) == sum(12 - i for i in range(1, len(solution)))
         assert not [s for s in pairs if solution[-1] in s and not s <= set(solution)]
+
+    def test_empty_solution_refused_before_any_query(self):
+        spy = CountingOracle(city_oracle(seed=3, count=10))
+        with pytest.raises(InvalidArgument, match="^n must be >= 1, got 0$"):
+            post_hoc_bound([], spy)
+        assert spy.counts.total == 0
 
     def test_serialization_uses_inf_string(self, chain_coverage):
         trace = greedy_optimistic(chain_coverage, 3)

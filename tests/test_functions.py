@@ -38,6 +38,7 @@ from pairsub.validation import tolerance
 from _reference import _scratch_lower, _scratch_upper, naive_probabilistic_value
 from _synth import (
     city_oracle,
+    no_column,
     random_modular,
     random_probabilistic_coverage,
     random_weighted_coverage,
@@ -100,6 +101,93 @@ class TestWeightedCoverage:
         assert check_monotone(oracle).holds
         assert check_submodular(oracle).holds
         assert check_supermodularity_of_conditioning(oracle).holds
+
+
+def _shared_covers(rng, keyed: bool):
+    """A weighted-coverage spec whose universe is smaller than its total cover
+    size, with empty covers, and the covers as sets of universe positions.
+    keyed gives a mapping universe in shuffled key order and covers as sets."""
+    universe = rng.randint(2, 9)
+    covers = [rng.sample(range(universe), rng.randint(0, universe)) if rng.random() < 0.8
+              else [] for _ in range(rng.randint(2, 16))]
+    weights = [rng.uniform(0.0, 2.0) for _ in range(universe)]
+    if not keyed:
+        return WeightedCoverageSpec(weights, covers), [frozenset(c) for c in covers]
+    keys = [f"u{e}" for e in rng.sample(range(100), universe)]  # key order is position order
+    spec = WeightedCoverageSpec(dict(zip(keys, weights)),
+                                {f"c{x}": {keys[e] for e in c} for x, c in enumerate(covers)})
+    return spec, [frozenset(c) for c in covers]
+
+
+class TestOwnerIndex:
+    INSTANCES = [_shared_covers(random.Random(seed), keyed=seed % 2 == 1) for seed in range(60)]
+
+    def test_instances_share_elements_among_three_or_more_covers(self):
+        owners = [max(sum(e in c for c in covers) for e in range(len(spec.universe_weights)))
+                  for spec, covers in self.INSTANCES]
+        assert max(owners) >= 3 and sum(o >= 3 for o in owners) >= 30
+        assert sum(frozenset() in covers for _, covers in self.INSTANCES) >= 30
+
+    def test_met_is_every_cover_that_shares_an_element(self):
+        for spec, covers in self.INSTANCES:
+            met = functions._owner_index(covers, len(spec.universe_weights))
+            for x, cover_x in enumerate(covers):
+                brute = {y for y, cover_y in enumerate(covers) if not cover_x.isdisjoint(cover_y)}
+                assert met(x) == brute, (spec, x)
+
+    def test_pair_columns_equal_the_per_set_values_bit_for_bit(self):
+        rng = random.Random(11)
+        for spec, covers in self.INSTANCES:
+            oracle = build_weighted_coverage(spec)
+            plain = no_column(oracle)
+            for x in range(len(covers)):
+                ys = [y for y in range(len(covers)) if y != x]
+                rng.shuffle(ys)
+                column = [v.hex() for v in oracle.evaluate_pairs(x, ys)]
+                assert column == [v.hex() for v in plain.evaluate_pairs(x, ys)], (spec, x)
+                assert column == [oracle.evaluate([x, y]).hex() for y in ys], (spec, x)
+
+
+BAD_VALUE = "'weighted_coverage' instance has a bad value: "
+
+
+@pytest.mark.parametrize("entry", ["instance_from_dict", "build_weighted_coverage"])
+@pytest.mark.parametrize("universe, covers, error, message", [
+    ([1.0, -2.0, "heavy"], [[0], [1]], MalformedSpec,
+     "weight -2.0 for universe element 1 is negative or not finite"),
+    ([1.0, math.nan], [[0], [1]], MalformedSpec,
+     "weight nan for universe element 1 is negative or not finite"),
+    ([1.0, math.inf], [[0], [1]], MalformedSpec,
+     "weight inf for universe element 1 is negative or not finite"),
+    ([1.0, 2.0, 3.0], [[0, 1], [2], [1, 7]], MalformedSpec,
+     "cover 2 references unknown universe element 7"),
+    ({"a": 1.0, "b": 2.0}, {"x": ["a"], "y": ["b", "c"]}, MalformedSpec,
+     "cover 'y' references unknown universe element 'c'"),
+    ([1.0, 2.0], [[0], 5], TypeError, "'int' object is not iterable"),
+    ([1.0, 2.0], [], MalformedSpec, "covers must declare at least one element"),
+    ([1.0, 2.0, 4.0], [[0], [True]], None, [1.0, 2.0]),
+    ([1.0, 2.0, 4.0], [[0], [1.0]], None, [1.0, 2.0]),
+], ids=["negative_before_non_numeric", "nan_weight", "inf_weight", "unknown_in_later_cover",
+        "missing_mapping_key", "non_iterable_cover", "no_covers", "true_is_element_1",
+        "float_is_element_1"])
+def test_weighted_coverage_parse_keeps_the_per_item_errors(entry, universe, covers, error,
+                                                           message):
+    if entry == "instance_from_dict":
+        def build():
+            return instance_from_dict({"type": "weighted_coverage",
+                                       "params": {"universe_weights": universe, "covers": covers}})
+        if error not in (None, MalformedSpec):  # the document reader names the family
+            error, message = MalformedSpec, BAD_VALUE + message
+    else:
+        def build():
+            return build_weighted_coverage(WeightedCoverageSpec(universe, covers))
+    if error is None:
+        oracle = build()
+        assert [oracle.evaluate([x]) for x in range(oracle.ground_size)] == message
+        return
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 class TestProbabilisticCoverage:
