@@ -19,7 +19,8 @@ the pick) using only size-<=2 queries, no full oracle required.
 
 Every producer shares one factor rule, _factor(num, den): 1 when both
 vanish, infinite when den vanishes under a non-vanishing num or is
-negative, else max(1, num/den).  Theorems 2/3 audit through audit_trace.
+negative, else max(1, num/den); a NaN operand raises NonFiniteValue, as a
+NaN factor does in bound_from_alphas.  Theorems 2/3 audit through audit_trace.
 The traditional curvature is tau_m, the k-cardinality curvature with every
 conditioning set allowed.
 
@@ -33,13 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, exp, inf
+from math import comb, exp, inf, isnan
 
 from .algorithms import audit_trace
 from .errors import (
     InvalidAlpha,
     InvalidArgument,
     InvalidCurvature,
+    NonFiniteValue,
     TraceMismatch,
 )
 from .oracles import CountingOracle, EstimateCache, k_wise_upper_estimate
@@ -71,14 +73,20 @@ def bound_from_alphas(alphas, n: int) -> float:
         raise InvalidArgument(f"expected {n} factors, got {len(alphas)}")
     total = 0.0
     for a in alphas:
-        if a != inf and a < 1.0:
+        if a != a:
+            raise InvalidAlpha(f"approximation factor {a} is not a number")
+        if a < 1.0:
             raise InvalidAlpha(f"approximation factor {a} below 1")
         total += 0.0 if a == inf else 1.0 / a
     return 1.0 - exp(-total / n)
 
 
 def _factor(numerator: float, denominator: float) -> float:
-    """The factor rule of every producer (module docstring)."""
+    """The factor rule of every producer (module docstring); a NaN operand
+    has no factor, so it raises NonFiniteValue rather than passing as 1."""
+    if numerator != numerator or denominator != denominator:
+        raise NonFiniteValue(f"no approximation factor of {numerator} over {denominator}: "
+                             "a nan estimate or marginal cannot be ranked")
     if near_zero(denominator):
         return 1.0 if near_zero(numerator) else inf
     if denominator < 0.0:
@@ -184,7 +192,7 @@ def k_cardinality_curvature(oracle, k: int) -> float:
     T minus its largest id and yields f(x|T minus x) for all of its members
     x, with f(T minus x) taken from the memo of the smaller sets.  The k=2
     case is the production path and costs m singletons plus one query per
-    unordered pair.
+    unordered pair.  A NaN answer raises NonFiniteValue (_answered).
     """
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
@@ -193,14 +201,14 @@ def k_cardinality_curvature(oracle, k: int) -> float:
                       else sum(comb(m - 1, size) for size in range(1, k)))
     check_enumeration(pair_count, f"tau_{k} scan", "conditioning sets")
     ids = list(range(m))
-    single = oracle.evaluate_extensions((), ids)
+    single = _answered(oracle.evaluate_extensions((), ids), (), ids)
     live = [not near_zero(fx) for fx in single]
     memo: dict[tuple, float] = {(x,): fx for x, fx in enumerate(single)}
     min_ratio = 1.0
     for x in ids:
         ys = ids[x + 1:]
         fx, live_x = single[x], live[x]
-        for y, f_t in zip(ys, oracle.evaluate_pairs(x, ys)):
+        for y, f_t in zip(ys, _answered(oracle.evaluate_pairs(x, ys), (x,), ys)):
             if k > 2:
                 memo[(x, y)] = f_t
             if live_x:
@@ -214,7 +222,7 @@ def k_cardinality_curvature(oracle, k: int) -> float:
     for size in range(3, k + 1):
         for head in combinations(ids, size - 1):
             ys = ids[head[-1] + 1:]
-            for y, f_t in zip(ys, oracle.evaluate_extensions(head, ys)):
+            for y, f_t in zip(ys, _answered(oracle.evaluate_extensions(head, ys), head, ys)):
                 t = head + (y,)
                 if size < k:
                     memo[t] = f_t
@@ -226,3 +234,15 @@ def k_cardinality_curvature(oracle, k: int) -> float:
                     if ratio < min_ratio:
                         min_ratio = ratio
     return min(1.0, max(0.0, 1.0 - min_ratio))
+
+
+def _answered(column: list, head: tuple, ys: list) -> list:
+    """column, the values f(head + {y}) for y in ys, unless one is NaN: a
+    ratio of NaN compares below nothing, so it would drop out of the scan
+    unseen.  As argmax does, the column is scanned for the NaN only when
+    its sum is NaN."""
+    if isnan(sum(column)):  # a NaN, or +inf and -inf together
+        for y, value in zip(ys, column):
+            if value != value:
+                raise NonFiniteValue(f"f({[*head, y]}) is {value}, so tau_k is undefined")
+    return column

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import DuplicateId, EmptyInput, InvalidArgument, NegativeDemand, ParseError
@@ -125,18 +126,25 @@ def build_coverage_instance(districts, cfg: KernelConfig) -> ProbabilisticCovera
     """Probabilistic-coverage spec with one candidate station per district.
 
     Stations sit at the district centroids (ids follow file order) and reach
-    district e with probability exp(-d(x,e)^2/r_s^2).
+    district e with probability exp(-d(x,e)^2/r_s^2).  Each row keeps its
+    keys in district order.  The kernel is symmetric bit for bit, since
+    fl(a - b) = -fl(b - a) and hypot takes absolute values, so each value is
+    computed once: a row copies its entries for the stations before it from
+    their rows and computes only the rest.
     """
     districts = list(districts)
     if not districts:
         raise EmptyInput("no districts supplied")
     demands = {d.id: d.demand for d in districts}
-    points = [(e.id, e.x, e.y) for e in districts]
+    keys = [e.id for e in districts]
+    points = [(e.x, e.y) for e in districts]
     r_s, exp, hypot = cfg.r_s, math.exp, math.hypot
+    rows = []
     probabilities = {}
-    for station, sx, sy in points:
+    for i, (station, (sx, sy)) in enumerate(zip(keys, points)):
+        row = list(map(itemgetter(i), rows))  # p(e, x) == p(x, e) for each e before x
         # kernel_probability(hypot(...), cfg) inlined; the same expression
-        probabilities[station] = {
-            key: exp(-((hypot(sx - x, sy - y) / r_s) ** 2)) for key, x, y in points
-        }
+        row += [exp(-((hypot(sx - x, sy - y) / r_s) ** 2)) for x, y in points[i:]]
+        rows.append(row)
+        probabilities[station] = dict(zip(keys, row))
     return ProbabilisticCoverageSpec(demands=demands, probabilities=probabilities)

@@ -21,10 +21,10 @@ extensions(a, ys) column function, so that evaluate_extensions answers
 f(a + {y}) for every y in ys in one call, whatever the size of a.  Larger
 sets keep a general pass over their members in id order, so every family
 returns the same float for any order of the ids.  For probabilistic coverage
-that pass is one chain of lazy products over miss rows boxed once, evaluated
-district by district; a column starts each chain from the product of the
-members of a below y, built once per column, and _eval's larger sets are a
-column of one.
+that pass is one chain of lazy products over miss rows built on first
+read, evaluated district by district; a column starts each chain from the
+product of the members of a below y, built once per column, and _eval's
+larger sets are a column of one.
 
 Instances serialize as {"type": <family>, "params": {...}} with params named
 exactly after the spec dataclass fields.
@@ -33,14 +33,13 @@ exactly after the spec dataclass fields.
 from __future__ import annotations
 
 import json
-from array import array
 from bisect import bisect
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from math import dist, hypot, inf, sqrt
 from operator import mul, sub
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from .errors import MalformedSpec, PairsubError
 from .oracles import SetFunctionOracle
@@ -52,13 +51,14 @@ _CHAIN_DEPTH = 1000
 
 
 class _Boxed(dict):
-    """tuple(rows[x]) for each station x, made the first time x is read."""
+    """The miss row tuple([1.0 - p for p in probabilities[x]]) of each
+    station x, made the first time a larger set reads x."""
 
-    def __init__(self, rows):
-        self.rows = rows
+    def __init__(self, probabilities):
+        self.probabilities = probabilities
 
     def __missing__(self, x):
-        row = self[x] = tuple(self.rows[x])
+        row = self[x] = tuple([1.0 - p for p in self.probabilities[x]])
         return row
 
 
@@ -92,15 +92,6 @@ def _columns(obj, what: str):
         return obj.keys(), obj.values()
     if isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
         return range(len(obj)), obj
-    raise MalformedSpec(f"{what} must be a mapping or a sequence")
-
-
-def _keyed_items(obj, what: str):
-    """(key, value) pairs from a mapping (insertion order) or sequence."""
-    if isinstance(obj, Mapping):
-        return obj.items()
-    if isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
-        return enumerate(obj)
     raise MalformedSpec(f"{what} must be a mapping or a sequence")
 
 
@@ -242,6 +233,45 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
                              extensions_fn=extensions)
 
 
+def _read_in_order(values, root_v):
+    """(ps, scale, f_x) of a station row that names every district in
+    order: one float map, a min and max check, and scale from one map.
+    None when a value is not a float in [0, 1], so the caller's per-entry
+    read raises the first bad one.  A NaN can pass min and max, but it
+    turns f_x into NaN, which no row of floats in [0, 1] gives.
+    """
+    try:
+        ps = list(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not (0.0 <= min(ps) and max(ps) <= 1.0):
+        return None
+    scale = tuple(map(mul, root_v, ps))
+    f_x = sum(map(mul, root_v, scale))
+    if f_x != f_x:
+        return None
+    return ps, scale, f_x
+
+
+def _read_by_key(station, items, district_index, root_v):
+    """(ps, scale, f_x) of any station row, entry by entry: a district the
+    row does not name has p = 0, and the first unknown district or value
+    outside [0, 1] raises."""
+    ps = [0.0] * len(root_v)
+    for key, p in items:
+        e = district_index.get(key)
+        if e is None:
+            raise MalformedSpec(f"station {station!r} references unknown district {key!r}")
+        p = float(p)
+        if not 0.0 <= p <= 1.0:
+            raise MalformedSpec(
+                f"probability {p} for station {station!r}, district {key!r} outside [0, 1]"
+            )
+        ps[e] = p
+    scale = tuple(map(mul, root_v, ps))
+    return ps, scale, sum(map(mul, root_v, scale))
+
+
 def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunctionOracle:
     """Oracle for probabilistic coverage over weighted demand districts.
 
@@ -255,12 +285,18 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     h[x] >= f(x) / 2 >= 0.  A station whose f(x) or |s_x|^2 overflows is
     rejected.
 
+    A station row that names every district in order, as
+    data.build_coverage_instance writes it, is read in bulk
+    (_read_in_order); any other row, and any row with a bad value, is read
+    entry by entry (_read_by_key), so every error keeps its type and message.
+
     A larger set chains map(mul, miss, row) over the miss rows 1 - p_x^e of
     its members in id order and takes sum((1 - q_e) * v_e) from the chain, so
-    no list is built per member.  Each row, an array of doubles, is boxed
-    into a tuple of floats the first time a larger set reads it, so a query
-    boxes no float per member; the restricted() views share the tuples, and
-    a fill that races another stores an equal one.  Each district still gets
+    no list is built per member.  Set-up keeps only p_x per station; its miss
+    row is built as a tuple of floats the first time a larger set reads it
+    (_Boxed), so a query boxes no float per member and a budget-2 view builds
+    none.  The restricted() views share the tuples, and a fill that races
+    another stores an equal one.  Each district still gets
     the operations of a plain loop over lists in the same order, the product
     ((q_1 q_2) q_3)... in id order, then 1 - q_e, then * v_e, summed over the
     districts in order, so the value is that loop's bit for bit.  The cost
@@ -275,10 +311,10 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     _eval's larger sets are a column of one with y their lowest member, so
     they start from a boxed row and build no prefix.
     """
-    demand_items = _keyed_items(spec.demands, "demands")
+    demand_keys, demand_values = _columns(spec.demands, "demands")
     district_index = {}
     demands = []
-    for key, v in demand_items:
+    for key, v in zip(demand_keys, demand_values):
         v = float(v)
         if not 0.0 <= v < inf:
             raise MalformedSpec(f"demand {v} for district {key!r} is negative or not finite")
@@ -287,47 +323,36 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     if not demands:
         raise MalformedSpec("demands must declare at least one district")
 
+    in_order = demand_keys if isinstance(demand_keys, range) else list(demand_keys)
     root_v = tuple(map(sqrt, demands))
-    no_miss = array("d", [1.0]) * len(demands)
-    rows = []    # 1 - p per district, as doubles
-    scaled = []  # s_x: sqrt(v) * p per district
-    single = []  # f(x)
-    half = []    # h[x] = f(x) - |s_x|^2 / 2
-    for station, probs in _keyed_items(spec.probabilities, "probabilities"):
-        row = no_miss[:]
-        scale = [0.0] * len(demands)
-        for key, p in _keyed_items(probs, f"probabilities[{station!r}]"):
-            e = district_index.get(key)
-            if e is None:
-                raise MalformedSpec(
-                    f"station {station!r} references unknown district {key!r}"
-                )
-            p = float(p)
-            if not 0.0 <= p <= 1.0:
-                raise MalformedSpec(
-                    f"probability {p} for station {station!r}, district {key!r} "
-                    "outside [0, 1]"
-                )
-            row[e] = 1.0 - p
-            scale[e] = root_v[e] * p
-        scale = tuple(scale)
-        f_x = sum(map(mul, root_v, scale))
+    probabilities = []  # p_x^e per district, 0.0 where a row names none
+    scaled = []         # s_x: sqrt(v) * p per district
+    single = []         # f(x)
+    half = []           # h[x] = f(x) - |s_x|^2 / 2
+    for station, probs in zip(*_columns(spec.probabilities, "probabilities")):
+        keys, values = _columns(probs, f"probabilities[{station!r}]")
+        read = None
+        if (keys if isinstance(keys, range) else list(keys)) == in_order:
+            read = _read_in_order(values, root_v)
+        if read is None:
+            read = _read_by_key(station, zip(keys, values), district_index, root_v)
+        ps, scale, f_x = read
         norm = hypot(*scale)
         norm2 = norm * norm
         if not (f_x < inf and norm2 < inf):
             raise MalformedSpec(
                 f"station {station!r} overflows: f = {f_x}, |sqrt(v) * p|^2 = {norm2}"
             )
-        rows.append(row)
+        probabilities.append(ps)
         scaled.append(scale)
         single.append(f_x)
         half.append(f_x - norm2 / 2)
-    if not rows:
+    if not probabilities:
         raise MalformedSpec("probabilities must declare at least one station")
 
     v = tuple(demands)
     ones = (1.0,) * len(v)
-    boxed = _Boxed(rows)
+    boxed = _Boxed(probabilities)
 
     def pairs(x: int, ys: list) -> list:
         half_x, scaled_x = half[x], scaled[x]
@@ -364,7 +389,7 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
         ordered = sorted(s)
         return extensions(tuple(ordered[1:]), (ordered[0],))[0]
 
-    return SetFunctionOracle(len(rows), _eval, name="probabilistic_coverage", spec=spec,
+    return SetFunctionOracle(len(probabilities), _eval, name="probabilistic_coverage", spec=spec,
                              extensions_fn=extensions)
 
 

@@ -16,6 +16,7 @@ from pairsub import (
     InvalidArgument,
     InvalidCurvature,
     ModularSpec,
+    NonFiniteValue,
     ProbabilisticCoverageSpec,
     SetFunctionOracle,
     TraceMismatch,
@@ -39,7 +40,7 @@ from pairsub import (
     post_hoc_bound,
     traditional_curvature,
 )
-from pairsub import validation
+from pairsub import bounds, validation
 
 from _reference import (
     naive_k_cardinality_curvature,
@@ -401,6 +402,66 @@ class TestCurvatures:
             assert c >= c2 - 1e-9
             for k in (3, 4):
                 assert c2 >= k_marginal_curvature(oracle, x, s, k) - 1e-9
+
+
+def nan_pair_oracle(pair=frozenset({0, 2})):
+    """Modular weights 4, 3, 2, 1 on four elements, except that f(pair) is NaN."""
+    weights = (4.0, 3.0, 2.0, 1.0)
+    return SetFunctionOracle(4, lambda s: math.nan if s == pair else sum(weights[x] for x in s))
+
+
+class TestNaNAnswers:
+    """A NaN compares false with everything, so it must be refused by name
+    rather than fall out of a max or a min as if it were not there."""
+
+    @pytest.mark.parametrize(("numerator", "denominator"),
+                             [(5.0, math.nan), (math.nan, 5.0), (math.nan, math.nan),
+                              (math.nan, 0.0), (0.0, math.nan)])
+    def test_factor_refuses_a_nan_operand(self, numerator, denominator):
+        with pytest.raises(NonFiniteValue, match="no approximation factor"):
+            bounds._factor(numerator, denominator)
+
+    def test_certificate_refuses_a_nan_pair(self):
+        # the NaN of f({0, 2}) reaches only the lower estimate of 2, the third pick
+        with pytest.raises(NonFiniteValue, match="over nan"):
+            post_hoc_bound([0, 1, 2], nan_pair_oracle().restricted(2))
+
+    def test_certificate_before_the_nan_is_read_is_unchanged(self):
+        report = post_hoc_bound([0, 1], nan_pair_oracle().restricted(2))
+        assert report.alphas == [1.0, 1.0]
+
+    def test_bound_refuses_a_nan_factor(self):
+        with pytest.raises(InvalidAlpha, match="approximation factor nan is not a number"):
+            bound_from_alphas([math.nan], 1)
+        with pytest.raises(InvalidAlpha):
+            bound_from_alphas([1.0, math.nan, INF], 3)
+
+    def test_tau_2_refuses_a_nan_pair(self):
+        with pytest.raises(NonFiniteValue, match=r"f\(\[0, 2\]\) is nan"):
+            k_cardinality_curvature(nan_pair_oracle(), 2)
+
+    def test_tau_2_with_every_pair_nan_is_refused_not_zero(self):
+        oracle = SetFunctionOracle(3, lambda s: math.nan if len(s) == 2 else float(len(s)))
+        with pytest.raises(NonFiniteValue, match=r"f\(\[0, 1\]\) is nan"):
+            k_cardinality_curvature(oracle, 2)
+
+    def test_tau_2_refuses_a_nan_singleton(self):
+        oracle = SetFunctionOracle(3, lambda s: math.nan if s == {1} else float(len(s)))
+        with pytest.raises(NonFiniteValue, match=r"f\(\[1\]\) is nan"):
+            k_cardinality_curvature(oracle, 2)
+
+    def test_tau_3_refuses_a_nan_triple(self):
+        oracle = nan_pair_oracle(frozenset({1, 2, 3}))
+        assert k_cardinality_curvature(oracle, 2) == 0.0  # modular below size 3
+        with pytest.raises(NonFiniteValue, match=r"f\(\[1, 2, 3\]\) is nan"):
+            k_cardinality_curvature(oracle, 3)
+
+    def test_infinite_answers_of_both_signs_are_not_nan(self):
+        # +inf and -inf in one column sum to NaN, yet no answer is NaN
+        values = {frozenset(): 0.0, frozenset({0}): 1.0, frozenset({1}): 1.0,
+                  frozenset({2}): 1.0, frozenset({0, 1}): INF, frozenset({0, 2}): -INF,
+                  frozenset({1, 2}): 2.0}
+        assert k_cardinality_curvature(SetFunctionOracle(3, values.__getitem__), 2) == 1.0
 
 
 class TestSoundnessAndValidity:

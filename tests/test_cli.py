@@ -63,6 +63,19 @@ BAD_TRACES = {
 }
 
 
+@pytest.mark.parametrize("method", [["--method", "theorem2"], ["--method", "theorem3", "--k", "2"]],
+                         ids=["theorem2", "theorem3"])
+def test_nan_estimate_is_no_certificate(inputs, capsys, method):
+    # json writes and reads NaN; max(1, nan) would have passed it as a factor of 1
+    doc = json.loads(third_pick(1))
+    doc["selections"][2]["estimate"] = float("nan")
+    (inputs / "trace.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(["bound", "--instance", "inst.json", "--trace", "trace.json", *method],
+                        capsys)
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: no approximation factor of nan over ")
+
+
 # Every method that reads the trace's selections; the default keeps the bare id.
 TRACE_METHODS = {"": [], "-theorem2": ["--method", "theorem2"],
                  "-theorem3": ["--method", "theorem3", "--k", "2"]}

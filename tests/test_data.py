@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -171,7 +172,13 @@ class TestBuildCoverageInstance:
 
     def test_probabilities_are_the_kernel_of_the_distance(self):
         districts = synthetic_districts(random.Random(8), 40)
-        for cfg in (KernelConfig(1.0), KernelConfig(0.37), KernelConfig(6.0)):
+        # coincident points, points mirrored through the origin into negative
+        # coordinates, and points 0.27 apart, whose kernel at r_s = 0.01 is subnormal
+        districts += [District(f"same{i}", d.x, d.y, 1.0) for i, d in enumerate(districts[:3])]
+        districts += [District(f"mirror{i}", -d.x, -d.y, 2.0) for i, d in enumerate(districts[:6])]
+        districts += [District("near0", -0.135, 0.0, 1.0), District("near1", 0.135, 0.0, 1.0)]
+        for cfg in (KernelConfig(1.0), KernelConfig(0.37), KernelConfig(6.0),
+                    KernelConfig(0.01), KernelConfig(1e-150)):
             spec = build_coverage_instance(districts, cfg)
             assert list(spec.probabilities) == [d.id for d in districts]
             for s in districts:
@@ -179,4 +186,6 @@ class TestBuildCoverageInstance:
                 assert list(row) == [e.id for e in districts]
                 for e in districts:
                     expected = kernel_probability(math.hypot(s.x - e.x, s.y - e.y), cfg)
-                    assert row[e.id] == expected  # bit for bit
+                    assert row[e.id].hex() == expected.hex()  # bit for bit
+        subnormal = build_coverage_instance(districts, KernelConfig(0.01)).probabilities
+        assert 0.0 < subnormal["near0"]["near1"] < sys.float_info.min

@@ -28,7 +28,9 @@ from pairsub import (
     check_normalized,
     check_submodular,
     check_supermodularity_of_conditioning,
+    greedy_optimistic,
     instance_from_dict,
+    post_hoc_bound,
     spec_from_dict,
 )
 
@@ -409,6 +411,161 @@ class TestProbabilisticLargeSets:
         oracle = build_probabilistic_coverage(ProbabilisticCoverageSpec(
             [1.0], [[rng.uniform(0.0, 1e-5)] for _ in range(m)]))
         assert oracle.evaluate(range(m)) == naive_probabilistic_value(oracle, range(m))
+
+
+def _row_shapes(rng, m, districts):
+    """One probability table in four row shapes, each with whether the
+    builder reads its rows in bulk: mapping rows naming every district in
+    order, the same rows with their keys reversed, the rows without their
+    zero entries (each has one), and list rows under list demands."""
+    keys = [f"d{e}" for e in range(districts)]
+    demands = [rng.uniform(0.0, 3.0) for _ in keys]
+    table = [[rng.choice((0.0, 1.0, rng.random())) for _ in keys] for _ in range(m)]
+    for x, row in enumerate(table):
+        row[x % districts] = 0.0
+    stations = [f"s{x}" for x in range(m)]
+    keyed = [dict(zip(keys, row)) for row in table]
+    mapped = dict(zip(keys, demands))
+    return {
+        "in_order": (ProbabilisticCoverageSpec(mapped, dict(zip(stations, keyed))), True),
+        "shuffled": (ProbabilisticCoverageSpec(mapped, {
+            s: dict(reversed(row.items())) for s, row in zip(stations, keyed)}), False),
+        "partial": (ProbabilisticCoverageSpec(mapped, {
+            s: {k: p for k, p in row.items() if p} for s, row in zip(stations, keyed)}), False),
+        "lists": (ProbabilisticCoverageSpec(demands, table), True),
+    }
+
+
+SHAPES = ["in_order", "shuffled", "partial", "lists"]
+
+
+def _hex_singles_and_pairs(oracle):
+    m = oracle.ground_size
+    return ([oracle.evaluate([x]).hex() for x in range(m)]
+            + [oracle.evaluate([x, y]).hex() for x in range(m) for y in range(x + 1, m)])
+
+
+class TestStationRowReads:
+    """A row naming every district in order is read in bulk and any other
+    row entry by entry; both reads give the same oracle bit for bit, and the
+    miss rows of larger sets are built only when a larger set reads them."""
+
+    @pytest.mark.parametrize("seed, m, districts", [(21, 8, 2), (22, 12, 7), (23, 9, 30)])
+    def test_each_shape_takes_its_read_and_gives_the_same_values(self, monkeypatch, seed, m,
+                                                                 districts):
+        by_key = []
+        read_by_key = functions._read_by_key
+        monkeypatch.setattr(functions, "_read_by_key",
+                            lambda *args: by_key.append(args[0]) or read_by_key(*args))
+        rng = random.Random(seed)
+        expected = None
+        for name, (spec, bulk) in _row_shapes(rng, m, districts).items():
+            by_key.clear()
+            oracle = build_probabilistic_coverage(spec)
+            assert by_key == ([] if bulk else list(spec.probabilities)), name
+            values = _hex_singles_and_pairs(oracle)
+            expected = expected or values
+            assert values == expected, name
+            for size in (3, 5, m):
+                for _ in range(4):
+                    ids = rng.sample(range(m), size)
+                    assert oracle.evaluate(ids) == naive_probabilistic_value(oracle, ids), name
+
+    @pytest.mark.parametrize("pairs_first", [True, False], ids=["pairs_first", "chains_first"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_budget_2_view_builds_no_chain_row(self, monkeypatch, shape, pairs_first):
+        built = []
+        missing = functions._Boxed.__missing__
+        monkeypatch.setattr(functions._Boxed, "__missing__",
+                            lambda boxed, x: built.append(x) or missing(boxed, x))
+        rng = random.Random(31)
+        m = 10
+        spec, _ = _row_shapes(rng, m, 6)[shape]
+        expected_pairs = _hex_singles_and_pairs(build_probabilistic_coverage(spec))
+        sets = [rng.sample(range(m), rng.randint(3, m)) for _ in range(12)]
+        built.clear()
+        oracle = build_probabilistic_coverage(spec)
+        view = oracle.restricted(2)
+        assert built == []  # set-up builds none
+
+        def pairs():
+            values = _hex_singles_and_pairs(view)
+            run = greedy_optimistic(view, 4)
+            post_hoc_bound(run.selected_order, view)
+            return values
+
+        def chains():
+            return [oracle.evaluate(ids).hex() for ids in sets]
+
+        if pairs_first:
+            assert pairs() == expected_pairs
+            assert built == []
+            chain_values = chains()
+        else:
+            chain_values = chains()
+            assert pairs() == expected_pairs
+        assert chain_values == [naive_probabilistic_value(oracle, ids).hex() for ids in sets]
+        assert sorted(built) == sorted({x for ids in sets for x in ids})  # each row once
+
+
+PROBABILITY_ERRORS = {
+    "unknown_district": (MalformedSpec, "station {s} references unknown district {k}"),
+    "above_one": (MalformedSpec, "probability 1.5 for station {s}, district {d} outside [0, 1]"),
+    "negative": (MalformedSpec, "probability -0.1 for station {s}, district {d} outside [0, 1]"),
+    "nan": (MalformedSpec, "probability nan for station {s}, district {d} outside [0, 1]"),
+    "string": (ValueError, "could not convert string to float: 'x'"),
+    "none": (TypeError, None),  # float()'s own message, which differs across versions
+    "above_one_before_string": (
+        MalformedSpec, "probability 1.5 for station {s}, district {d} outside [0, 1]"),
+}
+BAD_PROBABILITY = {"above_one": 1.5, "negative": -0.1, "nan": math.nan, "string": "x",
+                   "none": None}
+
+
+def _bad_probability_spec(form, row, case):
+    """Three valid station rows over three districts, with row `row` spoiled
+    at its middle district, as mappings in district order or as lists."""
+    good = [0.25, 0.5, 0.75]
+    probabilities = [list(good) for _ in range(3)]
+    if case == "unknown_district":
+        probabilities[row].append(0.5)
+    elif case == "above_one_before_string":
+        probabilities[row][1:] = [1.5, "x"]
+    else:
+        probabilities[row][1] = BAD_PROBABILITY[case]
+    if form == "list":
+        return [1.0, 2.0, 3.0], probabilities, {"s": row, "d": 1, "k": 3}
+    keys = ["d0", "d1", "d2", "dx"]
+    rows = {f"s{x}": dict(zip(keys, p)) for x, p in enumerate(probabilities)}
+    return (dict(zip(keys, [1.0, 2.0, 3.0])), rows,
+            {"s": repr(f"s{row}"), "d": "'d1'", "k": "'dx'"})
+
+
+@pytest.mark.parametrize("entry", ["build_probabilistic_coverage", "instance_from_dict"])
+@pytest.mark.parametrize("row", [0, 1], ids=["first_row", "middle_row"])
+@pytest.mark.parametrize("form", ["mapping", "list"])
+@pytest.mark.parametrize("case", list(PROBABILITY_ERRORS))
+def test_probabilistic_coverage_errors_keep_their_type_and_message(entry, row, form, case):
+    demands, probabilities, names = _bad_probability_spec(form, row, case)
+    error, message = PROBABILITY_ERRORS[case]
+    if message is None:
+        with pytest.raises(TypeError) as raised:
+            float(None)
+        message = str(raised.value)
+    message = message.format(**names)
+    if entry == "instance_from_dict":
+        def build():
+            return instance_from_dict({"type": "probabilistic_coverage",
+                                       "params": {"demands": demands,
+                                                  "probabilities": probabilities}})
+        if error is not MalformedSpec:  # the document reader names the family
+            error, message = MalformedSpec, "'probabilistic_coverage' instance has a bad value: " + message
+    else:
+        def build():
+            return build_probabilistic_coverage(ProbabilisticCoverageSpec(demands, probabilities))
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def _oracle_of(family, data):
