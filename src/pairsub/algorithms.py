@@ -4,7 +4,7 @@ Every strategy emits a RunTrace recording, per iteration, the element chosen
 and the estimate value that won the argmax.  Ties always break toward the
 lowest element id, so runs are deterministic.  The pairwise strategies
 (optimistic, pessimistic) issue only size-1 and size-2 queries, at most
-m*(n+1) of them, via the incremental EstimateCache recursions.  The full
+m*(n+1) of them, and fold each pick into the one estimate they rank by.  The full
 greedy asks f(empty) once and f(S + y) for every remaining y in each round:
 1 + n*(m+1) - n*(n+1)/2 queries, of sets up to size n.
 """
@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, inf
 
 from .errors import InvalidArgument, NonFiniteValue, ParseError
-from .oracles import CountingOracle, EstimateCache, QueryCounts, argmax, fold_k_wise
+from .oracles import CountingOracle, QueryCounts, argmax, fold_k_wise, fold_lower
 from .validation import check_cardinality, check_enumeration, check_order
 
 
@@ -101,16 +101,6 @@ def trace_from_dict(doc: dict) -> RunTrace:
     return trace
 
 
-def _finish(algorithm, n, selections, view) -> RunTrace:
-    return RunTrace(
-        algorithm=algorithm,
-        n=n,
-        selections=selections,
-        final_set=sorted(s.element for s in selections),
-        query_counts=view.counts,
-    )
-
-
 def greedy_full(oracle, n: int) -> RunTrace:
     """Classical greedy with full access: maximize the true marginal.
 
@@ -132,7 +122,7 @@ def greedy_full(oracle, n: int) -> RunTrace:
         remaining.remove(x)
         insort(picks, x)
         f_s = raw[x]
-    return _finish("full", n, selections, view)
+    return RunTrace("full", n, selections, picks, view.counts)
 
 
 def greedy_uninformed(oracle, n: int) -> RunTrace:
@@ -140,30 +130,16 @@ def greedy_uninformed(oracle, n: int) -> RunTrace:
 
     The k-wise loop at k = 1: only the m singletons are asked.
     """
-    return _k_wise_greedy("uninformed", oracle, n, 1)
-
-
-def _pairwise_greedy(algorithm, oracle, n: int, pick) -> RunTrace:
-    """Take pick(cache) n times, folding each pick but the last into the cache."""
-    check_cardinality(n, oracle.ground_size)
-    view = CountingOracle(oracle)
-    cache = EstimateCache(view)
-    selections = []
-    for i in range(1, n + 1):
-        x, value = pick(cache)
-        selections.append(Selection(i, x, value))
-        if i < n:
-            cache.condition_on(x, view)
-    return _finish(algorithm, n, selections, view)
+    return _greedy("uninformed", oracle, n, 1)
 
 
 def greedy_optimistic(oracle, n: int) -> RunTrace:
-    """Maximize the pairwise upper estimate, updated incrementally.
+    """Maximize the pairwise upper estimate: the k-wise greedy at k = 2.
 
     Issues exactly m size-1 queries plus m-i size-2 queries after the i-th
     pick, one per remaining candidate: under m*(n+1) queries total.
     """
-    return _pairwise_greedy("optimistic", oracle, n, EstimateCache.argmax_upper)
+    return _greedy("optimistic", oracle, n, 2)
 
 
 def greedy_pessimistic(oracle, n: int) -> RunTrace:
@@ -173,26 +149,30 @@ def greedy_pessimistic(oracle, n: int) -> RunTrace:
     under supermodularity of conditioning, which is the caller's
     responsibility to have checked.  Queries as for greedy_optimistic.
     """
-    return _pairwise_greedy("pessimistic", oracle, n, EstimateCache.argmax_lower)
+    return _greedy("pessimistic", oracle, n, None)
 
 
-def _k_wise_greedy(algorithm, oracle, n: int, k: int) -> RunTrace:
-    """Maximize the k-wise upper estimate, folding each pick but the last in."""
+def _greedy(algorithm, oracle, n: int, k: int | None) -> RunTrace:
+    """Maximize the k-wise upper estimate, or with k None the pairwise lower
+    one, folding each pick but the last into the one table it ranks by."""
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
     ids = list(range(view.ground_size))
     singletons = dict(zip(ids, view.evaluate_extensions((), ids)))
-    upper = dict(singletons)
+    table = dict(singletons)
     selected: list[int] = []
     selections = []
     for i in range(1, n + 1):
-        x, value = argmax(upper)
+        x, value = argmax(table)
         selections.append(Selection(i, x, value))
-        del upper[x]
+        del table[x]
         if i < n:
-            fold_k_wise(view, upper, selected, x, singletons[x], k)
-            selected.append(x)
-    return _finish(algorithm, n, selections, view)
+            if k is None:
+                fold_lower(view, table, singletons, x)
+            else:
+                fold_k_wise(view, table, selected, x, singletons[x], k)
+        selected.append(x)
+    return RunTrace(algorithm, n, selections, sorted(selected), view.counts)
 
 
 def greedy_k_wise_optimistic(oracle, n: int, k: int) -> RunTrace:
@@ -206,7 +186,7 @@ def greedy_k_wise_optimistic(oracle, n: int, k: int) -> RunTrace:
     f only.
     """
     check_run("k_wise_optimistic", k)
-    return replace(_k_wise_greedy("k_wise_optimistic", oracle, n, k), k=k)
+    return replace(_greedy("k_wise_optimistic", oracle, n, k), k=k)
 
 
 def brute_force_optimal(oracle, n: int):

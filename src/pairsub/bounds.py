@@ -143,14 +143,15 @@ def post_hoc_bound(solution, oracle) -> BoundReport:
     For each prefix, the factor is _factor(best remaining upper estimate,
     the pick's lower estimate).  Only size-<=2 queries are issued: m
     singletons, then one pair per remaining candidate after each pick but
-    the last, since no factor follows it.
+    the last, since no factor follows it.  Only the picks' lower estimates
+    are read, so only theirs are kept.
     """
     solution = list(solution)
     view = CountingOracle(oracle)
     check_order(solution, view.ground_size)
     if not solution:  # before the cache asks its m singletons
         raise InvalidArgument("n must be >= 1, got 0")
-    cache = EstimateCache(view)
+    cache = EstimateCache(view, solution)
     alphas = []
     for i, x_i in enumerate(solution, 1):
         alphas.append(_factor(cache.argmax_upper()[1], cache.lower[x_i]))
@@ -172,12 +173,15 @@ def traditional_curvature(full_oracle) -> float:
 
 
 def k_marginal_curvature(full_oracle, x: int, ids, k: int) -> float:
-    """c_k(x|S) = 1 - f(x|S)/upper_k(x|S); zero when both vanish."""
+    """c_k(x|S) = 1 - f(x|S)/upper_k(x|S), zero when upper_k vanishes, in
+    [0, 1]; NonFiniteValue, naming x and S, when f(x|S) or the ratio is NaN."""
     true_marginal = full_oracle.marginal(x, ids)
     upper = k_wise_upper_estimate(full_oracle, x, ids, k)
-    if near_zero(upper):
-        return 0.0
-    return min(1.0, max(0.0, 1.0 - true_marginal / upper))
+    c = 0.0 if near_zero(upper) else 1.0 - true_marginal / upper
+    if c != c or true_marginal != true_marginal:
+        raise NonFiniteValue(f"c_{k}({x}|{sorted(ids)}) is undefined: f(x|S) is "
+                             f"{true_marginal} and its upper estimate {upper}")
+    return min(1.0, max(0.0, c))
 
 
 def k_cardinality_curvature(oracle, k: int) -> float:

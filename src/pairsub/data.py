@@ -41,10 +41,11 @@ class KernelConfig:
 
 
 def kernel_probability(d: float, cfg: KernelConfig) -> float:
-    """exp(-d^2 / r_s^2); 1 at zero distance, strictly decreasing."""
+    """exp(-d^2 / r_s^2); 1 at zero distance, decreasing to 0.0 far away."""
     if d < 0:
         raise InvalidArgument(f"distance must be non-negative, got {d}")
-    return math.exp(-((d / cfg.r_s) ** 2))
+    q = d / cfg.r_s  # exp(-q^2) is 0.0 from q = 28 on; q^2 overflows above 1.3e154
+    return math.exp(-(q ** 2)) if q < 1e154 else 0.0
 
 
 def _parse_rows(reader, source: str) -> list[District]:
@@ -143,8 +144,10 @@ def build_coverage_instance(districts, cfg: KernelConfig) -> ProbabilisticCovera
     probabilities = {}
     for i, (station, (sx, sy)) in enumerate(zip(keys, points)):
         row = list(map(itemgetter(i), rows))  # p(e, x) == p(x, e) for each e before x
-        # kernel_probability(hypot(...), cfg) inlined; the same expression
-        row += [exp(-((hypot(sx - x, sy - y) / r_s) ** 2)) for x, y in points[i:]]
+        try:  # kernel_probability(hypot(...), cfg) inlined; the same expression
+            row += [exp(-((hypot(sx - x, sy - y) / r_s) ** 2)) for x, y in points[i:]]
+        except OverflowError:
+            row += [kernel_probability(hypot(sx - x, sy - y), cfg) for x, y in points[i:]]
         rows.append(row)
         probabilities[station] = dict(zip(keys, row))
     return ProbabilisticCoverageSpec(demands=demands, probabilities=probabilities)

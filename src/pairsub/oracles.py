@@ -11,15 +11,14 @@ return f(x|S) are kept on top of small queries:
   pessimistic bound (valid under supermodularity of conditioning; may be
   negative).
 
-A greedy run keeps one table of these values, keyed by the candidates that
-remain: a pick deletes its key, so the keys stay in ascending id order, and
-argmax(table) is the one pick rule, ties going to the lowest id.
+A greedy run keeps one table of the estimate it ranks by, keyed by the
+candidates that remain: a pick deletes its key, so the keys stay in
+ascending id order, and argmax(table) is the one pick rule, ties going to
+the lowest id.  fold_k_wise (upper) and fold_lower fold a pick in, at k = 2
+in constant time per candidate from one column of pairs {x, x_i}.
 
-EstimateCache keeps the upper and lower tables for the pairwise strategies
-and updates them in constant time per candidate when the partial solution
-grows, which is what makes them linear in the number of selections.  Each
-growth step asks for one column of pairs {x, x_i} over the remaining
-candidates through evaluate_pairs.
+EstimateCache keeps both tables for Algorithm 1, which reads the best upper
+estimate and the picks' lower ones: lower covers only the ids it tracks.
 
 Every strategy asks its sets by column: evaluate_extensions(a, ys) is
 [f(a + {y}) for y in ys], checked once per column with evaluate's errors and
@@ -33,6 +32,7 @@ SetFunctionOracle.evaluate, with its id and budget checks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf, isnan
@@ -249,6 +249,14 @@ def fold_k_wise(oracle, upper: dict, earlier, y: int, f_y: float, k: int) -> Non
                     upper[x] = marg
 
 
+def fold_lower(oracle, lower: dict, base: dict, y: int) -> None:
+    """Take f(x) - f(x|y) from lower[x] for each candidate x in lower, from one
+    evaluate_pairs column; base holds f({x}) for every id."""
+    f_y = base[y]
+    for x, f_xy in zip(lower, oracle.evaluate_pairs(y, list(lower))):
+        lower[x] -= base[x] - (f_xy - f_y)
+
+
 def argmax(table: dict) -> tuple[int, float]:
     """The key of table with the highest value, and that value.
 
@@ -273,24 +281,26 @@ def argmax(table: dict) -> tuple[int, float]:
 
 
 class EstimateCache:
-    """Current upper/lower marginal estimates for every unselected element.
+    """Marginal estimates conditioned on the current partial solution.
 
-    base holds f(x) for all elements, asked as one column; upper and lower
-    hold the estimates conditioned on the current partial solution, keyed
-    by the remaining candidates in ascending order.  condition_on folds one
-    new selection into both estimates with one column of pairwise queries,
+    base holds f(x) for all elements, asked as one column; upper holds every
+    remaining candidate's upper estimate and lower the lower estimate of the
+    remaining tracked ids (every id by default), keys ascending.  condition_on
+    folds one new selection into both with one column of pairwise queries,
     asked through oracle.evaluate_pairs, over the remaining candidates.
     Owned by a single run.
     """
 
-    def __init__(self, oracle):
+    def __init__(self, oracle, tracked=None):
         ids = list(range(oracle.ground_size))
+        tracked = ids if tracked is None else list(tracked)
+        check_element_ids(tracked, len(ids))  # before any query
         self.base = dict(zip(ids, oracle.evaluate_extensions((), ids)))
         self.upper = dict(self.base)
-        self.lower = dict(self.base)
+        self.lower = {x: self.base[x] for x in sorted(tracked)}
 
     def condition_on(self, x_i: int, oracle) -> None:
-        """Move x_i into the conditioning set and refresh all candidates.
+        """Move x_i into the conditioning set and refresh the candidates.
 
         The column is answered before anything changes, so a query the
         oracle refuses leaves the cache as it was.
@@ -301,13 +311,15 @@ class EstimateCache:
         order = list(upper)
         order.remove(x_i)
         pairs = oracle.evaluate_pairs(x_i, order)
-        del upper[x_i], lower[x_i]
+        del upper[x_i]
+        lower.pop(x_i, None)
         f_xi = base[x_i]
         for x, f_pair in zip(order, pairs):
             pm = f_pair - f_xi
             if pm < upper[x]:
                 upper[x] = pm
-            lower[x] -= base[x] - pm
+        for x in lower:  # order ascends, so x's pair sits at x's rank in it
+            lower[x] -= base[x] - (pairs[bisect_left(order, x)] - f_xi)
 
     def argmax_upper(self) -> tuple[int, float]:
         return argmax(self.upper)

@@ -1,5 +1,6 @@
 """Greedy strategies, traces, query budgets, and the brute-force reference."""
 
+import hashlib
 import json
 import math
 import random
@@ -49,7 +50,7 @@ from _reference import (
     naive_greedy_pessimistic,
     naive_post_hoc_bound,
 )
-from _synth import city_oracle, no_column, random_soc_oracle
+from _synth import city_oracle, no_column, random_soc_oracle, random_weighted_coverage
 
 
 @pytest.fixture
@@ -432,6 +433,65 @@ def test_family_columns_and_per_set_fallback_run_alike(oracle):
         expected.record(i, times=m - i + 1)
     assert full_counts == expected
     assert full_counts.total == 1 + n * (m + 1) - n * (n + 1) // 2
+
+
+def _logged(oracle):
+    """The same function and budget with no column, and the list of every set
+    asked, in order."""
+    asked = []
+
+    def eval_fn(s):
+        asked.append(tuple(sorted(s)))
+        return oracle._eval(s)
+
+    return SetFunctionOracle(oracle.ground_size, eval_fn, budget=oracle.budget), asked
+
+
+def _pass_digest(asked, values):
+    """The number of sets asked and a hash of those sets, in order, and of values by .hex()."""
+    text = repr((asked, [v.hex() for v in values]))
+    return len(asked), hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# (instance, n, {pass: digest}); the runs also pin their selections
+PASS_PINS = {
+    "city": (lambda: city_oracle(seed=9, count=60).restricted(2), 8, {
+        "optimistic": ([12, 22, 9, 18, 27, 40, 11, 26], (452, "a4ddd7e5a7da9302")),
+        "pessimistic": ([12, 22, 9, 18, 27, 40, 26, 39], (452, "55e0ab53fc1f1cb8")),
+        "cert_optimistic": (452, "c84e2d5f103d96c1"),
+        "cert_pessimistic": (452, "8afa59f8b489bc82"),
+        "cert_random": (452, "e9fb1210095f0583"),
+    }),
+    "coverage": (lambda: random_weighted_coverage(random.Random(23), 50).restricted(2), 10, {
+        "optimistic": ([21, 19, 9, 32, 7, 49, 26, 29, 40, 46], (455, "5080f13f24c05134")),
+        "pessimistic": ([21, 19, 39, 34, 28, 11, 31, 33, 43, 15], (455, "a9fecfde3de31c40")),
+        "cert_optimistic": (455, "d551313e58375852"),
+        "cert_pessimistic": (455, "85280c3ae9cc665c"),
+        "cert_random": (455, "a3e693e0ca408ef7"),
+    }),
+}
+
+
+@pytest.mark.parametrize("instance", PASS_PINS)
+def test_each_pass_asks_and_estimates_as_pinned(instance):
+    """The sets each pairwise pass asks, in order, its estimates, alphas and
+    gamma by .hex(), and the runs' picks, on a city and a weighted coverage."""
+    build, n, pins = PASS_PINS[instance]
+    oracle = build()
+    digests = {}
+    for strategy in (greedy_optimistic, greedy_pessimistic):
+        view, asked = _logged(oracle)
+        run = strategy(view, n)
+        digests[run.algorithm] = (run.selected_order,
+                                  _pass_digest(asked, [s.estimate for s in run.selections]))
+        orders = {run.algorithm: run.selected_order}
+        if run.algorithm == "pessimistic":
+            orders["random"] = random.Random(5).sample(range(oracle.ground_size), n)
+        for name, order in orders.items():
+            view, asked = _logged(oracle)
+            cert = post_hoc_bound(order, view)
+            digests[f"cert_{name}"] = _pass_digest(asked, [*cert.alphas, cert.gamma])
+    assert digests == pins
 
 
 @st.composite

@@ -456,6 +456,13 @@ class TestNaNAnswers:
         with pytest.raises(NonFiniteValue, match=r"f\(\[1, 2, 3\]\) is nan"):
             k_cardinality_curvature(oracle, 3)
 
+    def test_k_marginal_curvature_refuses_a_nan_marginal(self):
+        # max(0.0, nan) is 0.0, so a clamp alone would report no curvature
+        oracle = nan_pair_oracle(frozenset({0, 1, 2}))
+        assert k_marginal_curvature(oracle, 0, [1, 3], 2) == 0.0  # modular elsewhere
+        with pytest.raises(NonFiniteValue, match=r"c_2\(0\|\[1, 2\]\) is undefined: f\(x\|S\) is nan"):
+            k_marginal_curvature(oracle, 0, [1, 2], 2)
+
     def test_infinite_answers_of_both_signs_are_not_nan(self):
         # +inf and -inf in one column sum to NaN, yet no answer is NaN
         values = {frozenset(): 0.0, frozenset({0}): 1.0, frozenset({1}): 1.0,

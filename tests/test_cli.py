@@ -193,6 +193,18 @@ def test_bad_flag_exits_2(inputs, capsys, argv):
     assert out.err.startswith("error: ") and out.out == ""
 
 
+def test_districts_too_far_apart_for_the_kernel_run(inputs, capsys):
+    """(d / r_s) ** 2 overflows a float for every pair but a and c, which
+    coincide: b is out of reach of both, so a covers 1 + 3 and b only 2."""
+    (inputs / "far.csv").write_text(DISTRICTS + "c,0,0,3\n", encoding="utf-8")
+    code, out = run_cli("run --districts far.csv --rs 1e-300 --algo optimistic --n 2".split(),
+                        capsys)
+    assert (code, out.err) == (0, "")
+    selections = json.loads(out.out)["selections"]
+    assert [s["element"] for s in selections] == [0, 1]
+    assert [s["estimate"] for s in selections] == pytest.approx([4.0, 2.0])
+
+
 def test_refused_adversarial_run_prints_only_the_error(inputs, capsys):
     adversarial = {"type": "adversarial", "params": {"V": [0, 1], "V_star": [2], "k": 1}}
     (inputs / "adv.json").write_text(json.dumps(adversarial), encoding="utf-8")

@@ -115,6 +115,13 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel_probability(-0.1, KernelConfig(1.0))
 
+    def test_beyond_the_float_range_is_zero(self):
+        # (d / r_s) ** 2 overflows a float here; 0.0 is the limit of exp(-d^2 / r_s^2)
+        cfg = KernelConfig(1e-300)
+        assert kernel_probability(math.sqrt(2.0), cfg) == 0.0
+        assert kernel_probability(math.inf, KernelConfig(1.0)) == 0.0
+        assert kernel_probability(0.0, cfg) == 1.0
+
     def test_rs_must_be_positive(self):
         with pytest.raises(ValueError):
             KernelConfig(0.0)
@@ -131,6 +138,15 @@ class TestBuildCoverageInstance:
         oracle = build_oracle(build_coverage_instance(districts, KernelConfig(1.0)))
         assert oracle.evaluate([0]) == pytest.approx(2.0)
         assert oracle.evaluate([1]) == pytest.approx(2.0)
+
+    def test_far_points_get_zero_and_coincident_points_one(self):
+        # at r_s = 1e-300 the squared ratio of every nonzero distance overflows
+        districts = [District("a", 0.0, 0.0, 1.0), District("b", 1.0, 1.0, 2.0),
+                     District("c", 0.0, 0.0, 3.0)]
+        p = build_coverage_instance(districts, KernelConfig(1e-300)).probabilities
+        assert p == {"a": {"a": 1.0, "b": 0.0, "c": 1.0},
+                     "b": {"a": 0.0, "b": 1.0, "c": 0.0},
+                     "c": {"a": 1.0, "b": 0.0, "c": 1.0}}
 
     def test_tiny_range_isolates_own_district(self):
         districts = [District("a", 0.0, 0.0, 3.0), District("b", 5.0, 0.0, 7.0)]

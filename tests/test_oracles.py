@@ -247,14 +247,41 @@ class TestEstimateCache:
         assert list(cache.upper) == list(cache.lower) == [1, 3, 4]
         assert cache.argmax_upper() == cache.argmax_lower() == (1, 1.0)
 
-    def test_refused_column_leaves_cache_unchanged(self, chain_coverage):
+    @pytest.mark.parametrize("tracked", [None, [2, 0]])
+    def test_refused_column_leaves_cache_unchanged(self, chain_coverage, tracked):
         view = CountingOracle(chain_coverage.restricted(1))
-        cache = EstimateCache(view)
+        cache = EstimateCache(view, tracked)
         before = (dict(cache.upper), dict(cache.lower))
         with pytest.raises(BudgetExceeded):
             cache.condition_on(1, view)
         assert (cache.upper, cache.lower) == before
         assert view.counts.total == 3
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tracked_ids_fold_as_in_the_full_cache(self, seed):
+        """lower keeps only the tracked ids, each bit for bit as the full
+        cache has it, in any conditioning order; upper is the full cache's."""
+        rng = random.Random(seed)
+        oracle = city_oracle(seed=seed, count=30) if seed < 2 else random_soc_oracle(rng, 12)
+        m = oracle.ground_size
+        tracked = rng.sample(range(m), rng.randint(1, m - 1))
+        full, part = EstimateCache(oracle), EstimateCache(oracle, tracked)
+        assert list(part.lower) == sorted(tracked)
+        for x_i in rng.sample(range(m), m - 1):
+            full.condition_on(x_i, oracle)
+            part.condition_on(x_i, oracle)
+            assert {x: v.hex() for x, v in part.upper.items()} == {
+                x: v.hex() for x, v in full.upper.items()}
+            assert {x: v.hex() for x, v in part.lower.items()} == {
+                x: v.hex() for x, v in full.lower.items() if x in tracked}
+
+    @pytest.mark.parametrize("tracked", [[0, 3], [1, -1], [True], [1, "0"]])
+    def test_tracked_ids_outside_the_ground_set_are_refused_before_any_query(
+            self, chain_coverage, tracked):
+        view = CountingOracle(chain_coverage)
+        with pytest.raises(UnknownElement):
+            EstimateCache(view, tracked)
+        assert view.counts.total == 0
 
     def test_no_candidates_is_a_typed_error(self, chain_coverage):
         cache = EstimateCache(chain_coverage)
