@@ -168,7 +168,8 @@ def _greedy(algorithm, oracle, n: int, k: int | None) -> RunTrace:
         del table[x]
         if i < n:
             if k is None:
-                fold_lower(view, table, singletons, x)
+                fold_lower(table, singletons, singletons[x],
+                           view.evaluate_extensions((x,), list(table)))
             else:
                 fold_k_wise(view, table, selected, x, singletons[x], k)
         selected.append(x)

@@ -67,8 +67,8 @@ def time_algorithm(algorithm: str, oracle, n: int, trials: int,
 def scaling_sweep(algorithms, oracle, n_values, trials: int,
                   k: int | None = None) -> list[TimingRecord]:
     """One record per (algorithm, n).  Before anything is timed, the lists
-    must be nonempty, each algorithm must pass check_run and each n lie
-    within 0..m, ascending.
+    must be nonempty, each algorithm must pass check_run and appear once, and
+    each n lie within 0..m, ascending.
 
     k goes to k_wise_optimistic only, so one sweep can time it beside the
     other strategies; a k with no k_wise_optimistic to take it is refused.
@@ -81,6 +81,8 @@ def scaling_sweep(algorithms, oracle, n_values, trials: int,
         raise InvalidArgument(f"k applies to k_wise_optimistic only, not {algorithms}")
     for name, k_arg in ks.items():
         check_run(name, k_arg)
+        if algorithms.count(name) > 1:
+            raise InvalidArgument(f"algorithm {name!r} is listed twice in {algorithms}")
     if n_values != sorted(n_values):
         raise InvalidArgument(f"n_values must be ascending, got {n_values}")
     for n in n_values:

@@ -189,14 +189,14 @@ def k_cardinality_curvature(oracle, k: int) -> float:
 
     Needs only budget-k queries and asks every set of size at most k once,
     in lexicographic order within each size, the m singletons first as one
-    column.  Pairs are asked one column per x through
-    oracle.evaluate_pairs(x, ids above x), and each {x, y} yields f(x|y) and
-    f(y|x); whether f(x) is near zero is decided once per member.  Each
-    larger T, 3 <= |T| <= k, is asked in one evaluate_extensions column per
-    T minus its largest id and yields f(x|T minus x) for all of its members
-    x, with f(T minus x) taken from the memo of the smaller sets.  The k=2
-    case is the production path and costs m singletons plus one query per
-    unordered pair.  A NaN answer raises NonFiniteValue (_answered).
+    column.  Pairs are asked one column per x, evaluate_extensions((x,),
+    ids above x), and each {x, y} yields f(x|y) and f(y|x); whether f(x)
+    is near zero is decided once per member.  Each larger T, 3 <= |T| <= k,
+    is asked in one evaluate_extensions column per T minus its largest id
+    and yields f(x|T minus x) for all of its members x, with f(T minus x)
+    taken from the memo of the smaller sets.  The k=2 case is the
+    production path and costs m singletons plus one query per unordered
+    pair.  A NaN answer raises NonFiniteValue (_answered).
     """
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
@@ -212,7 +212,7 @@ def k_cardinality_curvature(oracle, k: int) -> float:
     for x in ids:
         ys = ids[x + 1:]
         fx, live_x = single[x], live[x]
-        for y, f_t in zip(ys, _answered(oracle.evaluate_pairs(x, ys), (x,), ys)):
+        for y, f_t in zip(ys, _answered(oracle.evaluate_extensions((x,), ys), (x,), ys)):
             if k > 2:
                 memo[(x, y)] = f_t
             if live_x:

@@ -97,22 +97,21 @@ def _columns(obj, what: str):
 
 def _parse_weights(keys, values) -> list:
     """The float weight of each universe element: one map and a check when
-    every weight is valid, else a loop that raises the first bad one."""
+    every weight is valid and their total, which bounds every value, is
+    finite; else a loop that raises the first bad one, or the total."""
     try:
         weights = list(map(float, values))
         if 0.0 <= min(weights, default=0.0) and sum(weights) < inf:  # NaN fails one
             return weights
     except (TypeError, ValueError, OverflowError):  # the loop below raises the first error
         pass
-    weights = []
-    for key, w in zip(keys, values):
-        w = float(w)
+    for key, w in zip(keys, map(float, values)):
         if not 0.0 <= w < inf:  # NaN fails every comparison
             raise MalformedSpec(
                 f"weight {w} for universe element {key!r} is negative or not finite"
             )
-        weights.append(w)
-    return weights
+    # every weight is valid, so the map above passed and only the total failed
+    raise MalformedSpec(f"universe weights sum to {sum(weights)}, which is not finite")
 
 
 def _parse_covers(universe_keys, cover_keys, covers) -> list:
@@ -349,6 +348,8 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
         half.append(f_x - norm2 / 2)
     if not probabilities:
         raise MalformedSpec("probabilities must declare at least one station")
+    if not sum(demands) < inf:  # the total bounds every value
+        raise MalformedSpec(f"demands sum to {sum(demands)}, which is not finite")
 
     v = tuple(demands)
     ones = (1.0,) * len(v)
@@ -429,6 +430,8 @@ def build_modular(spec: ModularSpec) -> SetFunctionOracle:
     for i, w in enumerate(weights):
         if not 0.0 <= w < inf:
             raise MalformedSpec(f"weight {w} for element {i} is negative or not finite")
+    if not sum(weights) < inf:  # the total bounds every value
+        raise MalformedSpec(f"weights sum to {sum(weights)}, which is not finite")
 
     def _eval(s: frozenset) -> float:
         return sum(map(weights.__getitem__, sorted(s)))

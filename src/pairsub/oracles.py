@@ -14,8 +14,9 @@ return f(x|S) are kept on top of small queries:
 A greedy run keeps one table of the estimate it ranks by, keyed by the
 candidates that remain: a pick deletes its key, so the keys stay in
 ascending id order, and argmax(table) is the one pick rule, ties going to
-the lowest id.  fold_k_wise (upper) and fold_lower fold a pick in, at k = 2
-in constant time per candidate from one column of pairs {x, x_i}.
+the lowest id.  Each estimate rule has one home, which folds a column
+already answered in constant time per candidate: fold_upper the min rule
+(fold_k_wise asks its columns), fold_lower the redundancy rule.
 
 EstimateCache keeps both tables for Algorithm 1, which reads the best upper
 estimate and the picks' lower ones: lower covers only the ids it tracks.
@@ -23,11 +24,11 @@ estimate and the picks' lower ones: lower covers only the ids it tracks.
 Every strategy asks its sets by column: evaluate_extensions(a, ys) is
 [f(a + {y}) for y in ys], checked once per column with evaluate's errors and
 counted by CountingOracle once it is all answered.  A singleton scan is the
-column a = (), a pair column is a = (x,) (evaluate_pairs), and the full and
-k-wise greedy ask f(A + x) for every candidate x as one column per A.  A
-family that can answer a whole column at once hands the oracle an
-extensions(a, ys) function; without one, every set goes through
-SetFunctionOracle.evaluate, with its id and budget checks.
+column a = (), a pair column is a = (x,), and the full and k-wise greedy ask
+f(A + x) for every candidate x as one column per A.  A family that can
+answer a whole column at once hands the oracle an extensions(a, ys)
+function; without one, every set goes through SetFunctionOracle.evaluate,
+with its id and budget checks.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, DuplicateElement, InvalidArgument, NonFiniteValue
 from .validation import as_id_set, check_element_ids
-
-ElementId = int
 
 
 class SetFunctionOracle:
@@ -126,10 +125,6 @@ class SetFunctionOracle:
         evaluate = self.evaluate
         return [evaluate(frozenset((y, *a))) for y in ys]
 
-    def evaluate_pairs(self, x: int, ys: list[int]) -> list[float]:
-        """[f({y, x}) for y in ys]: the column evaluate_extensions((x,), ys)."""
-        return self.evaluate_extensions((x,), ys)
-
     def marginal(self, x: int, ids: Iterable[int]) -> float:
         """f(x|S) = f(S u {x}) - f(S)."""
         s = as_id_set(ids)
@@ -208,9 +203,6 @@ class CountingOracle:
         self.counts.record(len(a) + 1, times=len(values))
         return values
 
-    def evaluate_pairs(self, x: int, ys: list[int]) -> list[float]:
-        return self.evaluate_extensions((x,), ys)
-
 
 def k_wise_upper_estimate(oracle, x: int, ids: Iterable[int], k: int) -> float:
     """min f(x|A) over all A within the set with |A| < k, A empty included.
@@ -242,18 +234,23 @@ def fold_k_wise(oracle, upper: dict, earlier, y: int, f_y: float, k: int) -> Non
         for extra in combinations(earlier, size):
             a = extra + (y,)
             f_a = oracle.evaluate(a) if extra else f_y
-            column = oracle.evaluate_extensions(a, list(upper))
-            for x, f_ax in zip(upper, column):
-                marg = f_ax - f_a
-                if marg < upper[x]:
-                    upper[x] = marg
+            fold_upper(upper, oracle.evaluate_extensions(a, list(upper)), f_a)
 
 
-def fold_lower(oracle, lower: dict, base: dict, y: int) -> None:
-    """Take f(x) - f(x|y) from lower[x] for each candidate x in lower, from one
-    evaluate_pairs column; base holds f({x}) for every id."""
-    f_y = base[y]
-    for x, f_xy in zip(lower, oracle.evaluate_pairs(y, list(lower))):
+def fold_upper(upper: dict, column, f_a: float) -> None:
+    """The min rule: lower upper[x] to f(x|A) = f(A + x) - f(A) when that is
+    smaller, for each key x of upper, column holding f(A + x) in key order."""
+    for x, f_ax in zip(upper, column):
+        marg = f_ax - f_a
+        if marg < upper[x]:
+            upper[x] = marg
+
+
+def fold_lower(lower: dict, base: dict, f_y: float, column) -> None:
+    """The redundancy rule: take f(x) - f(x|y) from lower[x] for each key x of
+    lower, column holding f({x, y}) in key order; f_y is f({y}) and base
+    holds f({x}) for every id."""
+    for x, f_xy in zip(lower, column):
         lower[x] -= base[x] - (f_xy - f_y)
 
 
@@ -285,15 +282,14 @@ class EstimateCache:
 
     base holds f(x) for all elements, asked as one column; upper holds every
     remaining candidate's upper estimate and lower the lower estimate of the
-    remaining tracked ids (every id by default), keys ascending.  condition_on
-    folds one new selection into both with one column of pairwise queries,
-    asked through oracle.evaluate_pairs, over the remaining candidates.
-    Owned by a single run.
+    remaining tracked ids, keys ascending.  condition_on folds one new
+    selection into both from one pair column evaluate_extensions((x_i,), ...)
+    over the remaining candidates.  Owned by a single run.
     """
 
-    def __init__(self, oracle, tracked=None):
+    def __init__(self, oracle, tracked):
         ids = list(range(oracle.ground_size))
-        tracked = ids if tracked is None else list(tracked)
+        tracked = list(tracked)
         check_element_ids(tracked, len(ids))  # before any query
         self.base = dict(zip(ids, oracle.evaluate_extensions((), ids)))
         self.upper = dict(self.base)
@@ -310,19 +306,13 @@ class EstimateCache:
             raise DuplicateElement(f"element {x_i} was already selected")
         order = list(upper)
         order.remove(x_i)
-        pairs = oracle.evaluate_pairs(x_i, order)
+        pairs = oracle.evaluate_extensions((x_i,), order)
         del upper[x_i]
         lower.pop(x_i, None)
         f_xi = base[x_i]
-        for x, f_pair in zip(order, pairs):
-            pm = f_pair - f_xi
-            if pm < upper[x]:
-                upper[x] = pm
-        for x in lower:  # order ascends, so x's pair sits at x's rank in it
-            lower[x] -= base[x] - (pairs[bisect_left(order, x)] - f_xi)
+        fold_upper(upper, pairs, f_xi)
+        # order ascends, so each tracked x's pair sits at x's rank in it
+        fold_lower(lower, base, f_xi, [pairs[bisect_left(order, x)] for x in lower])
 
     def argmax_upper(self) -> tuple[int, float]:
         return argmax(self.upper)
-
-    def argmax_lower(self) -> tuple[int, float]:
-        return argmax(self.lower)

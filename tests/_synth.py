@@ -54,7 +54,7 @@ def random_soc_oracle(rng: random.Random, m: int):
 
 def no_column(oracle):
     """The same function and budget without the family's column: every set
-    of evaluate_extensions and evaluate_pairs goes through evaluate."""
+    of evaluate_extensions goes through evaluate."""
     return SetFunctionOracle(oracle.ground_size, oracle._eval, budget=oracle.budget)
 
 

@@ -75,7 +75,9 @@ class TestScalingSweep:
         (["optimistic", "k_wise_optimistic"], None, "k_wise_optimistic requires k"),
         (["k_wise_optimistic"], 1, "k must be >= 2"),
         ([], None, "nothing to time"),
-    ], ids=["unknown", "k_without_k_wise", "k_wise_without_k", "k_below_two", "empty"])
+        (["full", "optimistic", "optimistic"], None, "algorithm 'optimistic' is listed twice"),
+    ], ids=["unknown", "k_without_k_wise", "k_wise_without_k", "k_below_two", "empty",
+            "repeated"])
     def test_strategies_are_checked_before_any_timing(self, monkeypatch, algorithms, k,
                                                       message):
         timed = []

@@ -144,6 +144,19 @@ def test_bench_ratio_writes_full_over_each_pairwise_strategy(inputs, capsys):
         assert float(ratio) > 0.0 and repr(float(ratio)) == ratio
 
 
+def test_bench_refuses_a_repeated_algorithm_before_timing(inputs, capsys, monkeypatch):
+    timed = []
+    monkeypatch.setattr(cli.bench_mod, "time_algorithm", lambda *args, **kw: timed.append(args))
+    code, out = run_cli(["bench", "--instance", "inst.json", "--algos",
+                         "full,optimistic,optimistic", "--n-grid", "1,2", "--trials", "1",
+                         "--out", "times.csv", "--ratio", "ratio.csv"], capsys)
+    assert code == 2 and out.out == ""
+    assert out.err == "error: algorithm 'optimistic' is listed twice in ['full', " \
+                      "'optimistic', 'optimistic']\n"
+    assert timed == []
+    assert not (inputs / "times.csv").exists() and not (inputs / "ratio.csv").exists()
+
+
 def test_bench_k_goes_to_the_k_wise_strategy_only(inputs, capsys):
     code, out = run_cli(["bench", "--instance", "inst.json", "--algos", "full,k_wise_optimistic",
                          "--k", "3", "--n-grid", "1,3", "--trials", "1", "--ratio", "ratio.csv"],
@@ -203,6 +216,20 @@ def test_districts_too_far_apart_for_the_kernel_run(inputs, capsys):
     selections = json.loads(out.out)["selections"]
     assert [s["element"] for s in selections] == [0, 1]
     assert [s["estimate"] for s in selections] == pytest.approx([4.0, 2.0])
+
+
+@pytest.mark.parametrize("argv", [
+    "run --instance big.json --algo optimistic --n 2",
+    "bruteforce --instance big.json --n 2",
+    "verify --instance big.json --samples 5",
+], ids=["run", "bruteforce", "verify"])
+def test_instance_whose_total_overflows_exits_2(inputs, capsys, argv):
+    """f({0, 1}) would be inf, which strict JSON cannot write."""
+    doc = {"type": "modular", "params": {"weights": [1e308, 1e308]}}
+    (inputs / "big.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(argv.split(), capsys)
+    assert code == 2 and out.out == ""
+    assert out.err == "error: weights sum to inf, which is not finite\n"
 
 
 def test_refused_adversarial_run_prints_only_the_error(inputs, capsys):

@@ -145,8 +145,8 @@ class TestOwnerIndex:
             for x in range(len(covers)):
                 ys = [y for y in range(len(covers)) if y != x]
                 rng.shuffle(ys)
-                column = [v.hex() for v in oracle.evaluate_pairs(x, ys)]
-                assert column == [v.hex() for v in plain.evaluate_pairs(x, ys)], (spec, x)
+                column = [v.hex() for v in oracle.evaluate_extensions((x,), ys)]
+                assert column == [v.hex() for v in plain.evaluate_extensions((x,), ys)], (spec, x)
                 assert column == [oracle.evaluate([x, y]).hex() for y in ys], (spec, x)
 
 
@@ -706,6 +706,39 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 def test_non_finite_numbers_rejected(build, bad):
     with pytest.raises(MalformedSpec):
         build(bad)
+
+
+OVERFLOWING = {
+    "modular": ({"type": "modular", "params": {"weights": [1e308, 1e308]}},
+                "weights sum to inf, which is not finite"),
+    "weighted_coverage": ({"type": "weighted_coverage",
+                           "params": {"universe_weights": [1e308, 1e308], "covers": [[0], [1]]}},
+                          "universe weights sum to inf, which is not finite"),
+    "probabilistic_coverage": ({"type": "probabilistic_coverage",
+                                "params": {"demands": [1e308, 1e308],
+                                           "probabilities": [[1, 0], [0, 1]]}},
+                               "demands sum to inf, which is not finite"),
+}
+
+
+@pytest.mark.parametrize(("doc", "message"), OVERFLOWING.values(), ids=OVERFLOWING.keys())
+def test_instance_whose_total_overflows_is_refused(doc, message):
+    """Each value is at most the total, so a finite total keeps f finite; here
+    f({0, 1}) would be inf, which a JSON report cannot carry."""
+    with pytest.raises(MalformedSpec) as raised:
+        instance_from_dict(doc)
+    assert str(raised.value) == message
+
+
+def test_instance_whose_total_is_finite_is_kept():
+    for doc in (
+        {"type": "modular", "params": {"weights": [1e308, 7e307]}},
+        {"type": "weighted_coverage",
+         "params": {"universe_weights": [1e308, 7e307], "covers": [[0], [1]]}},
+        {"type": "probabilistic_coverage",
+         "params": {"demands": [1e308, 7e307], "probabilities": [[1, 0], [0, 1]]}},
+    ):
+        assert instance_from_dict(doc).evaluate([0, 1]) == pytest.approx(1.7e308, rel=1e-15)
 
 
 def test_random_instances_pass_property_suite():

@@ -32,7 +32,7 @@ from pairsub import (
     post_hoc_bound,
 )
 from pairsub import bounds, functions
-from pairsub.oracles import argmax
+from pairsub.oracles import argmax, fold_k_wise, fold_lower
 from pairsub.validation import values_close
 
 from _reference import _scratch_lower, _scratch_upper, naive_probabilistic_value
@@ -156,7 +156,7 @@ class TestUpperEstimate:
         """Every pair marginal is 4 > f(x) = 1; the estimate still starts from f(x)."""
         values = (0.0, 1.0, 5.0)
         oracle = SetFunctionOracle(4, lambda s: values[len(s)], budget=2)
-        cache = EstimateCache(oracle)
+        cache = EstimateCache(oracle, range(4))
         conditioned = []
         for x_i in (2, 0):
             cache.condition_on(x_i, oracle)
@@ -222,7 +222,7 @@ class TestEstimateCache:
     def test_matches_from_scratch_estimates(self):
         rng = random.Random(11)
         oracle = random_soc_oracle(rng, 8)
-        cache = EstimateCache(oracle)
+        cache = EstimateCache(oracle, range(8))
         conditioned = []
         for x_i in (3, 0, 5):
             cache.condition_on(x_i, oracle)
@@ -233,7 +233,7 @@ class TestEstimateCache:
                 assert cache.upper[x] >= cache.lower[x] - 1e-12
 
     def test_duplicate_conditioning_rejected(self, chain_coverage):
-        cache = EstimateCache(chain_coverage)
+        cache = EstimateCache(chain_coverage, range(3))
         cache.condition_on(0, chain_coverage)
         with pytest.raises(DuplicateElement):
             cache.condition_on(0, chain_coverage)
@@ -241,13 +241,13 @@ class TestEstimateCache:
     def test_ties_go_to_the_lowest_remaining_id(self):
         """Conditioned out of order, the keys still ascend and lead the tie rule."""
         oracle = build_modular(ModularSpec([1.0] * 5))
-        cache = EstimateCache(oracle)
+        cache = EstimateCache(oracle, range(5))
         cache.condition_on(2, oracle)
         cache.condition_on(0, oracle)
         assert list(cache.upper) == list(cache.lower) == [1, 3, 4]
-        assert cache.argmax_upper() == cache.argmax_lower() == (1, 1.0)
+        assert cache.argmax_upper() == argmax(cache.lower) == (1, 1.0)
 
-    @pytest.mark.parametrize("tracked", [None, [2, 0]])
+    @pytest.mark.parametrize("tracked", [range(3), [2, 0]])
     def test_refused_column_leaves_cache_unchanged(self, chain_coverage, tracked):
         view = CountingOracle(chain_coverage.restricted(1))
         cache = EstimateCache(view, tracked)
@@ -265,7 +265,7 @@ class TestEstimateCache:
         oracle = city_oracle(seed=seed, count=30) if seed < 2 else random_soc_oracle(rng, 12)
         m = oracle.ground_size
         tracked = rng.sample(range(m), rng.randint(1, m - 1))
-        full, part = EstimateCache(oracle), EstimateCache(oracle, tracked)
+        full, part = EstimateCache(oracle, range(m)), EstimateCache(oracle, tracked)
         assert list(part.lower) == sorted(tracked)
         for x_i in rng.sample(range(m), m - 1):
             full.condition_on(x_i, oracle)
@@ -274,6 +274,30 @@ class TestEstimateCache:
                 x: v.hex() for x, v in full.upper.items()}
             assert {x: v.hex() for x, v in part.lower.items()} == {
                 x: v.hex() for x, v in full.lower.items() if x in tracked}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tables_are_the_runs_folds(self, seed):
+        """Conditioned on one order, upper is the k = 2 fold_k_wise table and
+        lower the fold_lower table at the tracked ids, bit for bit: a run's
+        own tables are Algorithm 1's."""
+        rng = random.Random(seed)
+        oracle = city_oracle(seed=seed, count=30) if seed < 2 else random_soc_oracle(rng, 12)
+        view = oracle.restricted(2)
+        m = view.ground_size
+        order = rng.sample(range(m), rng.randint(1, m - 1))
+        cache = EstimateCache(view, order)
+        base = dict(zip(range(m), view.evaluate_extensions((), list(range(m)))))
+        upper, lower, selected = dict(base), dict(base), []
+        for x_i in order:
+            cache.condition_on(x_i, view)
+            del upper[x_i], lower[x_i]
+            fold_k_wise(view, upper, selected, x_i, base[x_i], 2)
+            fold_lower(lower, base, base[x_i], view.evaluate_extensions((x_i,), list(lower)))
+            selected.append(x_i)
+            assert {x: v.hex() for x, v in cache.upper.items()} == {
+                x: v.hex() for x, v in upper.items()}
+            assert {x: v.hex() for x, v in cache.lower.items()} == {
+                x: lower[x].hex() for x in sorted(order) if x in lower}
 
     @pytest.mark.parametrize("tracked", [[0, 3], [1, -1], [True], [1, "0"]])
     def test_tracked_ids_outside_the_ground_set_are_refused_before_any_query(
@@ -284,10 +308,10 @@ class TestEstimateCache:
         assert view.counts.total == 0
 
     def test_no_candidates_is_a_typed_error(self, chain_coverage):
-        cache = EstimateCache(chain_coverage)
+        cache = EstimateCache(chain_coverage, range(3))
         for x in range(chain_coverage.ground_size):
             cache.condition_on(x, chain_coverage)
-        for empty in (cache.argmax_upper, cache.argmax_lower):
+        for empty in (cache.argmax_upper, lambda: argmax(cache.lower)):
             with pytest.raises(InvalidArgument, match="no candidates remain"):
                 empty()
 
@@ -411,15 +435,15 @@ class TestPairColumn:
         for x in (0, m // 2, m - 1):
             ys = [y for y in range(m) if y != x]
             view = CountingOracle(oracle)
-            column = view.evaluate_pairs(x, ys)
+            column = view.evaluate_extensions((x,), ys)
             expected = [oracle.evaluate((y, x)) for y in ys]
             assert [v.hex() for v in column] == [v.hex() for v in expected]
-            fallback = no_column(oracle).evaluate_pairs(x, ys[::-1])[::-1]
+            fallback = no_column(oracle).evaluate_extensions((x,), ys[::-1])[::-1]
             assert [v.hex() for v in column] == [v.hex() for v in fallback]
             counts = view.counts
             assert (counts.size1, counts.size2, counts.other) == (0, len(ys), 0)
             assert counts.work_units == 2 * len(ys)
-            assert view.evaluate_pairs(x, []) == []
+            assert view.evaluate_extensions((x,), []) == []
             assert view.counts.total == len(ys)
 
     @pytest.mark.parametrize("make", PAIR_ORACLES.values(), ids=PAIR_ORACLES.keys())
@@ -469,7 +493,7 @@ class TestPairColumn:
         oracle = _shared_covers()
         for x in range(6):
             ys = [y for y in range(6) if y != x]
-            column = oracle.evaluate_pairs(x, ys)
+            column = oracle.evaluate_extensions((x,), ys)
             assert column == [SHARED_PAIRS[min(x, y), max(x, y)] for y in ys]
             assert all(type(v) is float for v in column)
 
@@ -480,7 +504,7 @@ class TestPairColumn:
         column = _shared_covers()._extensions
         oracle = SetFunctionOracle(6, one_at_a_time, extensions_fn=column).restricted(2)
         view = CountingOracle(oracle)
-        assert view.evaluate_pairs(0, [1, 2, 3]) == [6.0, 7.0, 3.0]
+        assert view.evaluate_extensions((0,), [1, 2, 3]) == [6.0, 7.0, 3.0]
         assert view.counts.size2 == 3
 
     @pytest.mark.parametrize("case", BAD_COLUMNS.values(), ids=BAD_COLUMNS.keys())
@@ -493,7 +517,7 @@ class TestPairColumn:
             for view in (source, source.restricted(2)):
                 counted = CountingOracle(view)
                 with pytest.raises(error) as raised:
-                    counted.evaluate_pairs(x, ys)
+                    counted.evaluate_extensions((x,), ys)
                 messages.append(str(raised.value))
                 assert (counted.counts.total, counted.counts.work_units) == (0, 0)
         assert len(set(messages)) == 1, messages
@@ -505,9 +529,9 @@ class TestPairColumn:
         for source in (oracle, no_column(oracle)):
             counted = CountingOracle(source.restricted(1))
             with pytest.raises(BudgetExceeded) as raised:
-                counted.evaluate_pairs(0, [1, 2])
+                counted.evaluate_extensions((0,), [1, 2])
             messages.append(str(raised.value))
-            assert counted.evaluate_pairs(0, []) == []
+            assert counted.evaluate_extensions((0,), []) == []
             assert (counted.counts.total, counted.counts.work_units) == (0, 0)
         assert messages == ["query of size 2 exceeds information budget 1"] * 2
 
@@ -545,15 +569,15 @@ class TestPairColumn:
     def test_budget_one_view_raises_and_counts_nothing(self, chain_coverage):
         view = CountingOracle(chain_coverage.restricted(1))
         with pytest.raises(BudgetExceeded):
-            view.evaluate_pairs(0, [1, 2])
+            view.evaluate_extensions((0,), [1, 2])
         assert (view.counts.total, view.counts.work_units) == (0, 0)
 
     def test_column_checks_ids(self, chain_coverage):
         view = CountingOracle(chain_coverage)
         with pytest.raises(UnknownElement):
-            view.evaluate_pairs(0, [1, 3])
+            view.evaluate_extensions((0,), [1, 3])
         with pytest.raises(DuplicateElement):
-            view.evaluate_pairs(1, [0, 1])
+            view.evaluate_extensions((1,), [0, 1])
         assert view.counts.total == 0
 
 
