@@ -105,9 +105,9 @@ def greedy_full(oracle, n: int) -> RunTrace:
     """Classical greedy with full access: maximize the true marginal.
 
     Round i scores each of the m-i+1 remaining y by f(S + y) - f(S), S the
-    i-1 picks so far, asked as one evaluate_extensions column over the
-    remaining ids; f(S) is f(empty), asked once, then the pick's f(S + x)
-    from the round before: 1 + n*(m+1) - n*(n+1)/2 queries in all.
+    i-1 picks so far, asked as one _column over the remaining ids; f(S) is
+    f(empty), asked once, then the pick's f(S + x) from the round before:
+    1 + n*(m+1) - n*(n+1)/2 queries in all.
     """
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
@@ -116,7 +116,7 @@ def greedy_full(oracle, n: int) -> RunTrace:
     f_s = view.evaluate(())
     selections = []
     for i in range(1, n + 1):
-        raw = dict(zip(remaining, view.evaluate_extensions(tuple(picks), remaining)))
+        raw = dict(zip(remaining, view._column(tuple(picks), remaining)))
         x, value = argmax({y: f - f_s for y, f in raw.items()})
         selections.append(Selection(i, x, value))
         remaining.remove(x)
@@ -158,7 +158,7 @@ def _greedy(algorithm, oracle, n: int, k: int | None) -> RunTrace:
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
     ids = list(range(view.ground_size))
-    singletons = dict(zip(ids, view.evaluate_extensions((), ids)))
+    singletons = dict(zip(ids, view._column((), ids)))
     table = dict(singletons)
     selected: list[int] = []
     selections = []
@@ -169,7 +169,7 @@ def _greedy(algorithm, oracle, n: int, k: int | None) -> RunTrace:
         if i < n:
             if k is None:
                 fold_lower(table, singletons, singletons[x],
-                           view.evaluate_extensions((x,), list(table)))
+                           view._column((x,), list(table)))
             else:
                 fold_k_wise(view, table, selected, x, singletons[x], k)
         selected.append(x)

@@ -189,14 +189,14 @@ def k_cardinality_curvature(oracle, k: int) -> float:
 
     Needs only budget-k queries and asks every set of size at most k once,
     in lexicographic order within each size, the m singletons first as one
-    column.  Pairs are asked one column per x, evaluate_extensions((x,),
-    ids above x), and each {x, y} yields f(x|y) and f(y|x); whether f(x)
-    is near zero is decided once per member.  Each larger T, 3 <= |T| <= k,
-    is asked in one evaluate_extensions column per T minus its largest id
-    and yields f(x|T minus x) for all of its members x, with f(T minus x)
-    taken from the memo of the smaller sets.  The k=2 case is the
-    production path and costs m singletons plus one query per unordered
-    pair.  A NaN answer raises NonFiniteValue (_answered).
+    column.  Pairs are asked one column per x, _column((x,), ids above x),
+    and each {x, y} yields f(x|y) and f(y|x); whether f(x) is near zero is
+    decided once per member.  Each larger T, 3 <= |T| <= k, is asked in one
+    _column per T minus its largest id and yields f(x|T minus x) for all of
+    its members x, with f(T minus x) taken from the memo of the smaller
+    sets.  The k=2 case is the production path and costs m singletons plus
+    one query per unordered pair.  A NaN answer raises NonFiniteValue
+    (_answered).
     """
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
@@ -205,14 +205,14 @@ def k_cardinality_curvature(oracle, k: int) -> float:
                       else sum(comb(m - 1, size) for size in range(1, k)))
     check_enumeration(pair_count, f"tau_{k} scan", "conditioning sets")
     ids = list(range(m))
-    single = _answered(oracle.evaluate_extensions((), ids), (), ids)
+    single = _answered(oracle._column((), ids), (), ids)
     live = [not near_zero(fx) for fx in single]
     memo: dict[tuple, float] = {(x,): fx for x, fx in enumerate(single)}
     min_ratio = 1.0
     for x in ids:
         ys = ids[x + 1:]
         fx, live_x = single[x], live[x]
-        for y, f_t in zip(ys, _answered(oracle.evaluate_extensions((x,), ys), (x,), ys)):
+        for y, f_t in zip(ys, _answered(oracle._column((x,), ys), (x,), ys)):
             if k > 2:
                 memo[(x, y)] = f_t
             if live_x:
@@ -226,7 +226,7 @@ def k_cardinality_curvature(oracle, k: int) -> float:
     for size in range(3, k + 1):
         for head in combinations(ids, size - 1):
             ys = ids[head[-1] + 1:]
-            for y, f_t in zip(ys, _answered(oracle.evaluate_extensions(head, ys), head, ys)):
+            for y, f_t in zip(ys, _answered(oracle._column(head, ys), head, ys)):
                 t = head + (y,)
                 if size < k:
                     memo[t] = f_t

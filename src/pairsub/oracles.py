@@ -22,10 +22,13 @@ EstimateCache keeps both tables for Algorithm 1, which reads the best upper
 estimate and the picks' lower ones: lower covers only the ids it tracks.
 
 Every strategy asks its sets by column: evaluate_extensions(a, ys) is
-[f(a + {y}) for y in ys], checked once per column with evaluate's errors and
-counted by CountingOracle once it is all answered.  A singleton scan is the
-column a = (), a pair column is a = (x,), and the full and k-wise greedy ask
-f(A + x) for every candidate x as one column per A.  A family that can
+[f(a + {y}) for y in ys], counted by CountingOracle once it is all answered.
+A caller's ids are checked per column, with evaluate's errors.  The
+library's own ids are checked once, where a run makes them: its candidates
+come from range(m), only lose members and never hold a, so its passes ask
+through _column, which checks only a and the budget.  A singleton scan is
+the column a = (), a pair column is a = (x,), and the full and k-wise greedy
+ask f(A + x) for every candidate x as one column per A.  A family that can
 answer a whole column at once hands the oracle an extensions(a, ys)
 function; without one, every set goes through SetFunctionOracle.evaluate,
 with its id and budget checks.
@@ -41,6 +44,13 @@ from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, DuplicateElement, InvalidArgument, NonFiniteValue
 from .validation import as_id_set, check_element_ids
+
+
+def _check_ids(ids, ground: int) -> None:
+    """check_element_ids, run only when a plain scan finds an id that is not
+    an in-range int."""
+    if ids and (not {*map(type, ids)} <= {int} or min(ids) < 0 or max(ids) >= ground):
+        check_element_ids(ids, ground)
 
 
 class SetFunctionOracle:
@@ -95,21 +105,20 @@ class SetFunctionOracle:
             )
         return float(self._eval(s))
 
-    def evaluate_extensions(self, a: tuple, ys: list[int]) -> list[float]:
+    def evaluate_extensions(self, a: Iterable[int], ys: Iterable[int]) -> list[float]:
         """[f(a + {y}) for y in ys], each value the float evaluate gives.
 
         a holds distinct ids and no y may be in a, so every set has |a| + 1
-        members.  Once per column, and with evaluate's errors, the ids in a
-        and ys are checked, then the overlap, then the budget; an empty ys
-        is [] before any check.  The family's extensions_fn answers the
-        column in one call; without one, every set is answered by evaluate.
+        members.  Per column, and with evaluate's errors, the ids in a and
+        ys are checked, then the overlap, then the budget; an empty ys is []
+        before any check.  Each input is read once, so any iterable will do.
         """
+        a, ys = tuple(a), list(ys)
         if not ys:
             return []
         ground = self.ground_size
-        for ids in (a, ys):
-            if ids and (not {*map(type, ids)} <= {int} or min(ids) < 0 or max(ids) >= ground):
-                check_element_ids(ids, ground)
+        _check_ids(a, ground)
+        _check_ids(ys, ground)
         members = frozenset(a)
         if len(members) < len(a):
             raise DuplicateElement(f"the set {list(a)} repeats an element")
@@ -117,6 +126,16 @@ class SetFunctionOracle:
             y = next(y for y in ys if y in members)
             raise DuplicateElement(f"element {y} cannot be paired with itself" if len(a) == 1
                                    else f"element {y} is already in the set {sorted(a)}")
+        return self._column(a, ys)
+
+    def _column(self, a: tuple, ys: list[int]) -> list[float]:
+        """evaluate_extensions for ys the library made: in-range int ids,
+        none in a.  Only a's ids and the budget are checked.  The family's
+        extensions_fn answers the column in one call; without one, every set
+        is answered by evaluate."""
+        if not ys:
+            return []
+        _check_ids(a, self.ground_size)
         size = len(a) + 1
         if self.budget is not None and size > self.budget:
             raise BudgetExceeded(f"query of size {size} exceeds information budget {self.budget}")
@@ -197,9 +216,16 @@ class CountingOracle:
         self.counts.record(len(s))
         return value
 
-    def evaluate_extensions(self, a: tuple, ys: list[int]) -> list[float]:
-        """The inner oracle's column, counted once it is all answered."""
+    def evaluate_extensions(self, a: Iterable[int], ys: Iterable[int]) -> list[float]:
+        """The inner oracle's checked column, counted once it is all answered."""
+        a = tuple(a)
         values = self.inner.evaluate_extensions(a, ys)
+        self.counts.record(len(a) + 1, times=len(values))
+        return values
+
+    def _column(self, a: tuple, ys: list[int]) -> list[float]:
+        """The inner oracle's _column, counted once it is all answered."""
+        values = self.inner._column(a, ys)
         self.counts.record(len(a) + 1, times=len(values))
         return values
 
@@ -228,13 +254,14 @@ def fold_k_wise(oracle, upper: dict, earlier, y: int, f_y: float, k: int) -> Non
     the fresh id y plus at most k-2 ids of earlier (none at k = 1).
 
     f_y is f({y}), which the caller has already asked; any larger f(A) is
-    asked first.  The sets A + x are one evaluate_extensions column per A.
+    asked first.  The sets A + x are one _column per A, so upper's keys
+    must be in-range int ids outside A, as a run's candidates are.
     """
     for size in range(min(k - 2, len(earlier)) + 1):
         for extra in combinations(earlier, size):
             a = extra + (y,)
             f_a = oracle.evaluate(a) if extra else f_y
-            fold_upper(upper, oracle.evaluate_extensions(a, list(upper)), f_a)
+            fold_upper(upper, oracle._column(a, list(upper)), f_a)
 
 
 def fold_upper(upper: dict, column, f_a: float) -> None:
@@ -283,15 +310,15 @@ class EstimateCache:
     base holds f(x) for all elements, asked as one column; upper holds every
     remaining candidate's upper estimate and lower the lower estimate of the
     remaining tracked ids, keys ascending.  condition_on folds one new
-    selection into both from one pair column evaluate_extensions((x_i,), ...)
-    over the remaining candidates.  Owned by a single run.
+    selection into both from one pair column _column((x_i,), ...) over the
+    remaining candidates.  Owned by a single run.
     """
 
     def __init__(self, oracle, tracked):
         ids = list(range(oracle.ground_size))
         tracked = list(tracked)
         check_element_ids(tracked, len(ids))  # before any query
-        self.base = dict(zip(ids, oracle.evaluate_extensions((), ids)))
+        self.base = dict(zip(ids, oracle._column((), ids)))
         self.upper = dict(self.base)
         self.lower = {x: self.base[x] for x in sorted(tracked)}
 
@@ -299,14 +326,17 @@ class EstimateCache:
         """Move x_i into the conditioning set and refresh the candidates.
 
         The column is answered before anything changes, so a query the
-        oracle refuses leaves the cache as it was.
+        oracle refuses, or an x_i such as True that equals an id without
+        being one, leaves the cache as it was.
         """
         upper, lower, base = self.upper, self.lower, self.base
         if x_i not in upper:
             raise DuplicateElement(f"element {x_i} was already selected")
+        if oracle.ground_size < len(base):  # the column's ids come from the cache
+            check_element_ids((x_i, *upper), oracle.ground_size)
         order = list(upper)
         order.remove(x_i)
-        pairs = oracle.evaluate_extensions((x_i,), order)
+        pairs = oracle._column((x_i,), order)
         del upper[x_i]
         lower.pop(x_i, None)
         f_xi = base[x_i]

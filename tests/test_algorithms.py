@@ -375,6 +375,18 @@ class TestQueryBudget:
         with pytest.raises(BudgetExceeded):
             greedy_full(oracle, 4)
 
+    @pytest.mark.parametrize("run", [lambda o: greedy_full(o, 3),
+                                     lambda o: greedy_k_wise_optimistic(o, 3, 3)],
+                             ids=["full", "k_wise_3"])
+    def test_sets_of_three_on_a_budget_two_view_are_refused_by_size(self, run):
+        from pairsub import BudgetExceeded
+
+        oracle = random_weighted_coverage(random.Random(37), 8).restricted(2)
+        for view in (oracle, no_column(oracle)):
+            with pytest.raises(BudgetExceeded) as raised:
+                run(view)
+            assert str(raised.value) == "query of size 3 exceeds information budget 2"
+
 
 class TestIncrementalEqualsNaive:
     def test_selections_and_estimates_match(self):

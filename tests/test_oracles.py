@@ -257,6 +257,34 @@ class TestEstimateCache:
         assert (cache.upper, cache.lower) == before
         assert view.counts.total == 3
 
+    @pytest.mark.parametrize("family", [random_weighted_coverage, random_probabilistic_coverage])
+    def test_conditioning_through_a_smaller_oracle_is_refused(self, family):
+        """The cache's candidates come from the oracle it was built on; an
+        oracle with fewer ids refuses the first one beyond its range."""
+        oracle = family(random.Random(3), 6)
+        small = family(random.Random(4), 4)
+        for x_i in (0, 5):
+            cache = EstimateCache(oracle, range(6))
+            before = (dict(cache.upper), dict(cache.lower))
+            with pytest.raises(UnknownElement, match=f"element id {max(x_i, 4)} outside"):
+                cache.condition_on(x_i, CountingOracle(small))
+            assert (cache.upper, cache.lower) == before
+
+    @pytest.mark.parametrize("x_i", [True, 1.0], ids=["bool", "float"])
+    def test_conditioning_on_an_id_that_only_equals_one_is_refused(self, chain_coverage, x_i):
+        """True and 1.0 are keys of the tables by equality, yet no element id:
+        the pair column refuses them before anything changes."""
+        view = CountingOracle(chain_coverage)
+        cache = EstimateCache(view, range(3))
+        cache.condition_on(0, view)
+        tables = [(dict(t), [type(x) for x in t]) for t in (cache.base, cache.upper, cache.lower)]
+        counts = (view.counts.total, view.counts.work_units)
+        with pytest.raises(UnknownElement):
+            cache.condition_on(x_i, view)
+        assert [(dict(t), [type(x) for x in t])
+                for t in (cache.base, cache.upper, cache.lower)] == tables
+        assert (view.counts.total, view.counts.work_units) == counts
+
     @pytest.mark.parametrize("seed", range(8))
     def test_tracked_ids_fold_as_in_the_full_cache(self, seed):
         """lower keeps only the tracked ids, each bit for bit as the full
@@ -579,6 +607,81 @@ class TestPairColumn:
         with pytest.raises(DuplicateElement):
             view.evaluate_extensions((1,), [0, 1])
         assert view.counts.total == 0
+
+    @pytest.mark.parametrize("family", COLUMN_FAMILIES.values(), ids=COLUMN_FAMILIES.keys())
+    def test_one_shot_iterables_get_their_lists_answer(self, family):
+        oracle = family()
+        for source in (oracle, no_column(oracle)):
+            for a, ys in [((0,), [1, 2]), ((3, 1), [0, 5, 2]), ((), [4, 0])]:
+                listed, once = CountingOracle(source), CountingOracle(source)
+                column = once.evaluate_extensions(iter(a), (y for y in ys))
+                assert column == listed.evaluate_extensions(a, ys)
+                assert once.counts == listed.counts
+                assert once.evaluate_extensions(iter(a), iter(())) == []
+                assert once.counts == listed.counts
+
+    @pytest.mark.parametrize("case", BAD_EXTENSIONS.values(), ids=BAD_EXTENSIONS.keys())
+    @pytest.mark.parametrize("family", COLUMN_FAMILIES.values(), ids=COLUMN_FAMILIES.keys())
+    def test_one_shot_iterables_get_their_lists_errors(self, family, case):
+        a, ys, error = case
+        oracle = family()
+        for source in (oracle, no_column(oracle)):
+            view = CountingOracle(source)
+            with pytest.raises(error) as listed:
+                view.evaluate_extensions(a, ys)
+            with pytest.raises(error) as once:
+                view.evaluate_extensions(iter(a), (y for y in ys))
+            assert str(once.value) == str(listed.value)
+            assert view.counts.total == 0
+
+
+def _contract_checked(oracle, calls: list):
+    """oracle with its family's column wrapped to assert, on every call, the
+    precondition SetFunctionOracle documents for an extensions_fn."""
+    column, m = oracle._extensions, oracle.ground_size
+    assert column is not None
+
+    def extensions(a, ys):
+        assert type(a) is tuple and list(a) == sorted(set(a)), a
+        assert all(type(x) is int and 0 <= x < m for x in a), a
+        for y in ys:
+            assert type(y) is int and 0 <= y < m and y not in a, (a, y)
+        calls.append(len(ys))
+        return column(a, ys)
+
+    return SetFunctionOracle(m, oracle._eval, budget=oracle.budget, name=oracle.name,
+                             spec=oracle.spec, extensions_fn=extensions)
+
+
+CONTRACT_INSTANCES = {
+    "weighted": lambda: random_weighted_coverage(random.Random(41), 12),
+    "probabilistic": lambda: random_probabilistic_coverage(random.Random(43), 12),
+    "city": lambda: city_oracle(count=30),
+}
+
+
+@pytest.mark.parametrize("make", CONTRACT_INSTANCES.values(), ids=CONTRACT_INSTANCES.keys())
+def test_every_library_column_meets_the_extensions_contract(make):
+    """Every pass the library runs hands the family's column sorted, distinct,
+    in-range int ids in a and in-range int ys outside a."""
+    from pairsub import greedy_full, greedy_k_wise_optimistic, greedy_uninformed
+
+    calls = []
+    oracle = _contract_checked(make(), calls)
+    m = oracle.ground_size
+    rng = random.Random(m)
+    runs = [greedy_optimistic(oracle, 5), greedy_pessimistic(oracle, 5),
+            greedy_uninformed(oracle, 5), greedy_full(oracle, 5)]
+    runs += [greedy_k_wise_optimistic(oracle, 4, k) for k in (3, 4)]
+    for run in runs:
+        post_hoc_bound(run.selected_order, oracle)
+    post_hoc_bound(rng.sample(range(m), 5), oracle.restricted(2))
+    for k in (2, 3):
+        bounds.k_cardinality_curvature(oracle.restricted(k), k)
+    for k in (2, 3, 4):
+        x, *s = rng.sample(range(m), 6)
+        k_wise_upper_estimate(oracle, x, s, k)
+    assert len(calls) > 0 and sum(calls) > 0
 
 
 @st.composite
