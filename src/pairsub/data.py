@@ -126,28 +126,26 @@ def save_districts(path, districts) -> None:
 def build_coverage_instance(districts, cfg: KernelConfig) -> ProbabilisticCoverageSpec:
     """Probabilistic-coverage spec with one candidate station per district.
 
-    Stations sit at the district centroids (ids follow file order) and reach
-    district e with probability exp(-d(x,e)^2/r_s^2).  Each row keeps its
-    keys in district order.  The kernel is symmetric bit for bit, since
-    fl(a - b) = -fl(b - a) and hypot takes absolute values, so each value is
+    Stations sit at the district centroids and reach district e with
+    probability exp(-d(x,e)^2/r_s^2).  The spec is positional: demands and
+    each station's row are lists in file order, so station and district ids
+    are positions.  District ids are checked for repeats when the CSV is
+    parsed, and the spec does not keep them.  The kernel is symmetric bit for
+    bit, since math.dist takes |a - b| per coordinate, so each value is
     computed once: a row copies its entries for the stations before it from
     their rows and computes only the rest.
     """
     districts = list(districts)
     if not districts:
         raise EmptyInput("no districts supplied")
-    demands = {d.id: d.demand for d in districts}
-    keys = [e.id for e in districts]
     points = [(e.x, e.y) for e in districts]
-    r_s, exp, hypot = cfg.r_s, math.exp, math.hypot
+    r_s, exp, dist = cfg.r_s, math.exp, math.dist
     rows = []
-    probabilities = {}
-    for i, (station, (sx, sy)) in enumerate(zip(keys, points)):
+    for i, s in enumerate(points):
         row = list(map(itemgetter(i), rows))  # p(e, x) == p(x, e) for each e before x
-        try:  # kernel_probability(hypot(...), cfg) inlined; the same expression
-            row += [exp(-((hypot(sx - x, sy - y) / r_s) ** 2)) for x, y in points[i:]]
+        try:  # kernel_probability(dist(s, e), cfg) inlined; the same expression
+            row += [exp(-((dist(s, e) / r_s) ** 2)) for e in points[i:]]
         except OverflowError:
-            row += [kernel_probability(hypot(sx - x, sy - y), cfg) for x, y in points[i:]]
+            row += [kernel_probability(dist(s, e), cfg) for e in points[i:]]
         rows.append(row)
-        probabilities[station] = dict(zip(keys, row))
-    return ProbabilisticCoverageSpec(demands=demands, probabilities=probabilities)
+    return ProbabilisticCoverageSpec(demands=[d.demand for d in districts], probabilities=rows)

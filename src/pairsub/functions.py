@@ -284,10 +284,10 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     h[x] >= f(x) / 2 >= 0.  A station whose f(x) or |s_x|^2 overflows is
     rejected.
 
-    A station row that names every district in order, as
-    data.build_coverage_instance writes it, is read in bulk
-    (_read_in_order); any other row, and any row with a bad value, is read
-    entry by entry (_read_by_key), so every error keeps its type and message.
+    A station row that names every district in order, as the list rows of
+    data.build_coverage_instance do, is read in bulk (_read_in_order); any
+    other row, and any row with a bad value, is read entry by entry
+    (_read_by_key), so every error keeps its type and message.
 
     A larger set chains map(mul, miss, row) over the miss rows 1 - p_x^e of
     its members in id order and takes sum((1 - q_e) * v_e) from the chain, so

@@ -318,6 +318,7 @@ class EstimateCache:
         ids = list(range(oracle.ground_size))
         tracked = list(tracked)
         check_element_ids(tracked, len(ids))  # before any query
+        self.oracle = oracle
         self.base = dict(zip(ids, oracle._column((), ids)))
         self.upper = dict(self.base)
         self.lower = {x: self.base[x] for x in sorted(tracked)}
@@ -325,15 +326,16 @@ class EstimateCache:
     def condition_on(self, x_i: int, oracle) -> None:
         """Move x_i into the conditioning set and refresh the candidates.
 
-        The column is answered before anything changes, so a query the
-        oracle refuses, or an x_i such as True that equals an id without
-        being one, leaves the cache as it was.
+        oracle must be the one the cache was built on, and x_i an id; both
+        are checked first.  The column is answered before anything changes,
+        so a refused oracle, id or query leaves the cache as it was.
         """
+        if oracle is not self.oracle:
+            raise InvalidArgument("condition_on must ask the oracle the cache was built on")
         upper, lower, base = self.upper, self.lower, self.base
+        check_element_ids((x_i,), len(base))  # True equals 1, yet is no id
         if x_i not in upper:
             raise DuplicateElement(f"element {x_i} was already selected")
-        if oracle.ground_size < len(base):  # the column's ids come from the cache
-            check_element_ids((x_i, *upper), oracle.ground_size)
         order = list(upper)
         order.remove(x_i)
         pairs = oracle._column((x_i,), order)

@@ -20,6 +20,7 @@ from pairsub import (
     InvalidArgument,
     ModularSpec,
     NonFiniteValue,
+    ParseError,
     QueryCounts,
     Selection,
     SetFunctionOracle,
@@ -566,6 +567,18 @@ class TestTraces:
         back = trace_from_dict(doc)
         assert back.selected_order == trace.selected_order
         assert back.k == 3
+
+    @pytest.mark.parametrize(("field", "value"), [
+        ("n", True), ("n", "2"), ("n", 2.0), ("i", True), ("element", False),
+        ("element", "0"), ("estimate", True), ("estimate", "1.0"), ("k", True), ("k", "3"),
+    ])
+    def test_a_wrongly_typed_field_is_a_parse_error(self, chain_coverage, field, value):
+        """A bool is no int, and a string no number, in any typed field."""
+        doc = json.loads(json.dumps(greedy_k_wise_optimistic(chain_coverage, 2, 3).to_dict()))
+        target = doc["selections"][0] if field in ("i", "element", "estimate") else doc
+        target[field] = value
+        with pytest.raises(ParseError, match=f"^trace field '{field}' has the wrong type: "):
+            trace_from_dict(doc)
 
     def test_audit_fills_true_marginals(self, chain_coverage):
         trace = greedy_optimistic(chain_coverage, 3)

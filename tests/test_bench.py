@@ -87,21 +87,17 @@ class TestScalingSweep:
             scaling_sweep(algorithms, oracle, [1, 2], 1, k=k)
         assert timed == []
 
-    def test_pairwise_work_units_fit_linear_trend(self):
-        """Work units (deterministic cost proxy) grow linearly in n for the
-        pairwise strategies; R^2 of a straight-line fit stays above 0.95."""
-        import numpy as np
-
+    @pytest.mark.parametrize("algorithm", ["optimistic", "pessimistic"])
+    def test_pairwise_work_units_follow_the_exact_law(self, algorithm):
+        """Work units (deterministic cost proxy) of a pairwise run: m
+        singletons, then one pair column over the m - i remaining candidates
+        after each pick i < n, at two units a pair."""
         oracle = city_oracle(seed=9, count=210)
-        n_values = [4, 8, 12, 16, 20]
-        records = scaling_sweep(["optimistic"], oracle, n_values, 1)
-        work = np.array([r.query_counts.work_units for r in records], dtype=float)
-        ns = np.array(n_values, dtype=float)
-        slope, intercept = np.polyfit(ns, work, 1)
-        predicted = slope * ns + intercept
-        ss_res = float(((work - predicted) ** 2).sum())
-        ss_tot = float(((work - work.mean()) ** 2).sum())
-        assert 1.0 - ss_res / ss_tot >= 0.95
+        m, n_values = oracle.ground_size, [4, 8, 12, 16, 20]
+        records = scaling_sweep([algorithm], oracle, n_values, 1)
+        assert [(r.algorithm, r.m, r.n) for r in records] == [(algorithm, m, n) for n in n_values]
+        assert [r.query_counts.work_units for r in records] == [
+            m + 2 * sum(m - i for i in range(1, n)) for n in n_values]
 
     def test_full_greedy_work_grows_superlinearly(self):
         oracle = city_oracle(seed=9, count=80)

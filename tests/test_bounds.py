@@ -1,5 +1,6 @@
 """Approximation factors, guarantees, curvatures, and the post-hoc certificate."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -270,6 +271,12 @@ class TestPostHocBound:
         assert set(doc) == {"method", "alphas", "gamma"}
         assert all(a == "inf" or isinstance(a, float) for a in doc["alphas"])
 
+    def test_serialization_writes_inf_only_for_an_infinite_factor(self):
+        report = bounds.BoundReport(alphas=[1.5, math.inf, 2.0], gamma=0.25, method="algorithm1")
+        doc = report.to_dict()
+        assert doc == {"method": "algorithm1", "alphas": [1.5, "inf", 2.0], "gamma": 0.25}
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
 
 class TestCurvatures:
     def test_modular_traditional_zero(self, modular312):
@@ -329,10 +336,10 @@ class TestCurvatures:
         oracles.append(city_oracle(seed=8, count=25))
         # a station that reaches no district, so f(x) = 0, between the others
         spec = city_oracle(seed=9, count=12).spec
-        stations = list(spec.probabilities.items())
-        stations.insert(5, ("idle", {}))
+        stations = list(spec.probabilities)
+        stations.insert(5, {})
         oracles.append(build_probabilistic_coverage(
-            ProbabilisticCoverageSpec(spec.demands, dict(stations))))
+            ProbabilisticCoverageSpec(spec.demands, stations)))
         for oracle in oracles:
             for k in (2, 3):
                 assert k_cardinality_curvature(oracle, k) == naive_k_cardinality_curvature(
@@ -461,6 +468,14 @@ class TestNaNAnswers:
         oracle = nan_pair_oracle(frozenset({0, 1, 2}))
         assert k_marginal_curvature(oracle, 0, [1, 3], 2) == 0.0  # modular elsewhere
         with pytest.raises(NonFiniteValue, match=r"c_2\(0\|\[1, 2\]\) is undefined: f\(x\|S\) is nan"):
+            k_marginal_curvature(oracle, 0, [1, 2], 2)
+
+    def test_k_marginal_curvature_refuses_a_nan_upper_estimate(self):
+        # f({0}) is NaN, and no finite f(0|A) compares below it, so the upper
+        # estimate stays NaN while f(0|S) = 9 - 5 is finite
+        oracle = nan_pair_oracle(frozenset({0}))
+        assert oracle.marginal(0, [1, 2]) == 4.0
+        with pytest.raises(NonFiniteValue, match=r"f\(x\|S\) is 4\.0 and its upper estimate nan"):
             k_marginal_curvature(oracle, 0, [1, 2], 2)
 
     def test_infinite_answers_of_both_signs_are_not_nan(self):

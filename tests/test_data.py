@@ -144,9 +144,9 @@ class TestBuildCoverageInstance:
         districts = [District("a", 0.0, 0.0, 1.0), District("b", 1.0, 1.0, 2.0),
                      District("c", 0.0, 0.0, 3.0)]
         p = build_coverage_instance(districts, KernelConfig(1e-300)).probabilities
-        assert p == {"a": {"a": 1.0, "b": 0.0, "c": 1.0},
-                     "b": {"a": 0.0, "b": 1.0, "c": 0.0},
-                     "c": {"a": 1.0, "b": 0.0, "c": 1.0}}
+        assert p == [[1.0, 0.0, 1.0],
+                     [0.0, 1.0, 0.0],
+                     [1.0, 0.0, 1.0]]
 
     def test_tiny_range_isolates_own_district(self):
         districts = [District("a", 0.0, 0.0, 3.0), District("b", 5.0, 0.0, 7.0)]
@@ -196,12 +196,13 @@ class TestBuildCoverageInstance:
         for cfg in (KernelConfig(1.0), KernelConfig(0.37), KernelConfig(6.0),
                     KernelConfig(0.01), KernelConfig(1e-150)):
             spec = build_coverage_instance(districts, cfg)
-            assert list(spec.probabilities) == [d.id for d in districts]
-            for s in districts:
-                row = spec.probabilities[s.id]
-                assert list(row) == [e.id for e in districts]
-                for e in districts:
+            # positional: station s's row lists district e's probability at e's position
+            assert spec.demands == [d.demand for d in districts]
+            assert [len(row) for row in spec.probabilities] == [len(districts)] * len(districts)
+            for s, row in zip(districts, spec.probabilities):
+                for e, p in zip(districts, row):
                     expected = kernel_probability(math.hypot(s.x - e.x, s.y - e.y), cfg)
-                    assert row[e.id].hex() == expected.hex()  # bit for bit
+                    assert p.hex() == expected.hex()  # bit for bit
         subnormal = build_coverage_instance(districts, KernelConfig(0.01)).probabilities
-        assert 0.0 < subnormal["near0"]["near1"] < sys.float_info.min
+        near0, near1 = len(districts) - 2, len(districts) - 1
+        assert 0.0 < subnormal[near0][near1] < sys.float_info.min

@@ -280,9 +280,9 @@ class TestProbabilisticPairKernel:
     def test_pairs_within_2e_15_of_the_exact_rational_value(self):
         spec = city_oracle(count=40).spec
         oracle = build_probabilistic_coverage(spec)
-        v = [Fraction(ve) for ve in spec.demands.values()]
-        p = [[Fraction(row.get(key, 0.0)) for key in spec.demands]
-             for row in spec.probabilities.values()]
+        v = [Fraction(ve) for ve in spec.demands]
+        p = [[Fraction(pe) for pe in row] for row in spec.probabilities]
+        assert {len(v)} == set(map(len, p))
         for x, y in itertools.combinations(range(oracle.ground_size), 2):
             exact = sum((px + py - px * py) * ve for px, py, ve in zip(p[x], p[y], v))
             error = abs(Fraction(oracle.evaluate([x, y])) - exact)
@@ -303,7 +303,7 @@ class TestProbabilisticPairKernel:
         # a station that reaches no district leaves the product loop's value exact,
         # so f({x, y, idle}) is the loop's answer for the pair {x, y}
         spec = city_oracle(count=60).spec
-        probabilities = {**spec.probabilities, "idle": {}}
+        probabilities = [*spec.probabilities, {}]
         oracle = build_probabilistic_coverage(
             ProbabilisticCoverageSpec(spec.demands, probabilities))
         idle = oracle.ground_size - 1

@@ -259,16 +259,36 @@ class TestEstimateCache:
 
     @pytest.mark.parametrize("family", [random_weighted_coverage, random_probabilistic_coverage])
     def test_conditioning_through_a_smaller_oracle_is_refused(self, family):
-        """The cache's candidates come from the oracle it was built on; an
-        oracle with fewer ids refuses the first one beyond its range."""
+        """The cache asks only the oracle it was built on: one with fewer or
+        more ids, or another view of the same one, is refused before any
+        query, and the tables stay as they were."""
         oracle = family(random.Random(3), 6)
-        small = family(random.Random(4), 4)
+        others = [family(random.Random(4), 4), family(random.Random(5), 8),
+                  oracle.restricted(2), CountingOracle(oracle)]
         for x_i in (0, 5):
             cache = EstimateCache(oracle, range(6))
             before = (dict(cache.upper), dict(cache.lower))
-            with pytest.raises(UnknownElement, match=f"element id {max(x_i, 4)} outside"):
-                cache.condition_on(x_i, CountingOracle(small))
-            assert (cache.upper, cache.lower) == before
+            for other in others:
+                view = CountingOracle(other)
+                with pytest.raises(InvalidArgument, match="the oracle the cache was built on"):
+                    cache.condition_on(x_i, view)
+                assert view.counts.total == 0
+                assert (cache.upper, cache.lower) == before
+            cache.condition_on(x_i, oracle)
+            assert x_i not in cache.upper
+
+    @pytest.mark.parametrize("x_i", [True, 1.0], ids=["bool", "float"])
+    def test_an_id_that_only_equals_a_pick_is_no_id(self, chain_coverage, x_i):
+        """After 1 is picked, True and 1.0 find 1 among the picks by
+        equality, yet they are no ids: UnknownElement, not DuplicateElement."""
+        cache = EstimateCache(chain_coverage, range(3))
+        cache.condition_on(1, chain_coverage)
+        before = (dict(cache.upper), dict(cache.lower))
+        with pytest.raises(UnknownElement, match="element ids must be integers"):
+            cache.condition_on(x_i, chain_coverage)
+        assert (cache.upper, cache.lower) == before
+        with pytest.raises(DuplicateElement, match="element 1 was already selected"):
+            cache.condition_on(1, chain_coverage)
 
     @pytest.mark.parametrize("x_i", [True, 1.0], ids=["bool", "float"])
     def test_conditioning_on_an_id_that_only_equals_one_is_refused(self, chain_coverage, x_i):
@@ -607,6 +627,19 @@ class TestPairColumn:
         with pytest.raises(DuplicateElement):
             view.evaluate_extensions((1,), [0, 1])
         assert view.counts.total == 0
+
+    @pytest.mark.parametrize(("a", "ys", "message"), [
+        ((1,), [0, 2, 1], "element 1 cannot be paired with itself"),
+        ((3, 0, 2), [1, 2, 4, 0], "element 2 is already in the set [0, 2, 3]"),
+    ], ids=["pair", "larger"])
+    def test_overlap_names_the_first_shared_y(self, a, ys, message):
+        """The message names the first y of the column that is in a, with the
+        pair wording for |a| = 1 and the set wording otherwise."""
+        oracle = random_soc_oracle(random.Random(2), 5)
+        for source in (oracle, no_column(oracle)):
+            with pytest.raises(DuplicateElement) as raised:
+                source.evaluate_extensions(a, ys)
+            assert str(raised.value) == message
 
     @pytest.mark.parametrize("family", COLUMN_FAMILIES.values(), ids=COLUMN_FAMILIES.keys())
     def test_one_shot_iterables_get_their_lists_answer(self, family):
