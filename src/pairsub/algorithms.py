@@ -18,7 +18,7 @@ from math import comb, inf
 
 from .errors import InvalidArgument, NonFiniteValue, ParseError
 from .oracles import CountingOracle, QueryCounts, argmax, fold_k_wise, fold_lower
-from .validation import check_cardinality, check_enumeration, check_order
+from .validation import check_cardinality, check_enumeration, check_k, check_order
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,8 +239,8 @@ def check_run(name: str, k: int | None = None) -> None:
             raise InvalidArgument(f"k applies to k_wise_optimistic only, not {name!r}")
     elif k is None:
         raise InvalidArgument("k_wise_optimistic requires k")
-    elif k < 2:
-        raise InvalidArgument(f"k must be >= 2, got {k}")
+    else:
+        check_k(k)
 
 
 def run_algorithm(name: str, oracle, n: int, k: int | None = None) -> RunTrace:

@@ -45,7 +45,7 @@ from .errors import (
     TraceMismatch,
 )
 from .oracles import CountingOracle, EstimateCache, k_wise_upper_estimate
-from .validation import check_enumeration, check_order, near_zero
+from .validation import check_enumeration, check_k, check_order, near_zero
 
 
 @dataclass(slots=True)
@@ -111,8 +111,7 @@ def alphas_k_wise(trace, full_oracle, k: int) -> list[float]:
     """Theorem 3: factors for a k-wise optimistic run, 1 for the first k
     picks, then _factor(estimate, audited true marginal).  The threshold
     reads each pick's position, not its recorded iteration label."""
-    if k < 2:
-        raise InvalidArgument(f"k must be >= 2, got {k}")
+    check_k(k)
     if trace.algorithm == "k_wise_optimistic":
         if trace.k is not None and trace.k != k:
             raise TraceMismatch(f"trace was produced with k={trace.k}, not k={k}")
@@ -198,8 +197,7 @@ def k_cardinality_curvature(oracle, k: int) -> float:
     one query per unordered pair.  A NaN answer raises NonFiniteValue
     (_answered).
     """
-    if k < 2:
-        raise InvalidArgument(f"k must be >= 2, got {k}")
+    check_k(k)
     m = oracle.ground_size
     pair_count = m * (2 ** (m - 1) - 1 if k >= m  # every nonempty A, without summing
                       else sum(comb(m - 1, size) for size in range(1, k)))

@@ -42,7 +42,7 @@ class KernelConfig:
 
 def kernel_probability(d: float, cfg: KernelConfig) -> float:
     """exp(-d^2 / r_s^2); 1 at zero distance, decreasing to 0.0 far away."""
-    if d < 0:
+    if not d >= 0:  # NaN too
         raise InvalidArgument(f"distance must be non-negative, got {d}")
     q = d / cfg.r_s  # exp(-q^2) is 0.0 from q = 28 on; q^2 overflows above 1.3e154
     return math.exp(-(q ** 2)) if q < 1e154 else 0.0

@@ -43,7 +43,7 @@ from math import inf, isnan
 from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, DuplicateElement, InvalidArgument, NonFiniteValue
-from .validation import as_id_set, check_element_ids
+from .validation import as_id_set, check_element_ids, check_k
 
 
 def _check_ids(ids, ground: int) -> None:
@@ -77,7 +77,7 @@ class SetFunctionOracle:
         spec=None,
         extensions_fn: Callable[[tuple, list[int]], list[float]] | None = None,
     ):
-        if ground_size < 1:
+        if not isinstance(ground_size, int) or isinstance(ground_size, bool) or ground_size < 1:
             raise InvalidArgument("ground_size must be a positive integer")
         if budget is not None and budget < 1:
             raise InvalidArgument("budget must be >= 1, or None for unlimited")
@@ -236,8 +236,7 @@ def k_wise_upper_estimate(oracle, x: int, ids: Iterable[int], k: int) -> float:
     Non-increasing in k, and f(x) for an empty set.  Each A is asked once,
     folded in by its largest id: 1 + 2 * sum_{1 <= s < k} C(|S|, s) queries.
     """
-    if k < 2:
-        raise InvalidArgument(f"k must be >= 2, got {k}")
+    check_k(k)
     s = as_id_set(ids)
     if x in s:
         raise DuplicateElement(f"element {x} already in the conditioning set")

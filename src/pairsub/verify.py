@@ -7,18 +7,21 @@ slots.  Submodularity, supermodularity of conditioning and Nemhauser's
 inequality also have a local form, which an enumeration walks in place of
 the quantified one: elements (D, x), pairs (D, x, y) and triples (D, x, y,
 z) of elements outside D, m*2^(m-1), C(m,2)*2^(m-2) and C(m,3)*2^(m-3) of
-them.  Each checker states in closed form how many tuples its enumeration
-walks: m*2^(m-1) for monotonicity and the marginal lower bound, the pairs
-for submodularity, the pairs and triples for SoC, the elements and pairs
-for Nemhauser's inequality, and 4^m for the redundancy bound.  mode="auto"
-enumerates when that walk fits validation.ENUMERATION_LIMIT (10^6: up to
-m = 14 for Nemhauser's inequality, 9 for the redundancy bound), so
-holds=True is then a proof, and otherwise draws seeded uniform tuples from
-the quantified slots one slot after another, asking f at most once per set;
-mode="exhaustive" refuses a walk that does not fit before any query.  A
-violation reads f by subscript, at[mask], from the table of all 2^m values
-(it fits when the walk does) when enumerating and from a lazy per-set memo
-when sampling.  A witness replays through the quantified definition.
+them.  The redundancy bound's local form takes one element of C at a time:
+(A, B, c) with B outside A and c outside A u B, m*3^(m-1) of them.  Each
+checker states in closed form how many tuples its enumeration walks:
+m*2^(m-1) for monotonicity and the marginal lower bound, the pairs for
+submodularity, the pairs and triples for SoC, the elements and pairs for
+Nemhauser's inequality, and m*3^(m-1) for the redundancy bound.
+mode="auto" enumerates when that walk fits validation.ENUMERATION_LIMIT
+(10^6: up to m = 14 for Nemhauser's inequality, 11 for the redundancy
+bound), so holds=True is then a proof, and otherwise draws seeded uniform
+tuples from the quantified slots one slot after another, asking f at most
+once per set; mode="exhaustive" refuses a walk that does not fit before
+any query.  A violation reads f by subscript, at[mask], from the table of
+all 2^m values (it fits when the walk does) when enumerating and from a
+lazy per-set memo when sampling.  A witness replays through the quantified
+definition.
 """
 
 from __future__ import annotations
@@ -352,7 +355,19 @@ def check_pairwise_redundancy_bound(
     seed: int = 0,
     mode: str = "auto",
 ) -> VerificationReport:
-    """f(A|B) - f(A|B,C) <= sum over c in C of f(c) - f(c|A), disjoint A,B,C."""
+    """f(A|B) - f(A|B,C) <= sum over c in C of f(c) - f(c|A), disjoint A,B,C.
+
+    An enumeration checks the local form, C = {c}: f(A|B) - f(A|B+c) <=
+    f(c) - f(c|A) for B outside A and c outside A u B, m*3^(m-1) tuples
+    (A, B, c), each an instance of the definition, so its witness replays
+    as one.  Conversely, with C = {c_1..c_k} and C_<j = {c_1..c_j-1}, the
+    chain rule gives f(A|B) - f(A|B u C) = sum over j of f(A|B u C_<j) -
+    f(A|B u C_<j+c_j), and each term is a local tuple with B' = B u C_<j,
+    bounded by f(c_j) - f(c_j|A).  Sampling draws from the quantified
+    domain.  The forms agree in exact arithmetic; with at_least they can
+    split on a near-tie, where a quantified gap sums local gaps that each
+    fall within the tolerance.
+    """
     domain = ((SUBSET, lambda full: full),  # A
               (SUBSET, lambda full, a: full ^ a),  # B outside A
               (SUBSET, lambda full, a, b: full ^ a ^ b))  # C outside A u B
@@ -371,8 +386,11 @@ def check_pairwise_redundancy_bound(
         return {"A": _bits(a_mask), "B": _bits(b_mask), "C": _bits(c_mask),
                 "lhs": lhs, "rhs": rhs}
 
-    return _run("pairwise_redundancy_bound", oracle, 4 ** oracle.ground_size, mode,
-                samples, seed, (domain, violation))
+    local = (domain[:2] + ((ELEMENT, lambda full, a, b: a | b),),  # c outside A u B
+             lambda at, t: violation(at, (t[0], t[1], 1 << t[2])))
+    m = oracle.ground_size
+    return _run("pairwise_redundancy_bound", oracle, m * 3 ** m // 3, mode,
+                samples, seed, (domain, violation), (local,))
 
 
 def check_marginal_lower_bound(

@@ -254,21 +254,34 @@ def naive_property_check(name, oracle, require_disjoint=False):
 
 def naive_local_check(name, oracle, require_disjoint=False):
     """(holds, witness, instances_checked) of an exhaustive check of
-    submodularity, supermodularity of conditioning or Nemhauser's inequality
-    by its local form, by a scan of every D in mask order and every x
-    outside it, every x < y, or every x < y < z, with f asked afresh for
-    every set.
+    submodularity, supermodularity of conditioning, Nemhauser's inequality
+    or the pairwise redundancy bound by its local form, by a scan of every D
+    in mask order and every x outside it, every x < y, or every x < y < z,
+    with f asked afresh for every set.
 
     Submodularity scans the pairs: f(x|D) >= f(x|D+y).  SoC scans the pairs
     as S = C = {x} and then the triples as S = {x}, C = {z}, each with A = D
     and B = D + y; require_disjoint scans the triples alone.  Nemhauser's
     inequality scans every x as S = D + x, T = D (monotonicity) and then the
-    pairs as S = D, T = D + x + y (submodularity).  Witnesses are those of
-    the quantified definition.  Comparisons are exact, so f should take
-    integer values.
+    pairs as S = D, T = D + x + y (submodularity).  The redundancy bound
+    scans C = {c} instead: every A in mask order, every B outside A in mask
+    order and every c outside both.  Witnesses are those of the quantified
+    definition.  Comparisons are exact, so f should take integer values.
     """
     m = oracle.ground_size
     f = lambda mask: oracle.evaluate(_members(mask))  # noqa: E731
+    if name == "pairwise_redundancy_bound":
+        checked = 0
+        for a in range(1 << m):
+            for b in range(1 << m):
+                for c in range(m):
+                    if a & b or (a | b) >> c & 1:
+                        continue
+                    checked += 1
+                    witness = _redundancy(f, a, b, 1 << c)
+                    if witness is not None:
+                        return False, witness, checked
+        return True, None, checked
     if name == "submodular":
         scans = [(2, lambda d, x, y: _submodular(f, d | 1 << y, x, d))]
     elif name == "nemhauser_inequality":

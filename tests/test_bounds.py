@@ -84,6 +84,13 @@ class TestBoundFromAlphas:
         with pytest.raises(ValueError):
             bound_from_alphas([1.0], 2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_is_refused(self, n):
+        with pytest.raises(InvalidArgument) as raised:
+            bound_from_alphas([], n)
+        assert (type(raised.value), str(raised.value)) == (InvalidArgument,
+                                                           f"n must be >= 1, got {n}")
+
     def test_range(self):
         rng = random.Random(0)
         for _ in range(200):

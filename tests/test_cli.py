@@ -6,9 +6,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pairsub import cli
+from pairsub import InvalidArgument, ParseError, UnknownElement, cli
 from pairsub.bench import CSV_HEADER
+from pairsub.bounds import (
+    BoundReport,
+    alphas_pessimistic,
+    bound_from_alphas,
+    k_cardinality_curvature,
+)
 from pairsub.cli import main
+from pairsub.functions import instance_from_dict
+from pairsub.verify import ALL_CHECKS
 
 MODULAR = {"type": "modular", "params": {"weights": [3, 1, 2, 5]}}
 DISTRICTS = "district_id,x,y,demand\na,0,0,1\nb,1,1,2\n"
@@ -22,12 +30,21 @@ def inputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "inst.json").write_text(json.dumps(MODULAR), encoding="utf-8")
     (tmp_path / "d.csv").write_text(DISTRICTS, encoding="utf-8")
+    (tmp_path / "trace.json").write_text(json.dumps(TRACE), encoding="utf-8")
     return tmp_path
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     return code, capsys.readouterr()
+
+
+def raised_by(argv):
+    """The type of the error a command's handler raises, which main prints."""
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(Exception) as raised:
+        args.handler(args)
+    return type(raised.value)
 
 
 def test_valid_trace_is_certified(inputs, capsys):
@@ -43,23 +60,38 @@ def third_pick(element) -> str:
     return json.dumps({**TRACE, "n": 3, "selections": [*TRACE["selections"], third]})
 
 
+# name -> (trace text, error, start of its message); the rest of a message
+# quotes Python's own parser, whose wording differs between versions
 BAD_TRACES = {
-    "invalid_json": "{not json",
-    "missing_n": json.dumps({k: v for k, v in TRACE.items() if k != "n"}),
-    "not_an_object": "[1, 2]",
-    "selection_missing_element": json.dumps({**TRACE, "selections": [{"i": 1}]}),
-    "no_selections": json.dumps({**TRACE, "selections": []}),
-    "unknown_element": json.dumps(
+    "invalid_json": ("{not json", ParseError, "trace.json: invalid JSON ("),
+    "missing_n": (json.dumps({k: v for k, v in TRACE.items() if k != "n"}),
+                  ParseError, "trace is missing the field 'n'"),
+    "not_an_object": ("[1, 2]", ParseError, "a trace must be a JSON object, got list"),
+    "selection_missing_element": (json.dumps({**TRACE, "selections": [{"i": 1}]}),
+                                  ParseError, "trace is missing the field 'element'"),
+    "no_selections": (json.dumps({**TRACE, "selections": []}),
+                      ParseError, "trace has n=2 and selections labelled [], not 1..n"),
+    "no_selections_at_n_zero": (json.dumps({**TRACE, "n": 0, "final_set": [], "selections": []}),
+                                InvalidArgument, "trace.json: the trace selects no element"),
+    "unknown_element": (json.dumps(
         {**TRACE, "selections": [{"i": 1, "element": 9, "estimate": 1.0}]}),
-    "element_is_a_list": json.dumps(
+        ParseError, "trace has n=2 and selections labelled [1], not 1..n"),
+    "element_is_a_list": (json.dumps(
         {**TRACE, "selections": [{"i": 1, "element": [1], "estimate": 1.0}]}),
-    "third_element_is_a_list": third_pick([1]),
-    "third_element_is_an_object": third_pick({}),
-    "bad_query_counts": json.dumps({**TRACE, "query_counts": {"size9": 1}}),
-    "n_is_a_string": json.dumps({**TRACE, "n": "2"}),
-    "iterations_relabelled": json.dumps(
+        ParseError, "trace field 'element' has the wrong type: [1]"),
+    "third_element_is_a_list": (third_pick([1]), ParseError,
+                                "trace field 'element' has the wrong type: [1]"),
+    "third_element_is_an_object": (third_pick({}), ParseError,
+                                   "trace field 'element' has the wrong type: {}"),
+    "bad_query_counts": (json.dumps({**TRACE, "query_counts": {"size9": 1}}),
+                         ParseError, "trace field has the wrong shape: "),
+    "n_is_a_string": (json.dumps({**TRACE, "n": "2"}),
+                      ParseError, "trace field 'n' has the wrong type: '2'"),
+    "iterations_relabelled": (json.dumps(
         {**TRACE, "selections": [{**s, "i": 1} for s in TRACE["selections"]]}),
-    "n_disagrees": json.dumps({**TRACE, "n": 3}),
+        ParseError, "trace has n=2 and selections labelled [1, 1], not 1..n"),
+    "n_disagrees": (json.dumps({**TRACE, "n": 3}),
+                    ParseError, "trace has n=3 and selections labelled [1, 2], not 1..n"),
 }
 
 
@@ -82,15 +114,16 @@ TRACE_METHODS = {"": [], "-theorem2": ["--method", "theorem2"],
 
 
 @pytest.mark.parametrize(
-    ("text", "method"),
-    [(text, method) for text in BAD_TRACES.values() for method in TRACE_METHODS.values()],
+    ("text", "error", "message", "method"),
+    [(*bad, method) for bad in BAD_TRACES.values() for method in TRACE_METHODS.values()],
     ids=[name + suffix for name in BAD_TRACES for suffix in TRACE_METHODS])
-def test_malformed_trace_exits_2(inputs, capsys, text, method):
+def test_malformed_trace_exits_2(inputs, capsys, text, error, message, method):
     (inputs / "trace.json").write_text(text, encoding="utf-8")
-    code, out = run_cli(["bound", "--instance", "inst.json", "--trace", "trace.json", *method],
-                        capsys)
-    assert code == 2
-    assert out.err.startswith("error: ") and out.out == ""
+    argv = ["bound", "--instance", "inst.json", "--trace", "trace.json", *method]
+    code, out = run_cli(argv, capsys)
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"error: {message}") and out.err.count("\n") == 1
+    assert raised_by(argv) is error
 
 
 COVERAGE = {"type": "weighted_coverage",
@@ -170,40 +203,87 @@ def test_bench_k_goes_to_the_k_wise_strategy_only(inputs, capsys):
                                                         "k_wise_optimistic,3"]
 
 
+# name -> (argv, error, message)
 BAD_FLAGS = {
-    "budget_zero": "run --instance inst.json --algo optimistic --n 2 --budget 0",
-    "budget_negative": "run --instance inst.json --algo optimistic --n 2 --budget -3",
-    "rs_zero": "run --districts d.csv --rs 0 --algo optimistic --n 1",
-    "rs_nan": "run --districts d.csv --rs nan --algo optimistic --n 1",
-    "rs_inf": "run --districts d.csv --rs inf --algo optimistic --n 1",
-    "n_zero": "run --instance inst.json --algo optimistic --n 0",
-    "bruteforce_n_zero": "bruteforce --instance inst.json --n 0",
-    "grid_with_zero": "bench --instance inst.json --algos optimistic --n-grid 0,1",
-    "k_below_two": "run --instance inst.json --algo k_wise_optimistic --n 2 --k 1",
-    "k_with_optimistic": "run --instance inst.json --algo optimistic --n 2 --k 3",
-    "k_wise_without_k": "run --instance inst.json --algo k_wise_optimistic --n 2",
-    "solution_unknown_id": "bound --instance inst.json --solution 0,9",
-    "trials_zero": "bench --instance inst.json --algos optimistic --n-grid 1,2 --trials 0",
-    "grid_descending": "bench --instance inst.json --algos optimistic --n-grid 2,1",
-    "bench_algos_empty": "bench --instance inst.json --algos= --n-grid 1,2",
-    "bench_ratio_without_full": "bench --instance inst.json --algos optimistic --n-grid 1,2 "
-                                "--ratio r.csv",
-    "bench_k_without_k_wise": "bench --instance inst.json --algos full,optimistic --n-grid 1 --k 3",
-    "bench_k_wise_without_k": "bench --instance inst.json --algos optimistic,k_wise_optimistic "
-                              "--n-grid 1",
-    "samples_zero": "verify --instance inst.json --samples 0 --properties monotone",
-    "samples_negative": "verify --instance inst.json --samples -1",
-    "properties_empty": "verify --instance inst.json --properties=",
-    "properties_blank": "verify --instance inst.json --properties=,",
-    "properties_unknown": "verify --instance inst.json --properties monotone,convex",
+    "budget_zero": ("run --instance inst.json --algo optimistic --n 2 --budget 0",
+                    InvalidArgument, "budget must be >= 1, or None for unlimited"),
+    "budget_negative": ("run --instance inst.json --algo optimistic --n 2 --budget -3",
+                        InvalidArgument, "budget must be >= 1, or None for unlimited"),
+    "rs_zero": ("run --districts d.csv --rs 0 --algo optimistic --n 1",
+                InvalidArgument, "r_s must be positive and finite, got 0.0"),
+    "rs_nan": ("run --districts d.csv --rs nan --algo optimistic --n 1",
+               InvalidArgument, "r_s must be positive and finite, got nan"),
+    "rs_inf": ("run --districts d.csv --rs inf --algo optimistic --n 1",
+               InvalidArgument, "r_s must be positive and finite, got inf"),
+    "instance_and_districts": ("run --instance inst.json --districts d.csv --rs 1 "
+                               "--algo optimistic --n 1", InvalidArgument,
+                               "exactly one of --instance or --districts is required"),
+    "no_instance": ("run --algo optimistic --n 1", InvalidArgument,
+                    "exactly one of --instance or --districts is required"),
+    "rs_with_instance": ("run --instance inst.json --rs 1 --algo optimistic --n 1",
+                         InvalidArgument, "--rs applies to --districts input only"),
+    "districts_without_rs": ("run --districts d.csv --algo optimistic --n 1", InvalidArgument,
+                             "--rs is required when running on a districts CSV"),
+    "n_zero": ("run --instance inst.json --algo optimistic --n 0",
+               InvalidArgument, "cardinality must be >= 1, got 0"),
+    "bruteforce_n_zero": ("bruteforce --instance inst.json --n 0",
+                          InvalidArgument, "cardinality must be >= 1, got 0"),
+    "grid_with_zero": ("bench --instance inst.json --algos optimistic --n-grid 0,1",
+                       InvalidArgument, "cardinality must be >= 1, got 0"),
+    "k_below_two": ("run --instance inst.json --algo k_wise_optimistic --n 2 --k 1",
+                    InvalidArgument, "k must be >= 2, got 1"),
+    "k_with_optimistic": ("run --instance inst.json --algo optimistic --n 2 --k 3",
+                          InvalidArgument, "k applies to k_wise_optimistic only, not 'optimistic'"),
+    "k_wise_without_k": ("run --instance inst.json --algo k_wise_optimistic --n 2",
+                         InvalidArgument, "k_wise_optimistic requires k"),
+    "solution_unknown_id": ("bound --instance inst.json --solution 0,9",
+                            UnknownElement, "element id 9 outside ground set [0, 4)"),
+    "solution_blank": ("bound --instance inst.json --solution ,",
+                       InvalidArgument, "--solution is empty"),
+    "trace_and_solution": ("bound --instance inst.json --trace trace.json --solution 0",
+                           InvalidArgument, "exactly one of --trace or --solution is required"),
+    "neither_trace_nor_solution": ("bound --instance inst.json", InvalidArgument,
+                                   "exactly one of --trace or --solution is required"),
+    "theorem2_without_trace": ("bound --instance inst.json --solution 0,1 --method theorem2",
+                               InvalidArgument, "--method theorem2 needs --trace"),
+    "theorem3_without_trace": ("bound --instance inst.json --solution 0,1 --method theorem3 "
+                               "--k 2", InvalidArgument, "--method theorem3 needs --trace"),
+    "theorem3_without_k": ("bound --instance inst.json --trace trace.json --method theorem3",
+                           InvalidArgument, "--method theorem3 needs --k"),
+    "trials_zero": ("bench --instance inst.json --algos optimistic --n-grid 1,2 --trials 0",
+                    InvalidArgument, "trials must be >= 1, got 0"),
+    "grid_descending": ("bench --instance inst.json --algos optimistic --n-grid 2,1",
+                        InvalidArgument, "n_values must be ascending, got [2, 1]"),
+    "bench_algos_empty": ("bench --instance inst.json --algos= --n-grid 1,2", InvalidArgument,
+                          "nothing to time: algorithms [], n values [1, 2]"),
+    "bench_ratio_without_full": ("bench --instance inst.json --algos optimistic --n-grid 1,2 "
+                                 "--ratio r.csv", InvalidArgument,
+                                 "--ratio needs 'full' plus at least one other algorithm in "
+                                 "--algos"),
+    "bench_k_without_k_wise": ("bench --instance inst.json --algos full,optimistic --n-grid 1 "
+                               "--k 3", InvalidArgument,
+                               "k applies to k_wise_optimistic only, not ['full', 'optimistic']"),
+    "bench_k_wise_without_k": ("bench --instance inst.json --algos optimistic,k_wise_optimistic "
+                               "--n-grid 1", InvalidArgument, "k_wise_optimistic requires k"),
+    "samples_zero": ("verify --instance inst.json --samples 0 --properties monotone",
+                     InvalidArgument, "a check needs samples >= 1, got 0"),
+    "samples_negative": ("verify --instance inst.json --samples -1",
+                         InvalidArgument, "a check needs samples >= 1, got -1"),
+    "properties_empty": ("verify --instance inst.json --properties=", InvalidArgument,
+                         f"--properties must name some of {sorted(ALL_CHECKS)}, got ''"),
+    "properties_blank": ("verify --instance inst.json --properties=,", InvalidArgument,
+                         f"--properties must name some of {sorted(ALL_CHECKS)}, got ','"),
+    "properties_unknown": ("verify --instance inst.json --properties monotone,convex",
+                           InvalidArgument, f"--properties must name some of "
+                           f"{sorted(ALL_CHECKS)}, got 'monotone,convex'"),
 }
 
 
-@pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
-def test_bad_flag_exits_2(inputs, capsys, argv):
+@pytest.mark.parametrize(("argv", "error", "message"), BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_bad_flag_exits_2(inputs, capsys, argv, error, message):
     code, out = run_cli(argv.split(), capsys)
-    assert code == 2
-    assert out.err.startswith("error: ") and out.out == ""
+    assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
+    assert raised_by(argv.split()) is error
 
 
 def test_districts_too_far_apart_for_the_kernel_run(inputs, capsys):
@@ -350,10 +430,37 @@ def test_verify_walks_local_forms_and_samples_a_4_to_the_m_space(inputs, capsys)
         "submodular": (True, "exhaustive", "local", 66 * 2**10),  # C(12,2)2^10
         "supermodularity_of_conditioning":  # C(12,2)2^10 + C(12,3)2^9
             (True, "exhaustive", "local", 66 * 2**10 + 220 * 2**9),
-        "pairwise_redundancy_bound": (True, "sampled", "quantified", 2000),  # 4^12 tuples
+        "pairwise_redundancy_bound":  # the local form, 12*3^11 tuples, does not fit
+            (True, "sampled", "quantified", 2000),
         "nemhauser_inequality":  # 12*2^11 + C(12,2)2^10
             (True, "exhaustive", "local", 12 * 2**11 + 66 * 2**10),
     }
+
+
+def test_verify_proves_the_redundancy_bound_on_11_elements(inputs, capsys):
+    instance = {"type": "modular", "params": {"weights": [1.0] * 11}}
+    (inputs / "wide.json").write_text(json.dumps(instance), encoding="utf-8")
+    code, out = run_cli("verify --instance wide.json --properties pairwise_redundancy_bound"
+                        .split(), capsys)
+    assert code == 0 and out.err == ""
+    doc = json.loads(out.out)
+    assert (doc["holds"], doc["mode"], doc["form"], doc["instances_checked"]) == \
+        (True, "exhaustive", "local", 11 * 3**10)
+
+
+def test_theorem5_without_tau2_takes_the_scanned_tau2(inputs, capsys):
+    (inputs / "cov.json").write_text(json.dumps(COVERAGE), encoding="utf-8")
+    argv = "bound --instance cov.json --solution 4,1,0 --method theorem5".split()
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and out.err == ""
+    tau2 = k_cardinality_curvature(instance_from_dict(COVERAGE), 2)
+    alphas = alphas_pessimistic(tau2, 3)
+    assert 0.0 < tau2 < 1.0 and max(alphas) > 1.0  # the scanned value moves the factors
+    expected = {"schema": "pairsub/1",
+                **BoundReport(alphas, bound_from_alphas(alphas, 3), "theorem5").to_dict()}
+    assert json.loads(out.out) == expected
+    code, given_tau2 = run_cli([*argv, "--tau2", repr(tau2)], capsys)
+    assert (code, given_tau2.out) == (0, out.out)
 
 
 json_values = st.recursive(

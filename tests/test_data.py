@@ -10,6 +10,7 @@ from pairsub import (
     District,
     DuplicateId,
     EmptyInput,
+    InvalidArgument,
     KernelConfig,
     NegativeDemand,
     ParseError,
@@ -78,6 +79,20 @@ class TestLoadDistricts:
         with pytest.raises(ParseError, match="not UTF-8"):
             load_districts(path)
 
+    def test_empty_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ParseError) as raised:
+            load_districts(path)
+        assert (type(raised.value), str(raised.value)) == (
+            ParseError, f"{path}: empty file, expected header district_id,x,y,demand")
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("district_id,x,y,demand\n\na,0,0,1\n\n\nb,1,1,2\n\n", encoding="utf-8")
+        assert load_districts(path) == [District("a", 0.0, 0.0, 1.0),
+                                        District("b", 1.0, 1.0, 2.0)]
+
     def test_wrong_header(self):
         with pytest.raises(ParseError):
             parse_districts("id,x,y,demand\na,0,0,1\n")
@@ -114,6 +129,13 @@ class TestKernel:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             kernel_probability(-0.1, KernelConfig(1.0))
+
+    @pytest.mark.parametrize("r_s", [1.0, 1e-300])
+    def test_nan_distance_rejected(self, r_s):
+        with pytest.raises(InvalidArgument) as raised:
+            kernel_probability(math.nan, KernelConfig(r_s))
+        assert (type(raised.value), str(raised.value)) == (
+            InvalidArgument, "distance must be non-negative, got nan")
 
     def test_beyond_the_float_range_is_zero(self):
         # (d / r_s) ** 2 overflows a float here; 0.0 is the limit of exp(-d^2 / r_s^2)

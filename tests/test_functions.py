@@ -167,11 +167,13 @@ BAD_VALUE = "'weighted_coverage' instance has a bad value: "
      "cover 'y' references unknown universe element 'c'"),
     ([1.0, 2.0], [[0], 5], TypeError, "'int' object is not iterable"),
     ([1.0, 2.0], [], MalformedSpec, "covers must declare at least one element"),
+    ([1.0, 2.0], 5, MalformedSpec, "covers must be a mapping or a sequence"),
+    ({1.0, 2.0}, [[0]], MalformedSpec, "universe_weights must be a mapping or a sequence"),
     ([1.0, 2.0, 4.0], [[0], [True]], None, [1.0, 2.0]),
     ([1.0, 2.0, 4.0], [[0], [1.0]], None, [1.0, 2.0]),
 ], ids=["negative_before_non_numeric", "nan_weight", "inf_weight", "unknown_in_later_cover",
-        "missing_mapping_key", "non_iterable_cover", "no_covers", "true_is_element_1",
-        "float_is_element_1"])
+        "missing_mapping_key", "non_iterable_cover", "no_covers", "covers_a_number",
+        "universe_weights_a_set", "true_is_element_1", "float_is_element_1"])
 def test_weighted_coverage_parse_keeps_the_per_item_errors(entry, universe, covers, error,
                                                            message):
     if entry == "instance_from_dict":
@@ -566,6 +568,43 @@ def test_probabilistic_coverage_errors_keep_their_type_and_message(entry, row, f
     with pytest.raises(error) as raised:
         build()
     assert type(raised.value) is error and str(raised.value) == message
+
+
+# name -> (build, message) of a spec or document its builder refuses with a
+# MalformedSpec
+MALFORMED_SPECS = {
+    "no_demands": (lambda: build_probabilistic_coverage(ProbabilisticCoverageSpec([], [])),
+                   "demands must declare at least one district"),
+    "no_stations": (lambda: build_probabilistic_coverage(ProbabilisticCoverageSpec([1.0], [])),
+                    "probabilities must declare at least one station"),
+    "demands_a_number": (
+        lambda: build_probabilistic_coverage(ProbabilisticCoverageSpec(5, [[0.5]])),
+        "demands must be a mapping or a sequence"),
+    "demands_a_string": (
+        lambda: build_probabilistic_coverage(ProbabilisticCoverageSpec("ab", [[0.5]])),
+        "demands must be a mapping or a sequence"),
+    "station_row_a_number": (
+        lambda: build_probabilistic_coverage(ProbabilisticCoverageSpec([1.0], [[0.5], 0.5])),
+        "probabilities[1] must be a mapping or a sequence"),
+    "adversarial_k_zero": (lambda: build_adversarial(AdversarialSpec(V=[0], V_star=[1], k=0)),
+                           "k must be >= 1, got 0"),
+    "no_weights": (lambda: build_modular(ModularSpec([])),
+                   "weights must declare at least one element"),
+    "document_a_list": (lambda: spec_from_dict([{"type": "modular"}]),
+                        "instance document must be a JSON object"),
+    "document_a_string": (lambda: instance_from_dict("modular"),
+                          "instance document must be a JSON object"),
+    "spec_of_no_family": (lambda: functions.build_oracle(object()),
+                          "no builder for spec type object"),
+}
+
+
+@pytest.mark.parametrize(("build", "message"), MALFORMED_SPECS.values(),
+                         ids=MALFORMED_SPECS.keys())
+def test_a_malformed_spec_is_refused_by_name(build, message):
+    with pytest.raises(MalformedSpec) as raised:
+        build()
+    assert (type(raised.value), str(raised.value)) == (MalformedSpec, message)
 
 
 def _oracle_of(family, data):

@@ -73,6 +73,13 @@ class TestEvaluate:
         with pytest.raises(BudgetExceeded):
             pairwise.evaluate([0, 1, 2])
 
+    @pytest.mark.parametrize("ground_size", [0, -2, 3.0, True])
+    def test_a_ground_size_that_is_no_positive_int_is_refused(self, ground_size):
+        with pytest.raises(InvalidArgument) as raised:
+            SetFunctionOracle(ground_size, lambda s: 0.0)
+        assert (type(raised.value), str(raised.value)) == (
+            InvalidArgument, "ground_size must be a positive integer")
+
     @pytest.mark.parametrize("budget", [0, -3])
     def test_restricted_budget_below_one_rejected_by_constructor(self, chain_coverage, budget):
         with pytest.raises(InvalidArgument, match="budget must be >= 1"):
@@ -191,6 +198,14 @@ class TestKWiseUpperEstimate:
     def test_k_below_two_rejected(self, chain_coverage):
         with pytest.raises(ValueError):
             k_wise_upper_estimate(chain_coverage, 0, [1], 1)
+
+    @pytest.mark.parametrize("ids", [[0], [2, 0], frozenset({0, 1})])
+    def test_x_in_the_conditioning_set_is_refused_before_any_query(self, chain_coverage, ids):
+        view = CountingOracle(chain_coverage)
+        with pytest.raises(DuplicateElement) as raised:
+            k_wise_upper_estimate(view, 0, ids, 3)
+        assert (type(raised.value), str(raised.value), view.counts.total) == (
+            DuplicateElement, "element 0 already in the conditioning set", 0)
 
     def test_asks_each_conditioning_set_once(self):
         oracle = random_soc_oracle(random.Random(5), 8)

@@ -246,6 +246,16 @@ class TestConsistencyAndSampling:
                 ALL_CHECKS[name](oracle, samples=samples, mode=mode)
         assert calls == []
 
+    @pytest.mark.parametrize("name", sorted(set(ALL_CHECKS) - {"normalized"}))
+    @pytest.mark.parametrize("mode", ["fast", "Exhaustive", None])
+    def test_an_unknown_mode_is_refused_before_any_query(self, name, mode):
+        calls = []
+        oracle = SetFunctionOracle(3, lambda s: calls.append(s) or float(len(s)))
+        with pytest.raises(InvalidArgument) as raised:
+            ALL_CHECKS[name](oracle, mode=mode)
+        assert (type(raised.value), str(raised.value), calls) == (
+            InvalidArgument, f"mode must be auto|exhaustive|sampled, got {mode!r}", [])
+
     def test_sampled_count_skips_degenerate_draws(self):
         calls = []
         oracle = SetFunctionOracle(1, lambda s: calls.append(s) or float(len(s)))
@@ -308,19 +318,24 @@ class TestConsistencyAndSampling:
             assert (report.mode, report.form) == how
 
     @pytest.mark.parametrize("check, walk", [
-        (check_pairwise_redundancy_bound, lambda m: 4 ** m),
+        # the local form: m*3^(m-1) tuples (A, B, c)
+        (check_pairwise_redundancy_bound, lambda m: m * 3 ** (m - 1)),
         # the local form: m*2^(m-1) singles and C(m,2)*2^(m-2) pairs
         (check_nemhauser_inequality, lambda m: (m << m >> 1) + (comb(m, 2) << m >> 2))])
     def test_a_subset_space_above_the_limit_is_refused_before_any_query(self, check, walk):
         calls = []
         m = next(m for m in range(1, 20) if walk(m) > validation.ENUMERATION_LIMIT)
-        assert m == (10 if check is check_pairwise_redundancy_bound else 15)
+        assert m == (12 if check is check_pairwise_redundancy_bound else 15)
         oracle = SetFunctionOracle(m, lambda s: calls.append(s) or float(len(s)))
         with pytest.raises(InstanceTooLarge, match=f"needs {walk(m)} tuples"):
             check(oracle, mode="exhaustive")
         assert calls == []
         report = check(oracle, samples=20)
         assert report.holds and report.mode == "sampled"
+        # one element fewer fits, and auto proves it
+        report = check(SetFunctionOracle(m - 1, lambda s: float(len(s))))
+        assert (report.holds, report.mode, report.instances_checked) == \
+            (True, "exhaustive", walk(m - 1))
 
 
 def _table(seed, m):
@@ -345,13 +360,13 @@ GOLDEN_RUNS = {"exhaustive": {}, "sampled": {"mode": "sampled", "samples": 60, "
 GOLDEN_CHECKS = {name: (name, {}) for name in ALL_CHECKS}
 GOLDEN_CHECKS["soc_disjoint"] = ("supermodularity_of_conditioning", {"require_disjoint": True})
 LOCAL_CHECKS = ("submodular", "supermodularity_of_conditioning", "soc_disjoint",
-                "nemhauser_inequality")
+                "nemhauser_inequality", "pairwise_redundancy_bound")
 
 # (check, instance, run) -> (holds, instances_checked, oracle calls, witness),
 # recorded once and kept: any change to a checker's enumeration order, its
-# sampling, its counting or its memo shows here.  Exhaustive submodular, SoC
-# and Nemhauser rows walk the local form, so their counts and witnesses are
-# those of _reference.naive_local_check.
+# sampling, its counting or its memo shows here.  Exhaustive submodular, SoC,
+# Nemhauser and redundancy rows walk the local form, so their counts and
+# witnesses are those of _reference.naive_local_check.
 GOLDEN = {
     ('normalized', 'coverage', 'exhaustive'):
         (True, 1, 1, None),
@@ -368,7 +383,7 @@ GOLDEN = {
     ('supermodularity_of_conditioning', 'coverage', 'sampled'):
         (True, 60, 32, None),
     ('pairwise_redundancy_bound', 'coverage', 'exhaustive'):
-        (True, 1024, 32, None),
+        (True, 405, 32, None),
     ('pairwise_redundancy_bound', 'coverage', 'sampled'):
         (True, 60, 32, None),
     ('marginal_lower_bound', 'coverage', 'exhaustive'):
@@ -398,7 +413,7 @@ GOLDEN = {
     ('supermodularity_of_conditioning', 'squared', 'sampled'):
         (False, 1, 8, {'S': [0, 1, 3], 'A': [], 'B': [0, 1, 4], 'C': [2], 'lhs': -6.0, 'rhs': -2.0}),
     ('pairwise_redundancy_bound', 'squared', 'exhaustive'):
-        (True, 1024, 32, None),
+        (True, 405, 32, None),
     ('pairwise_redundancy_bound', 'squared', 'sampled'):
         (True, 60, 32, None),
     ('marginal_lower_bound', 'squared', 'exhaustive'):
@@ -428,7 +443,7 @@ GOLDEN = {
     ('supermodularity_of_conditioning', 'negated', 'sampled'):
         (True, 60, 32, None),
     ('pairwise_redundancy_bound', 'negated', 'exhaustive'):
-        (True, 1024, 32, None),
+        (True, 405, 32, None),
     ('pairwise_redundancy_bound', 'negated', 'sampled'):
         (True, 60, 32, None),
     ('marginal_lower_bound', 'negated', 'exhaustive'):
@@ -458,7 +473,7 @@ GOLDEN = {
     ('supermodularity_of_conditioning', 'table', 'sampled'):
         (False, 2, 10, {'S': [0, 2, 3], 'A': [3], 'B': [2, 3], 'C': [0, 1], 'lhs': 1.0, 'rhs': 6.0}),
     ('pairwise_redundancy_bound', 'table', 'exhaustive'):
-        (False, 107, 16, {'A': [0], 'B': [2, 3], 'C': [1], 'lhs': 6.0, 'rhs': 5.0}),
+        (False, 44, 16, {'A': [0], 'B': [2, 3], 'C': [1], 'lhs': 6.0, 'rhs': 5.0}),
     ('pairwise_redundancy_bound', 'table', 'sampled'):
         (False, 43, 16, {'A': [2, 3], 'B': [1], 'C': [0], 'lhs': -1.0, 'rhs': -2.0}),
     ('marginal_lower_bound', 'table', 'exhaustive'):
@@ -496,6 +511,7 @@ def test_exhaustive_reports_match_the_nested_scan(check):
     scan = naive_local_check if check in LOCAL_CHECKS else naive_property_check
     oracles = [_table(seed, m) for m in range(1, 5) for seed in range(4)]
     oracles += [SetFunctionOracle(m, lambda s: float(len(s))) for m in (3, 4)]  # every check holds
+    oracles += [shifted(_table(seed, 4), -2.0) for seed in range(4)]  # f(empty) = -2
     for oracle in oracles:
         report = ALL_CHECKS[name](oracle, mode="exhaustive", **extra)
         assert (report.holds, report.witness, report.instances_checked) == \
@@ -521,7 +537,8 @@ def _near_coverage(seed):
     """A seeded integer weighted coverage on m <= 4 elements with up to two
     sets moved by one.  Of the tables with m > 1, a quarter to a half
     violate each of submodularity, SoC, SoC on disjoint sets and Nemhauser's
-    inequality, which a table with m = 1 can violate too."""
+    inequality, which a table with m = 1 can violate too, and about a fifth
+    violate the redundancy bound, which no table with m = 1 does."""
     rng = random.Random(seed)
     m = 1 + seed % 4
     weights = [rng.randint(1, 3) for _ in range(2 * m)]
@@ -555,13 +572,18 @@ def test_local_forms_agree_with_the_quantified_definitions(check):
             t = (masks["B"], w["x"], masks["A"])
         elif name == "nemhauser_inequality":
             t = (masks["S"], masks["T"])
+        elif name == "pairwise_redundancy_bound":
+            t = (masks["A"], masks["B"], masks["C"])
+            assert len(w["C"]) == 1  # C = {c}
         else:
             t = (masks["B"], masks["A"], masks["C"], masks["S"])
             if extra:  # require_disjoint: S outside B u C
                 assert not t[3] & (t[0] | t[2])
         assert keep(*t)
         assert violation(lambda mask: oracle.values[mask], *t) == w
-    assert 150 <= violated <= 400  # of 1000 tables, 750 of them with m > 1
+    # of 1000 tables, 750 of them with m > 1; 142 violate the redundancy bound
+    low, high = (100, 300) if name == "pairwise_redundancy_bound" else (150, 400)
+    assert low <= violated <= high
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -572,13 +594,18 @@ def test_exhaustive_local_checks_walk_pairs_and_triples(m, monkeypatch):
     expected = {"monotone": m << m >> 1, "marginal_lower_bound": m << m >> 1,
                 "submodular": pairs, "supermodularity_of_conditioning": pairs + triples,
                 "soc_disjoint": triples,
-                "pairwise_redundancy_bound": 4 ** m,
+                "pairwise_redundancy_bound": m * 3 ** (m - 1),
                 "nemhauser_inequality": (m << m >> 1) + pairs}
     for check, count in expected.items():
         name, extra = GOLDEN_CHECKS[check]
         report = ALL_CHECKS[name](oracle, mode="exhaustive", **extra)
         assert (report.holds, report.instances_checked) == (True, count)
-        # the walk the checker states is the one it takes: one less does not fit
+        # the walk the checker states is the one it takes: auto enumerates it
+        # at a limit of exactly that many, when the table fits too, and one
+        # less does not fit
+        if count >= 1 << m:
+            monkeypatch.setattr(validation, "ENUMERATION_LIMIT", count)
+            assert ALL_CHECKS[name](oracle, **extra).mode == "exhaustive"
         monkeypatch.setattr(validation, "ENUMERATION_LIMIT", count - 1)
         calls.clear()
         with pytest.raises(InstanceTooLarge, match=f"needs {count} tuples"):
