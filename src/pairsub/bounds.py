@@ -45,7 +45,7 @@ from .errors import (
     TraceMismatch,
 )
 from .oracles import CountingOracle, EstimateCache, k_wise_upper_estimate
-from .validation import check_enumeration, check_k, check_order, near_zero
+from .validation import check_enumeration, check_int, check_k, check_order, near_zero
 
 
 @dataclass(slots=True)
@@ -67,6 +67,7 @@ class BoundReport:
 def bound_from_alphas(alphas, n: int) -> float:
     """gamma = 1 - exp(-(1/n) sum 1/alpha_i); always within [0, 1 - 1/e]."""
     alphas = list(alphas)
+    check_int(n, "n")
     if n < 1:
         raise InvalidArgument(f"n must be >= 1, got {n}")
     if len(alphas) != n:
@@ -132,6 +133,7 @@ def alphas_pessimistic(tau2: float, n: int) -> list[float]:
     """
     if not 0.0 <= tau2 <= 1.0:
         raise InvalidCurvature(f"tau_2 must lie in [0, 1], got {tau2}")
+    check_int(n, "n")
     return [1.0 if i <= 2 else _factor(1.0, 1.0 - min((i - 1) * tau2, 1.0))
             for i in range(1, n + 1)]
 

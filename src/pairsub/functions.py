@@ -21,10 +21,10 @@ extensions(a, ys) column function, so that evaluate_extensions answers
 f(a + {y}) for every y in ys in one call, whatever the size of a.  Larger
 sets keep a general pass over their members in id order, so every family
 returns the same float for any order of the ids.  For probabilistic coverage
-that pass is one chain of lazy products over miss rows built on first
-read, evaluated district by district; a column starts each chain from the
-product of the members of a below y, built once per column, and _eval's
-larger sets are a column of one.
+that pass multiplies miss rows, built on first read, district by district in
+list comprehensions, the last of which also takes 1 - q and * v and feeds
+sum; a column starts each product from that of the members of a below y,
+built once per column, and _eval's larger sets are a column of one.
 
 Instances serialize as {"type": <family>, "params": {...}} with params named
 exactly after the spec dataclass fields.
@@ -38,16 +38,11 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from math import dist, hypot, inf, sqrt
-from operator import mul, sub
+from operator import mul
 from pathlib import Path
 
 from .errors import MalformedSpec, PairsubError
 from .oracles import SetFunctionOracle
-
-# Each lazy product pulls from the one before it by a C call, so a chain some
-# 10^5 deep overflows the C stack: a larger set lists its products every
-# _CHAIN_DEPTH members, which changes no operation.
-_CHAIN_DEPTH = 1000
 
 
 class _Boxed(dict):
@@ -289,26 +284,26 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     other row, and any row with a bad value, is read entry by entry
     (_read_by_key), so every error keeps its type and message.
 
-    A larger set chains map(mul, miss, row) over the miss rows 1 - p_x^e of
-    its members in id order and takes sum((1 - q_e) * v_e) from the chain, so
-    no list is built per member.  Set-up keeps only p_x per station; its miss
-    row is built as a tuple of floats the first time a larger set reads it
-    (_Boxed), so a query boxes no float per member and a budget-2 view builds
-    none.  The restricted() views share the tuples, and a fill that races
-    another stores an equal one.  Each district still gets
-    the operations of a plain loop over lists in the same order, the product
-    ((q_1 q_2) q_3)... in id order, then 1 - q_e, then * v_e, summed over the
-    districts in order, so the value is that loop's bit for bit.  The cost
-    stays linear in |S| times the number of districts.
+    A larger set multiplies the miss rows 1 - p_x^e of its members in id
+    order by list comprehensions over zip of the rows, three rows each; the
+    last takes the one to three left and also 1 - q and * v, so sum reads
+    (1 - q_e) * v_e and no step is a call through operator.  No lazy chain
+    is built, so no set is too deep for the C stack.  Set-up keeps only p_x
+    per station; its miss row is built as a tuple of floats the first time a
+    larger set reads it (_Boxed), so a query boxes no float per member and a
+    budget-2 view builds none.  The restricted() views share the tuples, and
+    a fill that races another stores an equal one.  Each district gets the
+    operations of a plain loop over lists in the same order, the product
+    ((q_1 q_2) q_3)... in id order, then 1 - q_e, then * v_e, summed over
+    the districts in order, so the value is that loop's bit for bit.
 
     A column f(a + {y}), |a| >= 2, keeps the prefix products of a's rows in
     id order, each built once, as far as the column needs them.  With p the
-    number of members of a below y, the chain for y starts from the prefix
-    of max(p, 1) members times y's row, then multiplies in the members above
+    number of members of a below y, the product for y starts from the prefix
+    of max(p, 1) members, then multiplies in y's row and the members above
     it: p = 0 and p = 1 are the same operation, since one multiply commutes
-    exactly, so a column does exactly the operations of the chain above.
-    _eval's larger sets are a column of one with y their lowest member, so
-    they start from a boxed row and build no prefix.
+    exactly.  _eval's larger sets are a column of one with y their lowest
+    member, so they start from a boxed row and build no prefix.
     """
     demand_keys, demand_values = _columns(spec.demands, "demands")
     district_index = {}
@@ -352,7 +347,6 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
         raise MalformedSpec(f"demands sum to {sum(demands)}, which is not finite")
 
     v = tuple(demands)
-    ones = (1.0,) * len(v)
     boxed = _Boxed(probabilities)
 
     def pairs(x: int, ys: list) -> list:
@@ -363,18 +357,21 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     def extensions(a: tuple, ys: list) -> list:
         if len(a) < 2:
             return pairs(a[0], ys) if a else [single[y] for y in ys]
-        prefix = [None, boxed[a[0]]]  # prefix[i]: the product of a[:i]'s rows
+        members = list(map(boxed.__getitem__, a))
+        prefix = [None, members[0]]  # prefix[i]: the product of a[:i]'s rows
         values = []
         for y in ys:
             start = bisect(a, y) or 1
             while len(prefix) <= start:
-                prefix.append(list(map(mul, prefix[-1], boxed[a[len(prefix) - 1]])))
-            miss = map(mul, prefix[start], boxed[y])
-            for j, x in enumerate(a[start:], 1):
-                if not j % _CHAIN_DEPTH:
-                    miss = list(miss)
-                miss = map(mul, miss, boxed[x])
-            values.append(sum(map(mul, map(sub, ones, miss), v)))
+                prefix.append(list(map(mul, prefix[-1], members[len(prefix) - 1])))
+            miss, rows = prefix[start], [boxed[y], *members[start:]]
+            last = (len(rows) - 1) // 3 * 3  # rows[last:] are the one to three left
+            for i in range(0, last, 3):
+                miss = [q * r * s * t for q, r, s, t in zip(miss, *rows[i:i + 3])]
+            left, tail = len(rows) - last, zip(miss, *rows[last:], v)
+            values.append(sum([(1.0 - q * r) * w for q, r, w in tail] if left == 1 else
+                              [(1.0 - q * r * s) * w for q, r, s, w in tail] if left == 2 else
+                              [(1.0 - q * r * s * t) * w for q, r, s, t, w in tail]))
         return values
 
     def _eval(s: frozenset) -> float:

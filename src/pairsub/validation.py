@@ -79,13 +79,13 @@ def check_order(order: list[int], ground_size: int) -> None:
         raise DuplicateElement(f"solution repeats an element: {order}")
 
 
-def _check_int(value, what: str) -> None:
+def check_int(value, what: str) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidArgument(f"{what} must be an integer, got {value!r}")
 
 
 def check_cardinality(n: int, ground_size: int) -> None:
-    _check_int(n, "cardinality")
+    check_int(n, "cardinality")
     if n < 1:
         raise InvalidArgument(f"cardinality must be >= 1, got {n}")
     if n > ground_size:
@@ -96,6 +96,6 @@ def check_cardinality(n: int, ground_size: int) -> None:
 
 def check_k(k: int) -> None:
     """InvalidArgument unless k, the order of a k-wise estimate, is an int >= 2."""
-    _check_int(k, "k")
+    check_int(k, "k")
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")

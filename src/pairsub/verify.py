@@ -33,7 +33,7 @@ from math import comb
 
 from . import validation
 from .errors import InvalidArgument
-from .validation import at_least, check_enumeration, values_close
+from .validation import at_least, check_enumeration, check_int, values_close
 
 DEFAULT_SAMPLES = 2000
 
@@ -127,7 +127,7 @@ def _run(name, oracle, walk, mode, samples, seed, quantified,
     ELEMENT.  violation(at, t) returns a witness dict for a violating tuple
     t, else None.
 
-    samples < 1 is refused in every mode.  Enumeration walks every tuple of
+    Any samples but an int >= 1 is refused.  Enumeration walks every tuple of
     each part in nested-loop order, the local parts when given and else the
     quantified part, over one list of f on all subsets, listing each slot's
     values for a given mask once per part; it visits walk tuples, which
@@ -137,6 +137,7 @@ def _run(name, oracle, walk, mode, samples, seed, quantified,
     subscripts a memo that asks f once per set on first read.
     """
     m = oracle.ground_size
+    check_int(samples, "samples")
     if samples < 1:
         raise InvalidArgument(f"a check needs samples >= 1, got {samples}")
     if mode == "auto":

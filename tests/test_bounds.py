@@ -91,6 +91,17 @@ class TestBoundFromAlphas:
         assert (type(raised.value), str(raised.value)) == (InvalidArgument,
                                                            f"n must be >= 1, got {n}")
 
+    @pytest.mark.parametrize("call, n", [
+        (lambda: bound_from_alphas([1.0, 1.0], 2.0), 2.0),
+        (lambda: bound_from_alphas([1.0], True), True),
+        (lambda: alphas_pessimistic(0.5, 2.0), 2.0),
+    ], ids=["float", "bool", "pessimistic_float"])
+    def test_n_that_is_not_an_int_is_refused(self, call, n):
+        with pytest.raises(InvalidArgument) as raised:
+            call()
+        assert (type(raised.value), str(raised.value)) == (
+            InvalidArgument, f"n must be an integer, got {n!r}")
+
     def test_range(self):
         rng = random.Random(0)
         for _ in range(200):

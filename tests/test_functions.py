@@ -348,9 +348,9 @@ class TestProbabilisticLargeSets:
         # the queries decides when; the budget-2 view and a wide view share
         # the boxed rows with the oracle
         rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-        deep = data.draw(st.booleans(), label="past the chain depth")
+        deep = data.draw(st.booleans(), label="a thousand stations and more")
         if deep:
-            m = functions._CHAIN_DEPTH + 2
+            m = 1002
             oracle = build_probabilistic_coverage(ProbabilisticCoverageSpec(
                 [1.0, 2.0], [[rng.uniform(0.0, 2e-3) for _ in range(2)] for _ in range(m)]))
         else:
@@ -394,7 +394,7 @@ class TestProbabilisticLargeSets:
 
     def test_sets_across_the_chain_depth_are_the_plain_loop(self):
         rng = random.Random(15)
-        depth = functions._CHAIN_DEPTH
+        depth = 1000
         m = 2 * depth + 3
         # small probabilities keep the products of thousands of miss rates off zero
         probabilities = [[rng.uniform(0.0, 2e-3) for _ in range(3)] for _ in range(m)]
@@ -407,12 +407,30 @@ class TestProbabilisticLargeSets:
             assert value == naive_probabilistic_value(oracle, ids)
 
     def test_a_set_of_120_000_stations_is_answered(self):
-        # an unbroken chain of lazy products this deep overflows the C stack
+        # a product kept as a chain of lazy maps this deep would overflow the C stack
         rng = random.Random(16)
         m = 120_000
         oracle = build_probabilistic_coverage(ProbabilisticCoverageSpec(
             [1.0], [[rng.uniform(0.0, 1e-5)] for _ in range(m)]))
         assert oracle.evaluate(range(m)) == naive_probabilistic_value(oracle, range(m))
+
+    def test_the_town_audit_shape_is_the_plain_loop_bit_for_bit(self):
+        # 120 districts, as the benchmark's town instance: y below, between and
+        # above a's members leaves one, two or three rows to the last product
+        oracle = city_oracle(count=120)
+        rng = random.Random(18)
+        for size in (2, 3, 7):
+            a = rng.sample(range(1, 119), size)  # shuffled, with ids below and above
+            ys = [y for y in range(120) if y not in a]
+            assert {min(a) < y < max(a) for y in ys} == {False, True}
+            column = oracle.evaluate_extensions(a, ys)
+            expected = [naive_probabilistic_value(oracle, (*a, y)) for y in ys]
+            assert [v.hex() for v in column] == [v.hex() for v in expected]
+        for size in range(3, 9):
+            for _ in range(10):
+                ids = rng.sample(range(120), size)
+                expected = naive_probabilistic_value(oracle, ids)
+                assert oracle.evaluate(ids).hex() == expected.hex()
 
 
 def _row_shapes(rng, m, districts):

@@ -31,7 +31,7 @@ from pairsub import (
     k_wise_upper_estimate,
     post_hoc_bound,
 )
-from pairsub import bounds, functions
+from pairsub import bounds
 from pairsub.oracles import argmax, fold_k_wise, fold_lower
 from pairsub.validation import values_close
 
@@ -538,9 +538,8 @@ class TestPairColumn:
                 assert counted.counts == counts
 
     def test_extension_column_past_the_chain_depth(self):
-        # a is deeper than one chain of lazy products may be, for a y below,
-        # amid and above its members
-        m = functions._CHAIN_DEPTH + 8
+        # a of 1,004 members, for a y below, amid and above its members
+        m = 1008
         rng = random.Random(97)
         oracle = build_probabilistic_coverage(ProbabilisticCoverageSpec(
             [1.0, 2.0, 0.5], [[rng.uniform(0.0, 2e-3) for _ in range(3)] for _ in range(m)]))

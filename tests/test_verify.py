@@ -247,6 +247,18 @@ class TestConsistencyAndSampling:
         assert calls == []
 
     @pytest.mark.parametrize("name", sorted(set(ALL_CHECKS) - {"normalized"}))
+    @pytest.mark.parametrize("samples", [2.5, 2.0, True, "3"])
+    def test_a_samples_that_is_not_an_int_is_rejected(self, name, samples):
+        calls = []  # refused in every mode, an enumeration too, before any query
+        oracle = SetFunctionOracle(3, lambda s: calls.append(s) or float(len(s)))
+        for mode in ("auto", "exhaustive", "sampled"):
+            with pytest.raises(InvalidArgument) as raised:
+                ALL_CHECKS[name](oracle, samples=samples, mode=mode)
+            assert (type(raised.value), str(raised.value)) == (
+                InvalidArgument, f"samples must be an integer, got {samples!r}")
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(set(ALL_CHECKS) - {"normalized"}))
     @pytest.mark.parametrize("mode", ["fast", "Exhaustive", None])
     def test_an_unknown_mode_is_refused_before_any_query(self, name, mode):
         calls = []
