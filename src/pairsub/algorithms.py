@@ -116,12 +116,12 @@ def greedy_full(oracle, n: int) -> RunTrace:
     f_s = view.evaluate(())
     selections = []
     for i in range(1, n + 1):
-        raw = dict(zip(remaining, view._column(tuple(picks), remaining)))
-        x, value = argmax({y: f - f_s for y, f in raw.items()})
+        raw = view._column(tuple(picks), remaining)
+        j, value = argmax(remaining, [f - f_s for f in raw])
+        x = remaining.pop(j)
         selections.append(Selection(i, x, value))
-        remaining.remove(x)
         insort(picks, x)
-        f_s = raw[x]
+        f_s = raw[j]
     return RunTrace("full", n, selections, picks, view.counts)
 
 
@@ -158,20 +158,20 @@ def _greedy(algorithm, oracle, n: int, k: int | None) -> RunTrace:
     check_cardinality(n, oracle.ground_size)
     view = CountingOracle(oracle)
     ids = list(range(view.ground_size))
-    singletons = dict(zip(ids, view._column((), ids)))
-    table = dict(singletons)
+    singletons = list(view._column((), ids))  # f({x}) at x's position in ids
+    table = list(singletons)
     selected: list[int] = []
     selections = []
     for i in range(1, n + 1):
-        x, value = argmax(table)
+        j, value = argmax(ids, table)
+        x, f_x = ids[j], singletons[j]
         selections.append(Selection(i, x, value))
-        del table[x]
+        del ids[j], table[j], singletons[j]
         if i < n:
             if k is None:
-                fold_lower(table, singletons, singletons[x],
-                           view._column((x,), list(table)))
+                table = fold_lower(table, singletons, f_x, view._column((x,), ids))
             else:
-                fold_k_wise(view, table, selected, x, singletons[x], k)
+                table = fold_k_wise(view, ids, table, selected, x, f_x, k)
         selected.append(x)
     return RunTrace(algorithm, n, selections, sorted(selected), view.counts)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algorithms import check_run, run_algorithm
 from .errors import GridMismatch, InvalidArgument
 from .oracles import QueryCounts
-from .validation import check_cardinality
+from .validation import check_cardinality, check_int
 
 CSV_HEADER = "algorithm,m,n,trials,mean_s,min_s,max_s,q1,q2,qother"
 
@@ -44,8 +44,7 @@ class TimingRecord:
 def time_algorithm(algorithm: str, oracle, n: int, trials: int,
                    k: int | None = None) -> TimingRecord:
     """Wall-clock statistics for one strategy at one cardinality."""
-    if trials < 1:
-        raise InvalidArgument(f"trials must be >= 1, got {trials}")
+    check_int(trials, "trials", 1)
     warm = run_algorithm(algorithm, oracle, n, k=k)  # untimed warm-up
     times = []
     for _ in range(trials):

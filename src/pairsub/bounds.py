@@ -67,9 +67,7 @@ class BoundReport:
 def bound_from_alphas(alphas, n: int) -> float:
     """gamma = 1 - exp(-(1/n) sum 1/alpha_i); always within [0, 1 - 1/e]."""
     alphas = list(alphas)
-    check_int(n, "n")
-    if n < 1:
-        raise InvalidArgument(f"n must be >= 1, got {n}")
+    check_int(n, "n", 1)
     if len(alphas) != n:
         raise InvalidArgument(f"expected {n} factors, got {len(alphas)}")
     total = 0.0

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from sys import float_info
 
 from .errors import DuplicateId, EmptyInput, InvalidArgument, NegativeDemand, ParseError
 from .functions import ProbabilisticCoverageSpec
@@ -36,7 +37,9 @@ class KernelConfig:
     r_s: float
 
     def __post_init__(self):
-        if not 0 < self.r_s < math.inf:
+        if isinstance(self.r_s, bool) or not isinstance(self.r_s, (int, float)):
+            raise InvalidArgument(f"r_s must be a number, got {self.r_s!r}")
+        if not 0 < self.r_s <= float_info.max:  # a larger int cannot divide a float
             raise InvalidArgument(f"r_s must be positive and finite, got {self.r_s}")
 
 

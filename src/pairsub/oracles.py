@@ -11,12 +11,14 @@ return f(x|S) are kept on top of small queries:
   pessimistic bound (valid under supermodularity of conditioning; may be
   negative).
 
-A greedy run keeps one table of the estimate it ranks by, keyed by the
-candidates that remain: a pick deletes its key, so the keys stay in
-ascending id order, and argmax(table) is the one pick rule, ties going to
-the lowest id.  Each estimate rule has one home, which folds a column
-already answered in constant time per candidate: fold_upper the min rule
-(fold_k_wise asks its columns), fold_lower the redundancy rule.
+A greedy run keeps its remaining candidates as an ascending id list, and
+the estimate it ranks by as a float list aligned with it by position: a
+pick is deleted from every aligned list at its position, and
+argmax(ids, values) is the one pick rule, ties going to the first
+position, the lowest id.  Each estimate rule has one home, which folds a
+column already answered into a new list, one comprehension per column:
+fold_upper the min rule (fold_k_wise asks its columns), fold_lower the
+redundancy rule.
 
 EstimateCache keeps both tables for Algorithm 1, which reads the best upper
 estimate and the picks' lower ones: lower covers only the ids it tracks.
@@ -242,75 +244,69 @@ def k_wise_upper_estimate(oracle, x: int, ids: Iterable[int], k: int) -> float:
         raise DuplicateElement(f"element {x} already in the conditioning set")
     members = sorted(s)
     f_x, *singles = oracle.evaluate_extensions((), [x, *members])
-    upper = {x: f_x}  # A = empty set
+    upper = [f_x]  # A = empty set
     for j, (y, f_y) in enumerate(zip(members, singles)):
-        fold_k_wise(oracle, upper, members[:j], y, f_y, k)
-    return upper[x]
+        upper = fold_k_wise(oracle, [x], upper, members[:j], y, f_y, k)
+    return upper[0]
 
 
-def fold_k_wise(oracle, upper: dict, earlier, y: int, f_y: float, k: int) -> None:
-    """Lower upper[x], for each candidate x in upper, to f(x|A) over every new A:
-    the fresh id y plus at most k-2 ids of earlier (none at k = 1).
+def fold_k_wise(oracle, ids: list, upper: list, earlier, y: int, f_y: float, k: int) -> list:
+    """upper, the estimates of ids by position, each lowered to f(x|A) over
+    every new A: the fresh id y plus at most k-2 ids of earlier (none at k = 1).
 
     f_y is f({y}), which the caller has already asked; any larger f(A) is
-    asked first.  The sets A + x are one _column per A, so upper's keys
-    must be in-range int ids outside A, as a run's candidates are.
+    asked first.  The sets A + x are one _column(A, ids) per A, so ids must
+    be in-range int ids outside A, as a run's candidates are.
     """
     for size in range(min(k - 2, len(earlier)) + 1):
         for extra in combinations(earlier, size):
             a = extra + (y,)
             f_a = oracle.evaluate(a) if extra else f_y
-            fold_upper(upper, oracle._column(a, list(upper)), f_a)
+            upper = fold_upper(upper, oracle._column(a, ids), f_a)
+    return upper
 
 
-def fold_upper(upper: dict, column, f_a: float) -> None:
-    """The min rule: lower upper[x] to f(x|A) = f(A + x) - f(A) when that is
-    smaller, for each key x of upper, column holding f(A + x) in key order."""
-    for x, f_ax in zip(upper, column):
-        marg = f_ax - f_a
-        if marg < upper[x]:
-            upper[x] = marg
+def fold_upper(upper: list, column, f_a: float) -> list:
+    """The min rule: each upper estimate lowered to f(x|A) = f(A + x) - f(A)
+    when that is smaller, column holding f(A + x) at x's position."""
+    return [m if (m := f - f_a) < u else u for u, f in zip(upper, column)]
 
 
-def fold_lower(lower: dict, base: dict, f_y: float, column) -> None:
-    """The redundancy rule: take f(x) - f(x|y) from lower[x] for each key x of
-    lower, column holding f({x, y}) in key order; f_y is f({y}) and base
-    holds f({x}) for every id."""
-    for x, f_xy in zip(lower, column):
-        lower[x] -= base[x] - (f_xy - f_y)
+def fold_lower(lower: list, base: list, f_y: float, column) -> list:
+    """The redundancy rule: f(x) - f(x|y) taken from each lower estimate, base
+    holding f({x}) and column f({x, y}) at x's position; f_y is f({y})."""
+    return [v - (b - (f - f_y)) for v, b, f in zip(lower, base, column)]
 
 
-def argmax(table: dict) -> tuple[int, float]:
-    """The key of table with the highest value, and that value.
-
-    Ties go to the key that comes first, the lowest id when keys ascend.
-    NonFiniteValue names the first NaN value, found by a scan only when the
-    sum of the values is NaN, or the first key if no value is above -inf.
-    """
-    if not table:
+def argmax(ids: list, values: list) -> tuple[int, float]:
+    """The position of the highest of values, and that value; ties go to the
+    first position, the lowest id, as ids ascend.  NonFiniteValue names, by
+    its id in ids, the first NaN value, found by a scan only when the sum of
+    the values is NaN, or the first id if no value is above -inf."""
+    if not values:
         raise InvalidArgument("no candidates remain")
-    if isnan(sum(table.values())):  # a NaN, or +inf and -inf together
-        for x, v in table.items():
+    if isnan(sum(values)):  # a NaN, or +inf and -inf together
+        for x, v in zip(ids, values):
             if v != v:
                 raise NonFiniteValue(f"candidate {x} has {v}, which cannot be ranked")
-    best_x, best_v = None, -inf
-    for x, v in table.items():
-        if v > best_v:
-            best_v, best_x = v, x
-    if best_x is None:  # every value is -inf
-        raise NonFiniteValue("no candidate has a value above -inf; "
-                             f"candidate {next(iter(table))} has -inf")
-    return best_x, best_v
+    best = -inf
+    for v in values:
+        if v > best:
+            best = v
+    if best == -inf:  # every value is -inf
+        raise NonFiniteValue(f"no candidate has a value above -inf; candidate {ids[0]} has -inf")
+    return values.index(best), best
 
 
 class EstimateCache:
     """Marginal estimates conditioned on the current partial solution.
 
-    base holds f(x) for all elements, asked as one column; upper holds every
-    remaining candidate's upper estimate and lower the lower estimate of the
-    remaining tracked ids, keys ascending.  condition_on folds one new
-    selection into both from one pair column _column((x_i,), ...) over the
-    remaining candidates.  Owned by a single run.
+    base holds f(x) for all elements, asked as one column, and lower the
+    lower estimates of the remaining tracked ids, keys ascending; upper is
+    every remaining candidate's upper estimate, kept as a list aligned with
+    the ascending remaining ids and read as an id -> value dict.
+    condition_on folds one new selection into both from one pair column
+    _column((x_i,), ...) over the remaining candidates.  Owned by a single run.
     """
 
     def __init__(self, oracle, tracked):
@@ -318,9 +314,11 @@ class EstimateCache:
         tracked = list(tracked)
         check_element_ids(tracked, len(ids))  # before any query
         self.oracle = oracle
-        self.base = dict(zip(ids, oracle._column((), ids)))
-        self.upper = dict(self.base)
+        self.base = dict(enumerate(oracle._column((), ids)))
+        self._ids, self._upper = ids, list(self.base.values())
         self.lower = {x: self.base[x] for x in sorted(tracked)}
+
+    upper = property(lambda self: dict(zip(self._ids, self._upper)))
 
     def condition_on(self, x_i: int, oracle) -> None:
         """Move x_i into the conditioning set and refresh the candidates.
@@ -331,19 +329,20 @@ class EstimateCache:
         """
         if oracle is not self.oracle:
             raise InvalidArgument("condition_on must ask the oracle the cache was built on")
-        upper, lower, base = self.upper, self.lower, self.base
+        ids, lower, base = self._ids, self.lower, self.base
         check_element_ids((x_i,), len(base))  # True equals 1, yet is no id
-        if x_i not in upper:
+        j = bisect_left(ids, x_i)
+        if ids[j:j + 1] != [x_i]:
             raise DuplicateElement(f"element {x_i} was already selected")
-        order = list(upper)
-        order.remove(x_i)
-        pairs = oracle._column((x_i,), order)
-        del upper[x_i]
+        rest = ids[:j] + ids[j + 1:]
+        pairs = oracle._column((x_i,), rest)
+        del self._upper[j]
         lower.pop(x_i, None)
-        f_xi = base[x_i]
-        fold_upper(upper, pairs, f_xi)
-        # order ascends, so each tracked x's pair sits at x's rank in it
-        fold_lower(lower, base, f_xi, [pairs[bisect_left(order, x)] for x in lower])
+        self._ids, self._upper = rest, fold_upper(self._upper, pairs, base[x_i])
+        # rest ascends, so each tracked x's pair sits at x's rank in it
+        self.lower = dict(zip(lower, fold_lower(lower.values(), map(base.get, lower), base[x_i],
+                                                [pairs[bisect_left(rest, x)] for x in lower])))
 
     def argmax_upper(self) -> tuple[int, float]:
-        return argmax(self.upper)
+        j, value = argmax(self._ids, self._upper)
+        return self._ids[j], value

@@ -79,15 +79,16 @@ def check_order(order: list[int], ground_size: int) -> None:
         raise DuplicateElement(f"solution repeats an element: {order}")
 
 
-def check_int(value, what: str) -> None:
+def check_int(value, what: str, minimum: int | None = None) -> None:
+    """InvalidArgument unless value is an int, not a bool, and at least minimum."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidArgument(f"{what} must be >= {minimum}, got {value}")
 
 
 def check_cardinality(n: int, ground_size: int) -> None:
-    check_int(n, "cardinality")
-    if n < 1:
-        raise InvalidArgument(f"cardinality must be >= 1, got {n}")
+    check_int(n, "cardinality", 1)
     if n > ground_size:
         raise CardinalityTooLarge(
             f"cardinality {n} exceeds ground set size {ground_size}"
@@ -96,6 +97,4 @@ def check_cardinality(n: int, ground_size: int) -> None:
 
 def check_k(k: int) -> None:
     """InvalidArgument unless k, the order of a k-wise estimate, is an int >= 2."""
-    check_int(k, "k")
-    if k < 2:
-        raise InvalidArgument(f"k must be >= 2, got {k}")
+    check_int(k, "k", 2)

@@ -1,7 +1,8 @@
 """From-scratch references for the full, pairwise and k-wise greedy strategies,
 Algorithm 1, the tau_k scan, the traditional curvature, the property
-checks, exhaustive (quantified and local) and sampled, and the
-probabilistic-coverage value of a set by the plain per-member loop.
+checks, exhaustive (quantified and local) and sampled, the
+probabilistic-coverage value of a set by the plain per-member loop, and the
+estimate rules as dict loops over tables keyed by candidate id.
 
 These recompute every estimate from raw oracle queries at every iteration,
 with the same fold order as the incremental recursions, so a correct cached
@@ -13,9 +14,10 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
-from math import exp, inf
+from math import exp, inf, isnan
 from typing import Mapping
 
+from pairsub.errors import InvalidArgument, NonFiniteValue
 from pairsub.validation import near_zero
 
 
@@ -35,6 +37,46 @@ def _scratch_lower(oracle, x, selected):
         pm = oracle.evaluate((x, y)) - oracle.evaluate((y,))
         est = est - (fx - pm)
     return est
+
+
+def dict_fold_upper(upper: dict, column, f_a: float) -> None:
+    """The min rule: lower upper[x] to f(x|A) = f(A + x) - f(A) when that is
+    smaller, for each key x of upper, column holding f(A + x) in key order."""
+    for x, f_ax in zip(upper, column):
+        marg = f_ax - f_a
+        if marg < upper[x]:
+            upper[x] = marg
+
+
+def dict_fold_lower(lower: dict, base: dict, f_y: float, column) -> None:
+    """The redundancy rule: take f(x) - f(x|y) from lower[x] for each key x of
+    lower, column holding f({x, y}) in key order; f_y is f({y}) and base
+    holds f({x}) for every id."""
+    for x, f_xy in zip(lower, column):
+        lower[x] -= base[x] - (f_xy - f_y)
+
+
+def dict_argmax(table: dict) -> tuple[int, float]:
+    """The key of table with the highest value, and that value.
+
+    Ties go to the key that comes first, the lowest id when keys ascend.
+    NonFiniteValue names the first NaN value, found by a scan only when the
+    sum of the values is NaN, or the first key if no value is above -inf.
+    """
+    if not table:
+        raise InvalidArgument("no candidates remain")
+    if isnan(sum(table.values())):  # a NaN, or +inf and -inf together
+        for x, v in table.items():
+            if v != v:
+                raise NonFiniteValue(f"candidate {x} has {v}, which cannot be ranked")
+    best_x, best_v = None, -inf
+    for x, v in table.items():
+        if v > best_v:
+            best_v, best_x = v, x
+    if best_x is None:  # every value is -inf
+        raise NonFiniteValue("no candidate has a value above -inf; "
+                             f"candidate {next(iter(table))} has -inf")
+    return best_x, best_v
 
 
 def _naive_greedy(oracle, n, estimate):

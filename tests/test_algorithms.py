@@ -406,6 +406,20 @@ class TestIncrementalEqualsNaive:
             assert [s.estimate for s in fast.selections] == ref_est
 
 
+def test_a_pessimistic_run_on_a_thousand_covers_is_the_reference():
+    """On 1,000 sparse covers, as many candidates as the benchmark folds per
+    column, the run picks and estimates as the from-scratch reference, bit
+    for bit."""
+    rng = random.Random(29)
+    weights = {u: rng.uniform(0.1, 2.0) for u in range(4000)}
+    covers = [rng.sample(range(4000), 6) for _ in range(1000)]
+    oracle = build_weighted_coverage(WeightedCoverageSpec(weights, covers)).restricted(2)
+    run = greedy_pessimistic(oracle, 8)
+    order, estimates = naive_greedy_pessimistic(oracle, 8)
+    assert run.selected_order == order
+    assert [s.estimate.hex() for s in run.selections] == [v.hex() for v in estimates]
+
+
 def _parity_oracles():
     rng = random.Random(137)
     socs = {f"soc{i}": random_soc_oracle(rng, rng.randint(5, 12)) for i in range(10)}

@@ -44,6 +44,15 @@ class TestTimeAlgorithm:
         with pytest.raises(ValueError):
             time_algorithm("optimistic", small_city, 3, trials=0)
 
+    @pytest.mark.parametrize("trials", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_non_int_trials_are_refused_before_the_warm_up(self, trials):
+        calls = []
+        oracle = SetFunctionOracle(3, lambda s: calls.append(s) or float(len(s)))
+        with pytest.raises(InvalidArgument) as raised:
+            time_algorithm("optimistic", oracle, 2, trials)
+        assert (type(raised.value), str(raised.value), calls) == (
+            InvalidArgument, f"trials must be an integer, got {trials!r}", [])
+
     def test_optimistic_query_bound(self, small_city):
         record = time_algorithm("optimistic", small_city, 7, trials=1)
         q = record.query_counts
@@ -61,6 +70,14 @@ class TestScalingSweep:
     def test_requires_ascending_grid(self, small_city):
         with pytest.raises(ValueError):
             scaling_sweep(["optimistic"], small_city, [4, 2], 1)
+
+    @pytest.mark.parametrize("trials", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_non_int_trials_are_refused_before_any_run(self, trials):
+        calls = []
+        oracle = SetFunctionOracle(3, lambda s: calls.append(s) or float(len(s)))
+        with pytest.raises(InvalidArgument, match="^trials must be an integer, got "):
+            scaling_sweep(["full", "optimistic"], oracle, [1, 2], trials)
+        assert calls == []
 
     def test_every_cardinality_is_checked_before_any_run(self):
         calls = []

@@ -148,6 +148,26 @@ class TestKernel:
         with pytest.raises(ValueError):
             KernelConfig(0.0)
 
+    @pytest.mark.parametrize("r_s", ["1", None, True, False, 1j],
+                             ids=["str", "none", "true", "false", "complex"])
+    def test_rs_must_be_a_number(self, r_s):
+        with pytest.raises(InvalidArgument) as raised:
+            KernelConfig(r_s)
+        assert (type(raised.value), str(raised.value)) == (
+            InvalidArgument, f"r_s must be a number, got {r_s!r}")
+
+    def test_an_int_rs_keeps_every_kernel_value(self):
+        districts = synthetic_districts(random.Random(5), 30)
+        assert KernelConfig(2).r_s == 2
+        assert [kernel_probability(d / 8, KernelConfig(2)).hex() for d in range(30)] == [
+            kernel_probability(d / 8, KernelConfig(2.0)).hex() for d in range(30)]
+        assert (build_coverage_instance(districts, KernelConfig(2)).probabilities
+                == build_coverage_instance(districts, KernelConfig(2.0)).probabilities)
+
+    def test_an_int_beyond_the_float_range_is_refused(self):
+        with pytest.raises(InvalidArgument, match="r_s must be positive and finite"):
+            KernelConfig(10 ** 400)
+
 
 class TestBuildCoverageInstance:
     def test_single_district_full_demand(self):

@@ -32,10 +32,18 @@ from pairsub import (
     post_hoc_bound,
 )
 from pairsub import bounds
-from pairsub.oracles import argmax, fold_k_wise, fold_lower
+from pairsub.errors import PairsubError
+from pairsub.oracles import argmax, fold_k_wise, fold_lower, fold_upper
 from pairsub.validation import values_close
 
-from _reference import _scratch_lower, _scratch_upper, naive_probabilistic_value
+from _reference import (
+    _scratch_lower,
+    _scratch_upper,
+    dict_argmax,
+    dict_fold_lower,
+    dict_fold_upper,
+    naive_probabilistic_value,
+)
 from _synth import (
     city_oracle,
     no_column,
@@ -44,6 +52,13 @@ from _synth import (
     random_soc_oracle,
     random_weighted_coverage,
 )
+
+
+def _argmax_by_id(table):
+    """argmax over an id -> value dict, its winner named by id."""
+    ids = list(table)
+    j, value = argmax(ids, list(table.values()))
+    return ids[j], value
 
 
 @pytest.fixture
@@ -260,7 +275,7 @@ class TestEstimateCache:
         cache.condition_on(2, oracle)
         cache.condition_on(0, oracle)
         assert list(cache.upper) == list(cache.lower) == [1, 3, 4]
-        assert cache.argmax_upper() == argmax(cache.lower) == (1, 1.0)
+        assert cache.argmax_upper() == _argmax_by_id(cache.lower) == (1, 1.0)
 
     @pytest.mark.parametrize("tracked", [range(3), [2, 0]])
     def test_refused_column_leaves_cache_unchanged(self, chain_coverage, tracked):
@@ -349,18 +364,21 @@ class TestEstimateCache:
         m = view.ground_size
         order = rng.sample(range(m), rng.randint(1, m - 1))
         cache = EstimateCache(view, order)
-        base = dict(zip(range(m), view.evaluate_extensions((), list(range(m)))))
-        upper, lower, selected = dict(base), dict(base), []
+        base = view.evaluate_extensions((), list(range(m)))  # f({x}) at position x
+        ids, selected = list(range(m)), []
+        upper, lower, singles = list(base), list(base), list(base)
         for x_i in order:
             cache.condition_on(x_i, view)
-            del upper[x_i], lower[x_i]
-            fold_k_wise(view, upper, selected, x_i, base[x_i], 2)
-            fold_lower(lower, base, base[x_i], view.evaluate_extensions((x_i,), list(lower)))
+            j = ids.index(x_i)
+            del ids[j], upper[j], lower[j], singles[j]
+            upper = fold_k_wise(view, ids, upper, selected, x_i, base[x_i], 2)
+            lower = fold_lower(lower, singles, base[x_i], view.evaluate_extensions((x_i,), ids))
             selected.append(x_i)
             assert {x: v.hex() for x, v in cache.upper.items()} == {
-                x: v.hex() for x, v in upper.items()}
+                x: v.hex() for x, v in zip(ids, upper)}
+            lower_of = dict(zip(ids, lower))
             assert {x: v.hex() for x, v in cache.lower.items()} == {
-                x: lower[x].hex() for x in sorted(order) if x in lower}
+                x: lower_of[x].hex() for x in sorted(order) if x in lower_of}
 
     @pytest.mark.parametrize("tracked", [[0, 3], [1, -1], [True], [1, "0"]])
     def test_tracked_ids_outside_the_ground_set_are_refused_before_any_query(
@@ -374,7 +392,7 @@ class TestEstimateCache:
         cache = EstimateCache(chain_coverage, range(3))
         for x in range(chain_coverage.ground_size):
             cache.condition_on(x, chain_coverage)
-        for empty in (cache.argmax_upper, lambda: argmax(cache.lower)):
+        for empty in (cache.argmax_upper, lambda: _argmax_by_id(cache.lower)):
             with pytest.raises(InvalidArgument, match="no candidates remain"):
                 empty()
 
@@ -385,12 +403,93 @@ class TestEstimateCache:
     ], ids=["nan_first", "nan_between", "nan_after_both_infs"])
     def test_argmax_refuses_a_nan_among_finite_values(self, table, named):
         with pytest.raises(NonFiniteValue, match=f"candidate {named} has nan"):
-            argmax(table)
+            _argmax_by_id(table)
 
     def test_argmax_ranks_plus_and_minus_inf_together(self):
         # their sum is NaN, but no value is
-        assert argmax({0: -math.inf, 1: 2.0, 2: math.inf, 3: math.inf}) == (2, math.inf)
-        assert argmax({0: -math.inf, 1: 2.0}) == (1, 2.0)
+        assert _argmax_by_id({0: -math.inf, 1: 2.0, 2: math.inf, 3: math.inf}) == (2, math.inf)
+        assert _argmax_by_id({0: -math.inf, 1: 2.0}) == (1, 2.0)
+
+
+# values that tie, cancel or compare specially: both zeros and both infinities
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf]
+
+
+def _random_table(rng, size, nan=False):
+    """size ascending ids drawn from range(3 * size), so an id is seldom its
+    position, and a value for each: half from _SPECIAL, half uniform, and
+    with nan one NaN among them."""
+    ids = sorted(rng.sample(range(3 * size), size))
+    values = [rng.choice(_SPECIAL) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0)
+              for _ in ids]
+    if nan and values:
+        values[rng.randrange(size)] = math.nan
+    return ids, values
+
+
+def _hexed(values):
+    return [v.hex() for v in values]
+
+
+def _outcome(rule):
+    """The winner's id and value by .hex(), or the type and message of the
+    error the rule raised."""
+    try:
+        x, value = rule()
+    except PairsubError as exc:
+        return type(exc), str(exc)
+    return x, value.hex()
+
+
+class TestPositionalRules:
+    """fold_upper, fold_lower and argmax give the dict loops of
+    tests/_reference.py bit for bit, on random tables with both zeros, both
+    infinities and NaN."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fold_upper_is_the_dict_loop(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            size = rng.randint(1, 40)
+            ids, upper = _random_table(rng, size, nan=rng.random() < 0.2)
+            column = _random_table(rng, size, nan=rng.random() < 0.2)[1]
+            f_a = rng.choice([*_SPECIAL, rng.uniform(-3.0, 3.0)])
+            table = dict(zip(ids, upper))
+            dict_fold_upper(table, column, f_a)
+            assert _hexed(fold_upper(upper, column, f_a)) == _hexed(table.values())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fold_lower_is_the_dict_loop(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            size = rng.randint(1, 40)
+            ids, lower = _random_table(rng, size, nan=rng.random() < 0.2)
+            base = _random_table(rng, size)[1]
+            column = _random_table(rng, size, nan=rng.random() < 0.2)[1]
+            f_y = rng.choice([*_SPECIAL, rng.uniform(-3.0, 3.0)])
+            table = dict(zip(ids, lower))
+            dict_fold_lower(table, dict(zip(ids, base)), f_y, column)
+            assert _hexed(fold_lower(lower, base, f_y, column)) == _hexed(table.values())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_argmax_is_the_dict_loop(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            size = rng.randint(0, 12)
+            ids, values = _random_table(rng, size, nan=rng.random() < 0.2)
+            if rng.random() < 0.1:
+                values = [-math.inf] * size
+            table = dict(zip(ids, values))
+            assert _outcome(lambda: _argmax_by_id(table)) == _outcome(lambda: dict_argmax(table))
+
+    def test_argmax_names_ids_not_positions(self):
+        assert argmax([4, 9], [-0.0, 0.0])[1].hex() == (-0.0).hex()
+        assert argmax([4, 9], [0.0, -0.0])[1].hex() == (0.0).hex()
+        assert argmax([4, 9, 12], [1.0, 3.0, 3.0]) == (1, 3.0)
+        with pytest.raises(NonFiniteValue, match="^candidate 9 has nan, which cannot be ranked$"):
+            argmax([4, 9, 12], [1.0, math.nan, 0.5])
+        with pytest.raises(NonFiniteValue, match="candidate 4 has -inf$"):
+            argmax([4, 9], [-math.inf, -math.inf])
 
 
 def _shared_covers():
