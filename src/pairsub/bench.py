@@ -67,7 +67,7 @@ def scaling_sweep(algorithms, oracle, n_values, trials: int,
                   k: int | None = None) -> list[TimingRecord]:
     """One record per (algorithm, n).  Before anything is timed, the lists
     must be nonempty, each algorithm must pass check_run and appear once, and
-    each n lie within 0..m, ascending.
+    each n lie within 1..m, ascending.
 
     k goes to k_wise_optimistic only, so one sweep can time it beside the
     other strategies; a k with no k_wise_optimistic to take it is refused.

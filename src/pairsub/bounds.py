@@ -153,7 +153,7 @@ def post_hoc_bound(solution, oracle) -> BoundReport:
     cache = EstimateCache(view, solution)
     alphas = []
     for i, x_i in enumerate(solution, 1):
-        alphas.append(_factor(cache.argmax_upper()[1], cache.lower[x_i]))
+        alphas.append(_factor(cache.max_upper(), cache.lower_of(x_i)))
         if i < len(solution):
             cache.condition_on(x_i, view)
     assert view.counts.other == 0, "post-hoc bound must stay pairwise"

@@ -116,7 +116,7 @@ def _ordered_solution(args):
         raise InvalidArgument("exactly one of --trace or --solution is required")
     if args.trace is not None:
         try:
-            doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
+            doc = json.loads(Path(args.trace).read_text(encoding="utf-8-sig"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{args.trace}: invalid JSON ({exc})") from None
         trace = trace_from_dict(doc)

@@ -102,7 +102,7 @@ def _parse_rows(reader, source: str) -> list[District]:
 def load_districts(path) -> list[District]:
     """Read districts from a CSV file, preserving row order."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             return _parse_rows(csv.reader(handle), str(path))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None

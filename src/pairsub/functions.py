@@ -228,27 +228,20 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
 
 
 def _read_in_order(values, root_v):
-    """(ps, scale, f_x) of a station row that names every district in
-    order: one float map, a min and max check, and scale from one map.
-    None when a value is not a float in [0, 1], so the caller's per-entry
-    read raises the first bad one.  A NaN can pass min and max, but it
-    turns f_x into NaN, which no row of floats in [0, 1] gives.
-    """
+    """(ps, scale) of a station row that names every district in order: one
+    float map, then scale from one comprehension that keeps only entries in
+    [0, 1].  None when a value is not such a float (NaN fails the test too),
+    so the caller's per-entry read raises the first bad one."""
     try:
         ps = list(map(float, values))
     except (TypeError, ValueError, OverflowError):
         return None
-    if not (0.0 <= min(ps) and max(ps) <= 1.0):
-        return None
-    scale = tuple(map(mul, root_v, ps))
-    f_x = sum(map(mul, root_v, scale))
-    if f_x != f_x:
-        return None
-    return ps, scale, f_x
+    scale = tuple([r * p for r, p in zip(root_v, ps) if 0.0 <= p <= 1.0])
+    return (ps, scale) if len(scale) == len(ps) else None
 
 
 def _read_by_key(station, items, district_index, root_v):
-    """(ps, scale, f_x) of any station row, entry by entry: a district the
+    """(ps, scale) of any station row, entry by entry: a district the
     row does not name has p = 0, and the first unknown district or value
     outside [0, 1] raises."""
     ps = [0.0] * len(root_v)
@@ -262,8 +255,7 @@ def _read_by_key(station, items, district_index, root_v):
                 f"probability {p} for station {station!r}, district {key!r} outside [0, 1]"
             )
         ps[e] = p
-    scale = tuple(map(mul, root_v, ps))
-    return ps, scale, sum(map(mul, root_v, scale))
+    return ps, tuple(map(mul, root_v, ps))
 
 
 def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunctionOracle:
@@ -328,9 +320,8 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
         read = None
         if (keys if isinstance(keys, range) else list(keys)) == in_order:
             read = _read_in_order(values, root_v)
-        if read is None:
-            read = _read_by_key(station, zip(keys, values), district_index, root_v)
-        ps, scale, f_x = read
+        ps, scale = read or _read_by_key(station, zip(keys, values), district_index, root_v)
+        f_x = sum(map(mul, root_v, scale))
         norm = hypot(*scale)
         norm2 = norm * norm
         if not (f_x < inf and norm2 < inf):
@@ -490,7 +481,7 @@ def instance_from_dict(doc: Mapping) -> SetFunctionOracle:
 
 def load_instance(path) -> SetFunctionOracle:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedSpec(f"{path}: invalid JSON ({exc})") from exc
     return instance_from_dict(doc)

@@ -20,8 +20,8 @@ column already answered into a new list, one comprehension per column:
 fold_upper the min rule (fold_k_wise asks its columns), fold_lower the
 redundancy rule.
 
-EstimateCache keeps both tables for Algorithm 1, which reads the best upper
-estimate and the picks' lower ones: lower covers only the ids it tracks.
+EstimateCache keeps both tables for Algorithm 1 as such lists, lower only
+over the picks; Algorithm 1 reads the best upper value by one builtin max.
 
 Every strategy asks its sets by column: evaluate_extensions(a, ys) is
 [f(a + {y}) for y in ys], counted by CountingOracle once it is all answered.
@@ -301,24 +301,24 @@ def argmax(ids: list, values: list) -> tuple[int, float]:
 class EstimateCache:
     """Marginal estimates conditioned on the current partial solution.
 
-    base holds f(x) for all elements, asked as one column, and lower the
-    lower estimates of the remaining tracked ids, keys ascending; upper is
-    every remaining candidate's upper estimate, kept as a list aligned with
-    the ascending remaining ids and read as an id -> value dict.
-    condition_on folds one new selection into both from one pair column
-    _column((x_i,), ...) over the remaining candidates.  Owned by a single run.
+    base is the singleton column.  upper holds every remaining id's upper
+    estimate and lower each remaining tracked id's lower one, as lists
+    aligned with those ids ascending, read as id -> value dicts.
+    condition_on folds a selection into both from one pair column over the
+    remaining ids, read for lower at the tracked ids' kept positions in it.
     """
 
     def __init__(self, oracle, tracked):
-        ids = list(range(oracle.ground_size))
-        tracked = list(tracked)
+        ids, tracked = list(range(oracle.ground_size)), list(tracked)
         check_element_ids(tracked, len(ids))  # before any query
-        self.oracle = oracle
-        self.base = dict(enumerate(oracle._column((), ids)))
-        self._ids, self._upper = ids, list(self.base.values())
-        self.lower = {x: self.base[x] for x in sorted(tracked)}
+        self.oracle, self.base = oracle, oracle._column((), ids)
+        self._ids, self._upper = ids, list(self.base)
+        self._tracked = sorted(set(tracked))  # aligned: _at (position in _ids), _singles, _lower
+        self._at, self._singles = list(self._tracked), [self.base[x] for x in self._tracked]
+        self._lower = list(self._singles)
 
     upper = property(lambda self: dict(zip(self._ids, self._upper)))
+    lower = property(lambda self: dict(zip(self._tracked, self._lower)))
 
     def condition_on(self, x_i: int, oracle) -> None:
         """Move x_i into the conditioning set and refresh the candidates.
@@ -329,7 +329,7 @@ class EstimateCache:
         """
         if oracle is not self.oracle:
             raise InvalidArgument("condition_on must ask the oracle the cache was built on")
-        ids, lower, base = self._ids, self.lower, self.base
+        ids, base, tracked, at = self._ids, self.base, self._tracked, self._at
         check_element_ids((x_i,), len(base))  # True equals 1, yet is no id
         j = bisect_left(ids, x_i)
         if ids[j:j + 1] != [x_i]:
@@ -337,12 +337,20 @@ class EstimateCache:
         rest = ids[:j] + ids[j + 1:]
         pairs = oracle._column((x_i,), rest)
         del self._upper[j]
-        lower.pop(x_i, None)
         self._ids, self._upper = rest, fold_upper(self._upper, pairs, base[x_i])
-        # rest ascends, so each tracked x's pair sits at x's rank in it
-        self.lower = dict(zip(lower, fold_lower(lower.values(), map(base.get, lower), base[x_i],
-                                                [pairs[bisect_left(rest, x)] for x in lower])))
+        k = bisect_left(tracked, x_i)
+        if tracked[k:k + 1] == [x_i]:
+            del tracked[k], at[k], self._singles[k], self._lower[k]
+        at[k:] = [p - 1 for p in at[k:]]  # the ids above x_i move down one
+        self._lower = fold_lower(self._lower, self._singles, base[x_i], [pairs[p] for p in at])
 
-    def argmax_upper(self) -> tuple[int, float]:
-        j, value = argmax(self._ids, self._upper)
-        return self._ids[j], value
+    def max_upper(self) -> float:
+        """argmax's value over upper by one builtin max, which keeps the first
+        of equal values; argmax raises for NaN, all -inf and no candidate."""
+        if (upper := self._upper) and not isnan(sum(upper)) and (best := max(upper)) > -inf:
+            return best
+        return argmax(self._ids, upper)[1]
+
+    def lower_of(self, x: int) -> float:
+        """The lower estimate of x, a tracked id not yet selected."""
+        return self._lower[self._tracked.index(x)]

@@ -365,6 +365,20 @@ def test_non_utf8_file_exits_2(inputs, capsys, argv):
     assert out.err.startswith("error: ") and out.out == ""
 
 
+@pytest.mark.parametrize(("name", "argv"), [
+    ("d.csv", "run --districts d.csv --rs 1 --algo optimistic --n 2"),
+    ("inst.json", "run --instance inst.json --algo optimistic --n 2"),
+    ("trace.json", "bound --instance inst.json --trace trace.json"),
+])
+def test_a_utf8_byte_order_mark_is_read_past(inputs, capsys, name, argv):
+    """Every input file may start with the U+FEFF that Excel and other
+    Windows tools write, and reads as the same file without it."""
+    code, plain = run_cli(argv.split(), capsys)
+    path = inputs / name
+    path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run_cli(argv.split(), capsys) == (code, plain) and code == 0
+
+
 @pytest.mark.parametrize("command", ["run", "bound", "verify", "bench", "bruteforce"])
 def test_every_subcommand_has_help_listing_out(capsys, command):
     with pytest.raises(SystemExit) as exit_info:

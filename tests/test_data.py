@@ -79,6 +79,13 @@ class TestLoadDistricts:
         with pytest.raises(ParseError, match="not UTF-8"):
             load_districts(path)
 
+    def test_a_utf8_byte_order_mark_is_read_past(self, tmp_path):
+        """Excel's "CSV UTF-8" starts the file with U+FEFF, which is no part
+        of the header."""
+        path = tmp_path / "d.csv"
+        path.write_text("\ufeff" + WELL_FORMED, encoding="utf-8")
+        assert load_districts(path) == parse_districts(WELL_FORMED)
+
     def test_empty_file_is_a_parse_error(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("", encoding="utf-8")
@@ -163,6 +170,10 @@ class TestKernel:
             kernel_probability(d / 8, KernelConfig(2.0)).hex() for d in range(30)]
         assert (build_coverage_instance(districts, KernelConfig(2)).probabilities
                 == build_coverage_instance(districts, KernelConfig(2.0)).probabilities)
+
+    def test_the_largest_float_rs_is_accepted(self):
+        assert KernelConfig(sys.float_info.max).r_s == sys.float_info.max
+        assert kernel_probability(1.0, KernelConfig(sys.float_info.max)) == 1.0
 
     def test_an_int_beyond_the_float_range_is_refused(self):
         with pytest.raises(InvalidArgument, match="r_s must be positive and finite"):

@@ -625,6 +625,13 @@ def test_a_malformed_spec_is_refused_by_name(build, message):
     assert (type(raised.value), str(raised.value)) == (MalformedSpec, message)
 
 
+def test_an_instance_file_may_start_with_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text('\ufeff{"type": "modular", "params": {"weights": [3, 1, 2]}}',
+                    encoding="utf-8")
+    assert [functions.load_instance(path).evaluate(s) for s in ([0], [1, 2])] == [3.0, 3.0]
+
+
 def _oracle_of(family, data):
     m = data.draw(st.integers(3, 40), label="m")
     if family == "adversarial":

@@ -42,6 +42,7 @@ from _reference import (
     dict_argmax,
     dict_fold_lower,
     dict_fold_upper,
+    naive_post_hoc_bound,
     naive_probabilistic_value,
 )
 from _synth import (
@@ -275,7 +276,8 @@ class TestEstimateCache:
         cache.condition_on(2, oracle)
         cache.condition_on(0, oracle)
         assert list(cache.upper) == list(cache.lower) == [1, 3, 4]
-        assert cache.argmax_upper() == _argmax_by_id(cache.lower) == (1, 1.0)
+        assert _argmax_by_id(cache.upper) == _argmax_by_id(cache.lower) == (1, 1.0)
+        assert cache.max_upper() == cache.lower_of(1) == 1.0
 
     @pytest.mark.parametrize("tracked", [range(3), [2, 0]])
     def test_refused_column_leaves_cache_unchanged(self, chain_coverage, tracked):
@@ -327,12 +329,13 @@ class TestEstimateCache:
         view = CountingOracle(chain_coverage)
         cache = EstimateCache(view, range(3))
         cache.condition_on(0, view)
-        tables = [(dict(t), [type(x) for x in t]) for t in (cache.base, cache.upper, cache.lower)]
+        tables = [list(cache.base)] + [(dict(t), [type(x) for x in t])
+                                       for t in (cache.upper, cache.lower)]
         counts = (view.counts.total, view.counts.work_units)
         with pytest.raises(UnknownElement):
             cache.condition_on(x_i, view)
-        assert [(dict(t), [type(x) for x in t])
-                for t in (cache.base, cache.upper, cache.lower)] == tables
+        assert [list(cache.base)] + [(dict(t), [type(x) for x in t])
+                                     for t in (cache.upper, cache.lower)] == tables
         assert (view.counts.total, view.counts.work_units) == counts
 
     @pytest.mark.parametrize("seed", range(8))
@@ -392,7 +395,7 @@ class TestEstimateCache:
         cache = EstimateCache(chain_coverage, range(3))
         for x in range(chain_coverage.ground_size):
             cache.condition_on(x, chain_coverage)
-        for empty in (cache.argmax_upper, lambda: _argmax_by_id(cache.lower)):
+        for empty in (cache.max_upper, lambda: _argmax_by_id(cache.lower)):
             with pytest.raises(InvalidArgument, match="no candidates remain"):
                 empty()
 
@@ -490,6 +493,88 @@ class TestPositionalRules:
             argmax([4, 9, 12], [1.0, math.nan, 0.5])
         with pytest.raises(NonFiniteValue, match="candidate 4 has -inf$"):
             argmax([4, 9], [-math.inf, -math.inf])
+
+
+def _cache_holding(ids, values):
+    """An EstimateCache whose remaining upper estimates are values at ids,
+    bit for bit: each id's singleton is its value and every other id's 0.0,
+    every pair is +inf, so conditioning on the other ids folds in only
+    +inf - 0.0 and +inf - nan, which lower nothing."""
+    of = dict(zip(ids, values))
+    ground = 3 * len(ids) + 1
+    oracle = SetFunctionOracle(
+        ground, lambda s: of.get(min(s), 0.0) if len(s) == 1 else math.inf, budget=2)
+    cache = EstimateCache(oracle, [])
+    for x in range(ground):
+        if x not in of:
+            cache.condition_on(x, oracle)
+    assert _hexed(cache.upper.values()) == _hexed(values) and list(cache.upper) == ids
+    return cache
+
+
+class TestMaxUpper:
+    """max_upper is argmax's value over the upper table, bit for bit and by
+    sign, or argmax's error with its message."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_max_upper_is_the_argmax_value(self, seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            size = rng.randint(0, 10)
+            ids, values = _random_table(rng, size, nan=rng.random() < 0.2)
+            if rng.random() < 0.1:
+                values = [-math.inf] * size
+            cache = _cache_holding(ids, values)
+            assert _outcome(lambda: (None, cache.max_upper())) == _outcome(
+                lambda: (None, argmax(ids, values)[1]))
+
+    @pytest.mark.parametrize(("values", "expected"), [
+        ([-0.0, 0.0], "-0x0.0p+0"), ([0.0, -0.0], "0x0.0p+0"),
+        ([-math.inf, -0.0, 0.0, -1.0], "-0x0.0p+0"),
+        ([math.inf, -math.inf, 2.0], "inf"), ([-math.inf, 1.5, -math.inf], "0x1.8000000000000p+0"),
+    ], ids=["minus_zero_first", "plus_zero_first", "zeros_after_minus_inf", "both_infs",
+            "between_minus_infs"])
+    def test_ties_keep_the_first_value(self, values, expected):
+        assert _cache_holding([2, 5, 7, 8][:len(values)], values).max_upper().hex() == expected
+
+    @pytest.mark.parametrize(("values", "error", "message"), [
+        ([], InvalidArgument, "no candidates remain"),
+        ([1.0, math.nan, math.nan], NonFiniteValue, "candidate 5 has nan, which cannot be ranked"),
+        ([math.inf, -math.inf, math.nan], NonFiniteValue,
+         "candidate 7 has nan, which cannot be ranked"),
+        ([-math.inf, -math.inf], NonFiniteValue,
+         "no candidate has a value above -inf; candidate 2 has -inf"),
+    ], ids=["empty", "nan", "nan_after_both_infs", "all_minus_inf"])
+    def test_errors_are_argmax_errors_naming_ids(self, values, error, message):
+        cache = _cache_holding([2, 5, 7][:len(values)], values)
+        with pytest.raises(error) as raised:
+            cache.max_upper()
+        assert (type(raised.value), str(raised.value)) == (error, message)
+
+
+class TestPositionalLower:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lower_is_the_dict_fold_and_the_certificate_the_naive_one(self, seed):
+        """After each pick of a random order, the tracked lower estimates are
+        dict_fold_lower's table over the same pair answers, bit for bit."""
+        rng = random.Random(seed)
+        oracle = city_oracle(seed=seed, count=20) if seed < 2 else random_soc_oracle(rng, 12)
+        m = oracle.ground_size
+        order = rng.sample(range(m), rng.randint(1, m))
+        tracked = rng.sample(range(m), rng.randint(0, m))
+        base = {x: oracle.evaluate([x]) for x in range(m)}
+        table = {x: base[x] for x in sorted(tracked)}
+        cache = EstimateCache(oracle, tracked)
+        for x_i in order[:-1]:
+            cache.condition_on(x_i, oracle)
+            table.pop(x_i, None)
+            dict_fold_lower(table, base, base[x_i], [oracle.evaluate([x, x_i]) for x in table])
+            assert list(cache.lower) == list(table)
+            assert _hexed(cache.lower.values()) == _hexed(table.values())
+            assert _hexed(map(cache.lower_of, table)) == _hexed(table.values())
+        report = post_hoc_bound(order, oracle)
+        alphas, gamma = naive_post_hoc_bound(oracle, order)
+        assert (_hexed(report.alphas), report.gamma.hex()) == (_hexed(alphas), gamma.hex())
 
 
 def _shared_covers():

@@ -20,7 +20,15 @@ from pairsub import (
     k_wise_upper_estimate,
     run_algorithm,
 )
-from pairsub.validation import ABS_TOL, REL_TOL, at_least, tolerance, values_close
+from pairsub.validation import (
+    ABS_TOL,
+    REL_TOL,
+    at_least,
+    count_text,
+    near_zero,
+    tolerance,
+    values_close,
+)
 
 INF, NAN = math.inf, math.nan
 EDGES = (0.0, 1e-13, -2.5, 1e12, INF, -INF, NAN)
@@ -46,6 +54,7 @@ def test_two_value_tolerance_keeps_the_variadic_rule():
     (1.0, NAN, False),
     (NAN, NAN, False),
     (1.0 - 1e-10, 1.0, True),
+    (1.0 - 1e-9, 1.0, True),  # short by exactly the tolerance
     (1.0 - 1e-8, 1.0, False),
 ])
 def test_at_least_at_the_edges(a, b, holds):
@@ -61,10 +70,24 @@ def test_at_least_at_the_edges(a, b, holds):
     (NAN, 1.0, False),
     (1.0, 1.0 + 1e-10, True),
     (0.0, 1e-13, True),
+    (0.0, 1e-12, True),  # apart by exactly the tolerance
     (0.0, 1e-11, False),
 ])
 def test_values_close_at_the_edges(a, b, holds):
     assert values_close(a, b) is holds
+
+
+@pytest.mark.parametrize(("v", "holds"), [
+    (0.0, True), (-0.0, True), (1e-12, True), (-1e-12, True),
+    (1.0000000000000002e-12, False), (-1e-11, False), (INF, False), (NAN, False),
+])
+def test_near_zero_holds_up_to_the_absolute_tolerance(v, holds):
+    assert near_zero(v) is holds
+
+
+def test_a_count_too_long_to_print_is_named_by_its_power_of_two_floor():
+    assert count_text(10**6) == "1000000"
+    assert count_text(2**20000 + 5) == "at least 2^20000"
 
 
 def _asked(calls):
