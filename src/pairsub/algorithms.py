@@ -1,12 +1,14 @@
 """Greedy selection strategies and the brute-force reference optimum.
 
 Every strategy emits a RunTrace recording, per iteration, the element chosen
-and the estimate value that won the argmax.  Ties always break toward the
-lowest element id, so runs are deterministic.  The pairwise strategies
-(optimistic, pessimistic) issue only size-1 and size-2 queries, at most
-m*(n+1) of them, and fold each pick into the one estimate they rank by.  The full
-greedy asks f(empty) once and f(S + y) for every remaining y in each round:
-1 + n*(m+1) - n*(n+1)/2 queries, of sets up to size n.
+and the estimate value that won the argmax.  Ties among equal float values go
+to the lowest element id, so runs are deterministic; two estimates whose real
+values tie exactly can round apart, and then the larger float wins.  The
+pairwise strategies (optimistic, pessimistic) issue only size-1 and size-2
+queries, at most m*(n+1) of them, and fold each pick into the one estimate
+they rank by.  The full greedy asks f(empty) once and f(S + y) for every
+remaining y in each round: 1 + n*(m+1) - n*(n+1)/2 queries, of sets up to
+size n.
 """
 
 from __future__ import annotations

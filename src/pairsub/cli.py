@@ -56,8 +56,7 @@ def _write_json(doc: dict, out: str | None) -> None:
 
 
 def _load_oracle(args):
-    sources = [s for s in (args.instance, args.districts) if s is not None]
-    if len(sources) != 1:
+    if (args.instance is None) == (args.districts is None):
         raise InvalidArgument("exactly one of --instance or --districts is required")
     if args.instance is not None:
         if args.rs is not None:

@@ -8,23 +8,21 @@ Four families cover the test and experiment surface:
 * modular                f(S) = sum of per-element weights
 
 Both coverage families answer singletons and pairs, the only queries of the
-pairwise strategies, in closed form from tables built at set-up.  For
-probabilistic coverage a pair costs one math.dist between two station rows,
-and _eval's pair is a column of one.  Weighted coverage builds an owner
-index at set-up, three flat int lists that chain each universe element to
-the covers holding it, so a column of pairs f({x, y}) first collects the
-covers that meet x's and answers every other y by the sum of the two
-singletons; only covers that meet are intersected.  A pair asked alone,
-through _eval, keeps one disjointness test of the two covers, which costs
-less than a walk of the index.  Each family also hands its oracle an
-extensions(a, ys) column function, so that evaluate_extensions answers
-f(a + {y}) for every y in ys in one call, whatever the size of a.  Larger
-sets keep a general pass over their members in id order, so every family
-returns the same float for any order of the ids.  For probabilistic coverage
-that pass multiplies miss rows, built on first read, district by district in
-list comprehensions, the last of which also takes 1 - q and * v and feeds
-sum; a column starts each product from that of the members of a below y,
-built once per column, and _eval's larger sets are a column of one.
+pairwise strategies, in closed form from tables built at set-up, and hand
+their oracle an extensions(a, ys) column function, so that
+evaluate_extensions answers f(a + {y}) for every y in ys in one call,
+whatever the size of a.  Probabilistic coverage answers every set one way:
+_eval(s) is the column of one with y the lowest member of s, so a pair costs
+one math.dist between two station rows, and a larger set multiplies miss
+rows, built on first read, district by district in list comprehensions.
+Weighted coverage builds an owner index at set-up, three flat int lists that
+chain each universe element to the covers holding it, so a column of pairs
+f({x, y}) first collects the covers that meet x's and answers every other y
+by the sum of the two singletons; only covers that meet are intersected.  A
+pair asked alone, through _eval, keeps one disjointness test of the two
+covers, which costs less than a walk of the index.  Larger sets keep a
+general pass over their members in id order, so every family returns the
+same float for any order of the ids.
 
 Instances serialize as {"type": <family>, "params": {...}} with params named
 exactly after the spec dataclass fields.
@@ -36,7 +34,7 @@ import json
 from bisect import bisect
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from math import dist, hypot, inf, sqrt
 from operator import mul
 from pathlib import Path
@@ -90,23 +88,20 @@ def _columns(obj, what: str):
     raise MalformedSpec(f"{what} must be a mapping or a sequence")
 
 
-def _parse_weights(keys, values) -> list:
-    """The float weight of each universe element: one map and a check when
-    every weight is valid and their total, which bounds every value, is
-    finite; else a loop that raises the first bad one, or the total."""
+def _amounts(keys, values, what: str, of: str) -> list:
+    """The float amount of each key: one map and a check when every amount is
+    valid and their total is finite, else a loop that raises the first bad
+    one in order.  The caller checks the total, which bounds every value."""
     try:
-        weights = list(map(float, values))
-        if 0.0 <= min(weights, default=0.0) and sum(weights) < inf:  # NaN fails one
-            return weights
+        amounts = list(map(float, values))
+        if 0.0 <= min(amounts, default=0.0) and sum(amounts) < inf:  # NaN fails one
+            return amounts
     except (TypeError, ValueError, OverflowError):  # the loop below raises the first error
         pass
-    for key, w in zip(keys, map(float, values)):
-        if not 0.0 <= w < inf:  # NaN fails every comparison
-            raise MalformedSpec(
-                f"weight {w} for universe element {key!r} is negative or not finite"
-            )
-    # every weight is valid, so the map above passed and only the total failed
-    raise MalformedSpec(f"universe weights sum to {sum(weights)}, which is not finite")
+    for key, v in zip(keys, map(float, values)):
+        if not 0.0 <= v < inf:  # NaN fails every comparison
+            raise MalformedSpec(f"{what} {v} for {of} {key!r} is negative or not finite")
+    return amounts  # every amount is valid, so the map above passed
 
 
 def _parse_covers(universe_keys, cover_keys, covers) -> list:
@@ -173,7 +168,7 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
     """Oracle for union-of-weights coverage; exhibits supermodularity of
     conditioning.
 
-    Set-up parses with a few C-level passes (_parse_weights, _parse_covers)
+    Set-up parses with a few C-level passes (_amounts, _parse_covers)
     and builds the owner index (_owner_index) eagerly, one Python step per
     cover membership.  The parse saves about what the index costs: a JSON
     document of 1,000 covers of 6 elements from 4,000 sets up within a few
@@ -185,7 +180,9 @@ def build_weighted_coverage(spec: WeightedCoverageSpec) -> SetFunctionOracle:
     test, which costs less than walking x's chains for one answer.
     """
     universe_keys, values = _columns(spec.universe_weights, "universe_weights")
-    weights = _parse_weights(universe_keys, values)
+    weights = _amounts(universe_keys, values, "weight", "universe element")
+    if not sum(weights) < inf:
+        raise MalformedSpec(f"universe weights sum to {sum(weights)}, which is not finite")
     weight = weights.__getitem__
     cover_sets = _parse_covers(universe_keys, *_columns(spec.covers, "covers"))
     if not cover_sets:
@@ -294,22 +291,17 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
     number of members of a below y, the product for y starts from the prefix
     of max(p, 1) members, then multiplies in y's row and the members above
     it: p = 0 and p = 1 are the same operation, since one multiply commutes
-    exactly.  _eval's larger sets are a column of one with y their lowest
-    member, so they start from a boxed row and build no prefix.
+    exactly.  _eval(s) is the column of one with y the lowest member of s:
+    a pair is the pairs answer above, and a larger set starts from a boxed
+    row and builds no prefix.
     """
     demand_keys, demand_values = _columns(spec.demands, "demands")
-    district_index = {}
-    demands = []
-    for key, v in zip(demand_keys, demand_values):
-        v = float(v)
-        if not 0.0 <= v < inf:
-            raise MalformedSpec(f"demand {v} for district {key!r} is negative or not finite")
-        district_index[key] = len(demands)
-        demands.append(v)
+    demands = _amounts(demand_keys, demand_values, "demand", "district")
     if not demands:
         raise MalformedSpec("demands must declare at least one district")
 
     in_order = demand_keys if isinstance(demand_keys, range) else list(demand_keys)
+    district_index = dict(zip(in_order, range(len(demands))))
     root_v = tuple(map(sqrt, demands))
     probabilities = []  # p_x^e per district, 0.0 where a row names none
     scaled = []         # s_x: sqrt(v) * p per district
@@ -366,17 +358,10 @@ def build_probabilistic_coverage(spec: ProbabilisticCoverageSpec) -> SetFunction
         return values
 
     def _eval(s: frozenset) -> float:
-        size = len(s)
-        if size == 2:
-            x, y = s
-            return pairs(x, (y,))[0]
-        if size == 1:
-            (x,) = s
-            return single[x]
         if not s:
             return 0.0
-        ordered = sorted(s)
-        return extensions(tuple(ordered[1:]), (ordered[0],))[0]
+        lowest, *rest = sorted(s)
+        return extensions(tuple(rest), (lowest,))[0]
 
     return SetFunctionOracle(len(probabilities), _eval, name="probabilistic_coverage", spec=spec,
                              extensions_fn=extensions)
@@ -412,12 +397,9 @@ def build_adversarial(spec: AdversarialSpec) -> SetFunctionOracle:
 
 def build_modular(spec: ModularSpec) -> SetFunctionOracle:
     """Oracle for an additive function; curvature zero, all estimates exact."""
-    weights = [float(w) for w in spec.weights]
+    weights = _amounts(count(), spec.weights, "weight", "element")
     if not weights:
         raise MalformedSpec("weights must declare at least one element")
-    for i, w in enumerate(weights):
-        if not 0.0 <= w < inf:
-            raise MalformedSpec(f"weight {w} for element {i} is negative or not finite")
     if not sum(weights) < inf:  # the total bounds every value
         raise MalformedSpec(f"weights sum to {sum(weights)}, which is not finite")
 

@@ -289,10 +289,7 @@ def argmax(ids: list, values: list) -> tuple[int, float]:
         for x, v in zip(ids, values):
             if v != v:
                 raise NonFiniteValue(f"candidate {x} has {v}, which cannot be ranked")
-    best = -inf
-    for v in values:
-        if v > best:
-            best = v
+    best = max(values)  # keeps the first of equal values
     if best == -inf:  # every value is -inf
         raise NonFiniteValue(f"no candidate has a value above -inf; candidate {ids[0]} has -inf")
     return values.index(best), best

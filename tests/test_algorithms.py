@@ -55,18 +55,6 @@ from _synth import city_oracle, no_column, random_soc_oracle, random_weighted_co
 
 
 @pytest.fixture
-def chain_coverage():
-    return build_weighted_coverage(
-        WeightedCoverageSpec({1: 1, 2: 1, 3: 1, 4: 1}, [{1, 2}, {2, 3}, {3, 4}])
-    )
-
-
-@pytest.fixture
-def modular312():
-    return build_modular(ModularSpec([3, 1, 2]))
-
-
-@pytest.fixture
 def adversarial():
     return build_adversarial(
         AdversarialSpec(V=list(range(6)), V_star=list(range(6, 10)), k=2)

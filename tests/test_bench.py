@@ -40,6 +40,15 @@ class TestTimeAlgorithm:
         assert record.min_seconds <= record.mean_seconds <= record.max_seconds
         assert record.trials == 5
 
+    def test_each_trial_records_its_own_elapsed_time(self, small_city, monkeypatch):
+        # a clock read at the start and end of each of three trials
+        ticks = iter([100.0, 100.5, 200.0, 200.25, 300.0, 301.0])
+        monkeypatch.setattr(bench, "time", type("Clock", (), {
+            "perf_counter": staticmethod(lambda: next(ticks))}))
+        record = time_algorithm("optimistic", small_city, 3, trials=3)
+        assert (record.min_seconds, record.mean_seconds, record.max_seconds) == (
+            0.25, 1.75 / 3, 1.0)
+
     def test_trials_must_be_positive(self, small_city):
         with pytest.raises(ValueError):
             time_algorithm("optimistic", small_city, 3, trials=0)

@@ -54,18 +54,6 @@ INF = math.inf
 ONE_MINUS_1_OVER_E = 1.0 - math.exp(-1.0)
 
 
-@pytest.fixture
-def chain_coverage():
-    return build_weighted_coverage(
-        WeightedCoverageSpec({1: 1, 2: 1, 3: 1, 4: 1}, [{1, 2}, {2, 3}, {3, 4}])
-    )
-
-
-@pytest.fixture
-def modular312():
-    return build_modular(ModularSpec([3, 1, 2]))
-
-
 class TestBoundFromAlphas:
     def test_classical_greedy_case(self):
         assert bound_from_alphas([1, 1, 1], 3) == pytest.approx(0.632121, abs=1e-6)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pairsub import InvalidArgument, ParseError, UnknownElement, cli
+from pairsub import InvalidArgument, ParseError, UnknownElement, cli, greedy_full
 from pairsub.bench import CSV_HEADER
 from pairsub.bounds import (
     BoundReport,
@@ -16,7 +16,7 @@ from pairsub.bounds import (
 )
 from pairsub.cli import main
 from pairsub.functions import instance_from_dict
-from pairsub.verify import ALL_CHECKS
+from pairsub.verify import ALL_CHECKS, DEFAULT_SAMPLES, VerificationReport
 
 MODULAR = {"type": "modular", "params": {"weights": [3, 1, 2, 5]}}
 DISTRICTS = "district_id,x,y,demand\na,0,0,1\nb,1,1,2\n"
@@ -162,6 +162,52 @@ def test_audit_runs_the_full_greedy_once(inputs, capsys, monkeypatch, algo):
         assert out.out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
+# optimistic picks {0, 2, 3} for 2.4 at n = 3, the full greedy {0, 3, 4} for 2.7
+MISLED = {"type": "weighted_coverage",
+          "params": {"universe_weights": [0.7, 0.9, 0.3, 1.0, 0.3, 0.7],
+                     "covers": [[5], [5], [0, 5], [0, 3], [4]]}}
+
+
+def test_audit_reports_the_run_as_a_percent_of_the_full_greedy(inputs, capsys):
+    (inputs / "misled.json").write_text(json.dumps(MISLED), encoding="utf-8")
+    code, out = run_cli("run --instance misled.json --algo optimistic --n 3 --audit".split(),
+                        capsys)
+    assert code == 0 and out.err == ""
+    oracle = instance_from_dict(MISLED)
+    own = oracle.evaluate(json.loads(out.out)["final_set"])
+    full = oracle.evaluate(greedy_full(oracle, 3).final_set)
+    assert own < full
+    assert json.loads(out.out)["percent_of_full_greedy"] == 100.0 * own / full
+
+
+def test_audit_of_an_all_zero_objective_is_100_percent(inputs, capsys):
+    instance = {"type": "modular", "params": {"weights": [0.0, 0.0, 0.0]}}
+    (inputs / "zero.json").write_text(json.dumps(instance), encoding="utf-8")
+    code, out = run_cli("run --instance zero.json --algo optimistic --n 2 --audit".split(),
+                        capsys)
+    assert code == 0 and out.err == ""
+    assert json.loads(out.out)["percent_of_full_greedy"] == 100.0
+
+
+def test_bench_times_five_trials_by_default(inputs, capsys):
+    code, out = run_cli("bench --instance inst.json --algos optimistic --n-grid 1".split(), capsys)
+    assert code == 0 and out.err == ""
+    assert [row.split(",")[3] for row in out.out.splitlines()[1:]] == ["5"]
+
+
+def test_verify_draws_default_samples_from_seed_0(inputs, capsys, monkeypatch):
+    asked = []
+
+    def recorded(oracle, samples, seed):
+        asked.append((samples, seed))
+        return VerificationReport("monotone", True, None, 1, "sampled", "quantified")
+
+    monkeypatch.setitem(cli.ALL_CHECKS, "monotone", recorded)
+    code, out = run_cli("verify --instance inst.json --properties monotone".split(), capsys)
+    assert code == 0 and out.err == ""
+    assert asked == [(DEFAULT_SAMPLES, 0)]
+
+
 def test_bench_ratio_writes_full_over_each_pairwise_strategy(inputs, capsys):
     code, out = run_cli(["bench", "--instance", "inst.json", "--algos",
                          "full,optimistic,uninformed", "--n-grid", "1,3", "--trials", "1",
@@ -260,6 +306,14 @@ BAD_FLAGS = {
                                  "--ratio r.csv", InvalidArgument,
                                  "--ratio needs 'full' plus at least one other algorithm in "
                                  "--algos"),
+    "bench_ratio_full_alone": ("bench --instance inst.json --algos full --n-grid 1,2 "
+                               "--ratio r.csv", InvalidArgument,
+                               "--ratio needs 'full' plus at least one other algorithm in "
+                               "--algos"),
+    "bench_ratio_two_without_full": ("bench --instance inst.json --algos optimistic,uninformed "
+                                     "--n-grid 1,2 --ratio r.csv", InvalidArgument,
+                                     "--ratio needs 'full' plus at least one other algorithm "
+                                     "in --algos"),
     "bench_k_without_k_wise": ("bench --instance inst.json --algos full,optimistic --n-grid 1 "
                                "--k 3", InvalidArgument,
                                "k applies to k_wise_optimistic only, not ['full', 'optimistic']"),
@@ -475,6 +529,25 @@ def test_theorem5_without_tau2_takes_the_scanned_tau2(inputs, capsys):
     assert json.loads(out.out) == expected
     code, given_tau2 = run_cli([*argv, "--tau2", repr(tau2)], capsys)
     assert (code, given_tau2.out) == (0, out.out)
+
+
+# tau_2 = 0.4375 but tau_3 = 0.6, so at n = 3 the last factor is 8 by tau_2, inf by tau_3
+OVERLAPS = {"type": "weighted_coverage",
+            "params": {"universe_weights": [0.7, 0.8, 0.8, 0.9, 0.8, 0.9, 0.1, 0.5],
+                       "covers": [[0, 3, 5], [0, 2, 7], [1, 6, 7], [0, 4, 6]]}}
+
+
+def test_theorem5_without_tau2_scans_pairs_not_triples(inputs, capsys):
+    (inputs / "overlaps.json").write_text(json.dumps(OVERLAPS), encoding="utf-8")
+    code, out = run_cli("bound --instance overlaps.json --solution 0,1,2 --method theorem5"
+                        .split(), capsys)
+    assert code == 0 and out.err == ""
+    oracle = instance_from_dict(OVERLAPS)
+    alphas = alphas_pessimistic(k_cardinality_curvature(oracle, 2), 3)
+    assert alphas != alphas_pessimistic(k_cardinality_curvature(oracle, 3), 3)
+    expected = {"schema": "pairsub/1",
+                **BoundReport(alphas, bound_from_alphas(alphas, 3), "theorem5").to_dict()}
+    assert json.loads(out.out) == expected
 
 
 json_values = st.recursive(

@@ -171,9 +171,11 @@ BAD_VALUE = "'weighted_coverage' instance has a bad value: "
     ({1.0, 2.0}, [[0]], MalformedSpec, "universe_weights must be a mapping or a sequence"),
     ([1.0, 2.0, 4.0], [[0], [True]], None, [1.0, 2.0]),
     ([1.0, 2.0, 4.0], [[0], [1.0]], None, [1.0, 2.0]),
+    ({1: 5.0, 0: 1.0}, [[1], [0]], None, [5.0, 1.0]),
 ], ids=["negative_before_non_numeric", "nan_weight", "inf_weight", "unknown_in_later_cover",
         "missing_mapping_key", "non_iterable_cover", "no_covers", "covers_a_number",
-        "universe_weights_a_set", "true_is_element_1", "float_is_element_1"])
+        "universe_weights_a_set", "true_is_element_1", "float_is_element_1",
+        "int_keys_out_of_position_order"])
 def test_weighted_coverage_parse_keeps_the_per_item_errors(entry, universe, covers, error,
                                                            message):
     if entry == "instance_from_dict":
@@ -293,6 +295,12 @@ class TestProbabilisticPairKernel:
     def test_station_that_overflows_is_rejected_by_name(self):
         spec = ProbabilisticCoverageSpec([1e308, 1e308], {"s0": [0.5, 0.0], "s1": [1.0, 1.0]})
         with pytest.raises(MalformedSpec, match="station 's1' overflows"):
+            build_probabilistic_coverage(spec)
+
+    def test_station_whose_f_alone_overflows_is_rejected_by_name(self):
+        # f(x) = 1.8e308 overflows while |sqrt(v) * p|^2 = 1.64e308 does not
+        spec = ProbabilisticCoverageSpec([1e308, 1e308], {"s0": [1.0, 0.8]})
+        with pytest.raises(MalformedSpec, match="station 's0' overflows: f = inf"):
             build_probabilistic_coverage(spec)
 
     def test_pair_near_the_float_limit_stays_finite(self):
@@ -606,8 +614,32 @@ MALFORMED_SPECS = {
         "probabilities[1] must be a mapping or a sequence"),
     "adversarial_k_zero": (lambda: build_adversarial(AdversarialSpec(V=[0], V_star=[1], k=0)),
                            "k must be >= 1, got 0"),
+    "adversarial_overlap": (
+        lambda: build_adversarial(AdversarialSpec(V=[0, 1, 2], V_star=[2, 3, 1], k=1)),
+        "V and V_star overlap: [1, 2]"),
     "no_weights": (lambda: build_modular(ModularSpec([])),
                    "weights must declare at least one element"),
+    # each family's amounts are read in order and the first bad one is named
+    "coverage_zero_before_negative": (
+        lambda: build_weighted_coverage(WeightedCoverageSpec([0.0, -1.0], [[0], [1]])),
+        "weight -1.0 for universe element 1 is negative or not finite"),
+    "modular_zero_before_negative": (lambda: build_modular(ModularSpec([0.0, -1.0])),
+                                     "weight -1.0 for element 1 is negative or not finite"),
+    "modular_negative_before_non_numeric": (
+        lambda: build_modular(ModularSpec([-1.0, "heavy"])),
+        "weight -1.0 for element 0 is negative or not finite"),
+    "demand_zero_before_negative": (
+        lambda: build_probabilistic_coverage(
+            ProbabilisticCoverageSpec([0.0, -1.0], [[0.5, 0.5]])),
+        "demand -1.0 for district 1 is negative or not finite"),
+    "demand_inf": (
+        lambda: build_probabilistic_coverage(
+            ProbabilisticCoverageSpec([1.0, math.inf], [[0.5, 0.5]])),
+        "demand inf for district 1 is negative or not finite"),
+    "demand_negative_before_non_numeric": (
+        lambda: build_probabilistic_coverage(
+            ProbabilisticCoverageSpec({"a": -1.0, "b": "x"}, [[0.5, 0.5]])),
+        "demand -1.0 for district 'a' is negative or not finite"),
     "document_a_list": (lambda: spec_from_dict([{"type": "modular"}]),
                         "instance document must be a JSON object"),
     "document_a_string": (lambda: instance_from_dict("modular"),

@@ -62,18 +62,6 @@ def _argmax_by_id(table):
     return ids[j], value
 
 
-@pytest.fixture
-def chain_coverage():
-    # x1={1,2}, x2={2,3}, x3={3,4}, unit weights
-    spec = WeightedCoverageSpec({1: 1, 2: 1, 3: 1, 4: 1}, [{1, 2}, {2, 3}, {3, 4}])
-    return build_weighted_coverage(spec)
-
-
-@pytest.fixture
-def modular312():
-    return build_modular(ModularSpec([3, 1, 2]))
-
-
 class TestEvaluate:
     def test_empty_set_is_zero(self, chain_coverage):
         assert chain_coverage.evaluate(()) == 0.0
