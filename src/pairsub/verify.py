@@ -18,9 +18,14 @@ mode="auto" enumerates when that walk fits validation.ENUMERATION_LIMIT
 bound), so holds=True is then a proof, and otherwise draws seeded uniform
 tuples from the quantified slots one slot after another, asking f at most
 once per set; mode="exhaustive" refuses a walk that does not fit before
-any query.  A violation reads f by subscript, at[mask], from the table of
-all 2^m values (it fits when the walk does) when enumerating and from a
-lazy per-set memo when sampling.  A witness replays through the quantified
+any query.  A subset slot draws getrandbits(m) & mask; an element slot
+draws getrandbits(k) until it falls below the n ids outside its mask, k =
+n.bit_length(), which is the stream random.Random.choice reads on CPython
+3.10-3.13, so a seed gives the same tuples there.  Draws are judged a
+bounded batch at a time, so they hold O(1) memory in samples.
+A violation reads f by subscript, at[mask], from the table of all 2^m
+values (it fits when the walk does) when enumerating and from a lazy
+per-set memo when sampling.  A witness replays through the quantified
 definition.
 """
 
@@ -29,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from functools import cache
+from itertools import chain
 from math import comb
 
 from . import validation
@@ -39,6 +45,10 @@ DEFAULT_SAMPLES = 2000
 
 # The two kinds of slot in a checker's domain (see _run).
 SUBSET, ELEMENT = "subset", "element"
+
+# Tuples a sampled check draws before it judges them, and masks whose
+# outside ids it keeps (see _draws): all of them up to m = 8.
+_BATCH = 256
 
 
 @dataclass(slots=True)
@@ -133,8 +143,11 @@ def _run(name, oracle, walk, mode, samples, seed, quantified,
     values for a given mask once per part; it visits walk tuples, which
     mode="auto" enumerates when they fit the enumeration limit and
     mode="exhaustive" refuses when they do not.  Sampling makes samples
-    draws of the quantified part (see _draws) from random.Random(seed) and
-    subscripts a memo that asks f once per set on first read.
+    draws of the quantified part from random.Random(seed), an element slot
+    reading the getrandbits stream random.Random.choice reads on CPython
+    3.10-3.13 (see _draws), and judges them a batch of at most _BATCH at a
+    time, so the draws hold O(1) memory in samples; it subscripts a memo
+    that asks f once per set on first read, at most 2^m sets.
     """
     m = oracle.ground_size
     check_int(samples, "samples")
@@ -153,12 +166,12 @@ def _run(name, oracle, walk, mode, samples, seed, quantified,
     else:
         domain, violation = quantified
         at = _Memo(oracle)
-        walks = [(_draws(domain, samples, random.Random(seed), m), violation)]
+        draws = _draws(domain, samples, random.Random(seed), m)
+        walks = [(chain.from_iterable(draws), violation)]
         how = ("sampled", "quantified")
     checked = 0
     for tuples, violation in walks:
-        for t in tuples:
-            checked += 1
+        for checked, t in enumerate(tuples, checked + 1):
             w = violation(at, t)
             if w is not None:
                 return VerificationReport(name, False, w, checked, *how)
@@ -182,21 +195,45 @@ def _every(kind, mask: int, m: int) -> list[int]:
 
 
 def _draws(domain, samples: int, rng, m: int):
-    """samples uniform tuples of the domain, drawn slot by slot; a draw with
-    no element outside an ELEMENT slot's mask stops there and is not yielded."""
-    full, outside = (1 << m) - 1, cache(_every)
-    for _ in range(samples):
-        t = ()
-        for kind, within in domain:
-            mask = within(full, *t)
-            if kind == SUBSET:
-                t += (rng.getrandbits(m) & mask,)
-            elif ids := outside(ELEMENT, mask, m):
-                t += (rng.choice(ids),)
+    """samples uniform tuples of the domain, drawn slot by slot and yielded in
+    lists of at most _BATCH; a draw with no element outside an ELEMENT slot's
+    mask stops there and is not kept.
+
+    A SUBSET slot takes getrandbits(m) & mask.  An ELEMENT slot looks its
+    mask up in a dict of this call, mask -> (the n ascending ids outside it,
+    n, k = n.bit_length()), and takes ids[r] for the first r = getrandbits(k)
+    below n: exactly the getrandbits calls random.Random.choice(ids) makes on
+    CPython 3.10-3.13, so every tuple is the one choice would draw.  Memory
+    is O(1) in samples: one list of at most _BATCH tuples at a time, and a
+    dict of at most _BATCH masks.
+    """
+    getrandbits, full, outside = rng.getrandbits, (1 << m) - 1, {}
+    slots = [(kind == ELEMENT, within) for kind, within in domain]
+    for left in range(samples, 0, -_BATCH):
+        batch = []
+        for _ in range(min(left, _BATCH)):
+            t = ()
+            for element, within in slots:
+                mask = within(full, *t)
+                if not element:
+                    t += (getrandbits(m) & mask,)
+                    continue
+                entry = outside.get(mask)
+                if entry is None:
+                    ids = _every(ELEMENT, mask, m)
+                    entry = ids, len(ids), len(ids).bit_length()
+                    if len(outside) < _BATCH:
+                        outside[mask] = entry
+                ids, n, k = entry
+                if not n:
+                    break
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                t += (ids[r],)
             else:
-                break
-        else:
-            yield t
+                batch.append(t)
+        yield batch
 
 
 def _chosen_and_subset(m: int, *sizes: int) -> int:

@@ -362,23 +362,18 @@ SAMPLED_MASKS = {
 }
 
 
-def naive_sampled_check(name, oracle, samples, seed, require_disjoint=False):
-    """(holds, witness, instances_checked) of a sampled check, by samples
-    draws from random.Random(seed), slot by slot: a subset slot takes
-    getrandbits(m) & its mask, an element slot rng.choice of the ids outside
-    its mask in ascending order, and a draw with no such id ends there and
-    is not counted.  f is asked afresh for every set, and comparisons are
-    exact, so f should take integer values.
+def naive_sampled_draws(name, m, samples, seed, require_disjoint=False):
+    """The tuples of samples draws from random.Random(seed), slot by slot: a
+    subset slot takes getrandbits(m) & its mask, an element slot rng.choice
+    of the ids outside its mask in ascending order, and a draw with no such
+    id ends there and is not yielded.
     """
-    m = oracle.ground_size
     full = (1 << m) - 1
-    kinds, keep, violation = PROPERTIES[name]
+    kinds = PROPERTIES[name][0]
     masks = list(SAMPLED_MASKS[name])
     if require_disjoint:  # S outside B u C
         masks[3] = lambda full, b, a, c: full & ~(b | c)
-    f = lambda mask: oracle.evaluate(_members(mask))  # noqa: E731
     rng = random.Random(seed)
-    checked = 0
     for _ in range(samples):
         t = []
         for kind, mask in zip(kinds, masks):
@@ -391,9 +386,21 @@ def naive_sampled_check(name, oracle, samples, seed, require_disjoint=False):
                 break
             t.append(rng.choice(outside))
         else:
-            assert keep(*t)
-            checked += 1
-            witness = violation(f, *t)
-            if witness is not None:
-                return False, witness, checked
+            yield tuple(t)
+
+
+def naive_sampled_check(name, oracle, samples, seed, require_disjoint=False):
+    """(holds, witness, instances_checked) of a sampled check over the
+    tuples of naive_sampled_draws, each counted.  f is asked afresh for every
+    set, and comparisons are exact, so f should take integer values.
+    """
+    _, keep, violation = PROPERTIES[name]
+    f = lambda mask: oracle.evaluate(_members(mask))  # noqa: E731
+    checked = 0
+    for t in naive_sampled_draws(name, oracle.ground_size, samples, seed, require_disjoint):
+        assert keep(*t)
+        checked += 1
+        witness = violation(f, *t)
+        if witness is not None:
+            return False, witness, checked
     return True, None, checked

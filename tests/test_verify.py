@@ -1,6 +1,7 @@
 """Property checkers: witnesses, limits, sampling, and cross-consistency."""
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -25,7 +26,7 @@ from pairsub import (
     check_submodular,
     check_supermodularity_of_conditioning,
 )
-from pairsub import validation
+from pairsub import validation, verify
 from pairsub.verify import ALL_CHECKS, subset_values
 
 from _reference import (
@@ -33,6 +34,7 @@ from _reference import (
     naive_local_check,
     naive_property_check,
     naive_sampled_check,
+    naive_sampled_draws,
 )
 from _synth import random_probabilistic_coverage, random_soc_oracle, random_weighted_coverage
 
@@ -650,3 +652,60 @@ def test_sampled_reports_match_the_reference_sampler(oracle, seed, samples):
         report = ALL_CHECKS[name](oracle, mode="sampled", samples=samples, seed=seed, **extra)
         assert (report.holds, report.witness, report.instances_checked) == \
             naive_sampled_check(name, oracle, samples, seed, **extra), check
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 9001])
+@pytest.mark.parametrize("m", range(1, 8))
+def test_sampled_checks_judge_the_reference_draws_in_order(m, seed, monkeypatch):
+    """Each checker's quantified domain, sampled through _run with a
+    violation that records and never fires, judges exactly the tuples the
+    reference draws with getrandbits(m) & mask and rng.choice(outside), in
+    order: the degenerate draws that stop early read the same random words
+    and are skipped alike, at a sample count below, at and across a batch."""
+    oracle = SetFunctionOracle(m, lambda s: float(len(s)))
+    run = verify._run
+    for check in sorted(set(GOLDEN_CHECKS) - {"normalized"}):
+        name, extra = GOLDEN_CHECKS[check]
+        quantified = []
+        monkeypatch.setattr(verify, "_run", lambda *args: quantified.append(args[6]))
+        ALL_CHECKS[name](oracle, **extra)
+        monkeypatch.undo()
+        ((domain, _),) = quantified
+        for samples in (1, 256, 513):
+            judged = []
+            report = run(name, oracle, 0, "sampled", samples, seed,
+                         (domain, lambda at, t: judged.append(t)))
+            expected = list(naive_sampled_draws(name, m, samples, seed, **extra))
+            assert judged == expected, (check, samples)
+            assert (report.holds, report.instances_checked) == (True, len(expected))
+
+
+def test_a_sampled_check_holds_o1_memory_in_samples():
+    oracle = build_modular(ModularSpec([1.0, 2.0, 3.0]))
+    tracemalloc.start()
+    try:
+        report = check_monotone(oracle, samples=10**6, mode="sampled")
+        _, peak = tracemalloc.get_traced_memory()
+        # on 40 elements nearly every drawn mask is new: the draws still
+        # keep the outside ids of a bounded number of them
+        tracemalloc.reset_peak()
+        for _ in verify._draws(verify.SINGLES, 20_000, random.Random(0), 40):
+            pass
+        _, peak_40 = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a draw of all three elements leaves no x outside it: 1/8 are skipped
+    assert report.holds and 850_000 < report.instances_checked < 900_000
+    assert peak < 1 << 20 and peak_40 < 1 << 20
+
+
+def test_a_sampled_check_lists_each_masks_outside_ids_once(monkeypatch):
+    listed = []
+    every = verify._every
+    monkeypatch.setattr(verify, "_every",
+                        lambda kind, mask, m: listed.append(mask) or every(kind, mask, m))
+    oracle = SetFunctionOracle(4, lambda s: float(len(s)))
+    for check in (check_monotone, check_submodular, check_marginal_lower_bound):
+        listed.clear()
+        assert check(oracle, samples=2000, mode="sampled").holds
+        assert 0 < len(listed) == len(set(listed)), check
