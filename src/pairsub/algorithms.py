@@ -14,7 +14,7 @@ size n.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 from math import comb, inf
 
@@ -76,7 +76,9 @@ def _typed(value, kinds, field: str):
 
 def trace_from_dict(doc: dict) -> RunTrace:
     """The RunTrace of a to_dict() document; ParseError if a field is missing
-    or has the wrong shape, or the selections are not labelled i = 1..n."""
+    or has the wrong shape, the selections are not labelled i = 1..n,
+    final_set is not the sorted selected order, or a query count is not an
+    int >= 0."""
     if not isinstance(doc, dict):
         raise ParseError(f"a trace must be a JSON object, got {type(doc).__name__}")
     try:
@@ -100,6 +102,13 @@ def trace_from_dict(doc: dict) -> RunTrace:
     labels = [sel.iteration for sel in trace.selections]
     if labels != list(range(1, len(labels) + 1)) or trace.n != len(labels):
         raise ParseError(f"trace has n={trace.n} and selections labelled {labels}, not 1..n")
+    chosen = sorted(trace.selected_order)
+    if [_typed(x, int, "final_set") for x in trace.final_set] != chosen:
+        raise ParseError(f"trace field 'final_set' is {trace.final_set}, "
+                         f"not the sorted selected order {chosen}")
+    for name, count in asdict(trace.query_counts).items():
+        if _typed(count, int, name) < 0:
+            raise ParseError(f"trace field {name!r} is {count}, below 0")
     return trace
 
 

@@ -20,8 +20,14 @@ column already answered into a new list, one comprehension per column:
 fold_upper the min rule (fold_k_wise asks its columns), fold_lower the
 redundancy rule.
 
-EstimateCache keeps both tables for Algorithm 1 as such lists, lower only
-over the picks; Algorithm 1 reads the best upper value by one builtin max.
+EstimateCache keeps both tables for Algorithm 1, lower as such lists over
+the picks only.  Algorithm 1 reads one number of upper per pick, its
+maximum, so upper is kept lazily: each pair column is kept as asked, and an
+id is folded through the columns it has not seen only when it reaches the
+top of a max-heap.  Values only fall, so the first top that is up to date
+is the float max gives over the eagerly folded table, ties to the lowest
+id.  That keeps the certificate's n * m pair answers, n picks over m ids,
+packed at 8 bytes each.
 
 Every strategy asks its sets by column: evaluate_extensions(a, ys) is
 [f(a + {y}) for y in ys], counted by CountingOracle once it is all answered.
@@ -40,8 +46,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import heapify, heappop, heapreplace
+from itertools import combinations, islice
 from math import inf, isnan
+from struct import pack
 from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, DuplicateElement, InvalidArgument, NonFiniteValue
@@ -268,7 +276,9 @@ def fold_k_wise(oracle, ids: list, upper: list, earlier, y: int, f_y: float, k: 
 
 def fold_upper(upper: list, column, f_a: float) -> list:
     """The min rule: each upper estimate lowered to f(x|A) = f(A + x) - f(A)
-    when that is smaller, column holding f(A + x) at x's position."""
+    when that is smaller, column holding f(A + x) at x's position.
+    EstimateCache applies this rule to one id at a time, column by column,
+    in the order the columns were asked: the same floats."""
     return [m if (m := f - f_a) < u else u for u, f in zip(upper, column)]
 
 
@@ -299,23 +309,53 @@ class EstimateCache:
     """Marginal estimates conditioned on the current partial solution.
 
     base is the singleton column.  upper holds every remaining id's upper
-    estimate and lower each remaining tracked id's lower one, as lists
-    aligned with those ids ascending, read as id -> value dicts.
-    condition_on folds a selection into both from one pair column over the
-    remaining ids, read for lower at the tracked ids' kept positions in it.
+    estimate and lower each remaining tracked id's lower one, read as
+    id -> value dicts with the ids ascending.  condition_on asks one pair
+    column over the remaining ids, folds it into lower, read at the tracked
+    ids' kept positions in it, and keeps it for upper.
+
+    upper is kept lazily.  Each id has its last folded value and the count
+    of kept columns folded into it; the k-th column, asked over the ids left
+    after the first k + 1 picks, holds y's pair at y minus the number of
+    those picks below y.  max_upper folds only the ids that reach the top of
+    a heap keyed (-value, id), through their pending columns in order by
+    fold_upper's rule.  Values only fall, so the first top that is up to
+    date is the largest value, and the lowest id among equal ones: the float
+    max returns over the eagerly folded table.  Reading upper folds without
+    storing, so it moves no heap key.  The kept columns are the n * m pair
+    answers the certificate asks, n the picks and m the ground set, packed
+    as C doubles: 8 bytes an answer, the same floats read back.
     """
 
     def __init__(self, oracle, tracked):
         ids, tracked = list(range(oracle.ground_size)), list(tracked)
         check_element_ids(tracked, len(ids))  # before any query
         self.oracle, self.base = oracle, oracle._column((), ids)
-        self._ids, self._upper = ids, list(self.base)
+        self._ids = ids
+        # by id: the last folded upper value, the count of columns folded
+        # into it (-1 once picked) and the picks below it among those
+        self._value, self._done, self._below = list(self.base), [0] * len(ids), [0] * len(ids)
+        self._columns = []  # (pick, its pair column, f({pick})) in pick order
+        self._heap = [(-v, x) for x, v in enumerate(self.base) if v == v]
+        heapify(self._heap)
+        self._nan = {x for x, v in enumerate(self.base) if v != v}  # never in the heap
         self._tracked = sorted(set(tracked))  # aligned: _at (position in _ids), _singles, _lower
         self._at, self._singles = list(self._tracked), [self.base[x] for x in self._tracked]
         self._lower = list(self._singles)
 
-    upper = property(lambda self: dict(zip(self._ids, self._upper)))
+    upper = property(lambda self: {x: self._refreshed(x)[0] for x in self._ids})
     lower = property(lambda self: dict(zip(self._tracked, self._lower)))
+
+    def _refreshed(self, x: int) -> tuple[float, int]:
+        """x's upper value folded through its pending columns, and the picks
+        below x; nothing is stored."""
+        u, below = self._value[x], self._below[x]
+        for pick, column, f_a in islice(self._columns, self._done[x], None):
+            if pick < x:
+                below += 1
+            if (m := column[x - below] - f_a) < u:
+                u = m
+        return u, below
 
     def condition_on(self, x_i: int, oracle) -> None:
         """Move x_i into the conditioning set and refresh the candidates.
@@ -333,8 +373,13 @@ class EstimateCache:
             raise DuplicateElement(f"element {x_i} was already selected")
         rest = ids[:j] + ids[j + 1:]
         pairs = oracle._column((x_i,), rest)
-        del self._upper[j]
-        self._ids, self._upper = rest, fold_upper(self._upper, pairs, base[x_i])
+        self._ids = rest
+        # packed, so its float objects die here as in an eager fold: keeping
+        # n * m of them alive costs a job more time than packing them
+        packed = memoryview(pack(f"{len(pairs)}d", *pairs)).cast("d")
+        self._columns.append((x_i, packed, base[x_i]))
+        self._done[x_i] = -1
+        self._nan.discard(x_i)
         k = bisect_left(tracked, x_i)
         if tracked[k:k + 1] == [x_i]:
             del tracked[k], at[k], self._singles[k], self._lower[k]
@@ -342,11 +387,21 @@ class EstimateCache:
         self._lower = fold_lower(self._lower, self._singles, base[x_i], [pairs[p] for p in at])
 
     def max_upper(self) -> float:
-        """argmax's value over upper by one builtin max, which keeps the first
-        of equal values; argmax raises for NaN, all -inf and no candidate."""
-        if (upper := self._upper) and not isnan(sum(upper)) and (best := max(upper)) > -inf:
-            return best
-        return argmax(self._ids, upper)[1]
+        """argmax's value over upper: the first up-to-date top of the heap,
+        picks popped and stale ids refreshed on the way; argmax raises for a
+        NaN, all -inf and no candidate."""
+        if self._ids and not self._nan:
+            heap, done, count = self._heap, self._done, len(self._columns)
+            while done[x := heap[0][1]] != count:
+                if done[x] < 0:
+                    heappop(heap)
+                else:
+                    u, self._below[x] = self._refreshed(x)
+                    self._value[x], done[x] = u, count
+                    heapreplace(heap, (-u, x))
+            if (best := self._value[x]) > -inf:
+                return best
+        return argmax(self._ids, list(self.upper.values()))[1]
 
     def lower_of(self, x: int) -> float:
         """The lower estimate of x, a tracked id not yet selected."""

@@ -582,6 +582,30 @@ class TestTraces:
         with pytest.raises(ParseError, match=f"^trace field '{field}' has the wrong type: "):
             trace_from_dict(doc)
 
+    @pytest.mark.parametrize(("field", "value", "message"), [
+        ("final_set", ["zero"], "trace field 'final_set' has the wrong type: 'zero'"),
+        ("final_set", [True, 2], "trace field 'final_set' has the wrong type: True"),
+        ("final_set", [0, 2.0], "trace field 'final_set' has the wrong type: 2.0"),
+        ("final_set", [2, 0], "'final_set' is [2, 0], not the sorted selected order [0, 2]"),
+        ("final_set", [0], "'final_set' is [0], not the sorted selected order [0, 2]"),
+        ("query_counts", {"size1": "many"}, "trace field 'size1' has the wrong type: 'many'"),
+        ("query_counts", {"size2": None}, "trace field 'size2' has the wrong type: None"),
+        ("query_counts", {"other": True}, "trace field 'other' has the wrong type: True"),
+        ("query_counts", {"work_units": 1.0}, "trace field 'work_units' has the wrong type: 1.0"),
+        ("query_counts", {"size1": -1}, "trace field 'size1' is -1, below 0"),
+        ("query_counts", {"size9": 1}, "unexpected keyword argument 'size9'"),
+        ("query_counts", [1], "trace field has the wrong shape: "),
+    ])
+    def test_final_set_and_counts_are_checked(self, chain_coverage, field, value, message):
+        """final_set is the sorted selected order, and each count a known
+        name with an int >= 0, or ParseError names the field."""
+        doc = json.loads(json.dumps(greedy_optimistic(chain_coverage, 2).to_dict()))
+        assert doc["final_set"] == [0, 2]
+        trace_from_dict(doc)
+        doc[field] = value
+        with pytest.raises(ParseError, match=re.escape(message)):
+            trace_from_dict(doc)
+
     def test_audit_fills_true_marginals(self, chain_coverage):
         trace = greedy_optimistic(chain_coverage, 3)
         assert trace.true_marginals is None

@@ -57,7 +57,8 @@ def test_valid_trace_is_certified(inputs, capsys):
 def third_pick(element) -> str:
     """TRACE with a third pick, which theorems 2 and 3 audit against the oracle."""
     third = {"i": 3, "element": element, "estimate": 1.0}
-    return json.dumps({**TRACE, "n": 3, "selections": [*TRACE["selections"], third]})
+    return json.dumps({**TRACE, "n": 3, "final_set": [0, 1, 3],
+                       "selections": [*TRACE["selections"], third]})
 
 
 # name -> (trace text, error, start of its message); the rest of a message
@@ -85,6 +86,15 @@ BAD_TRACES = {
                                    "trace field 'element' has the wrong type: {}"),
     "bad_query_counts": (json.dumps({**TRACE, "query_counts": {"size9": 1}}),
                          ParseError, "trace field has the wrong shape: "),
+    "unchecked_counts_and_final_set": (json.dumps(
+        {**TRACE, "final_set": ["zero"], "query_counts": {"size1": "many", "size2": None}}),
+        ParseError, "trace field 'final_set' has the wrong type: 'zero'"),
+    "final_set_unsorted": (json.dumps({**TRACE, "final_set": [3, 0]}), ParseError,
+                           "trace field 'final_set' is [3, 0], not the sorted selected order"),
+    "count_is_null": (json.dumps({**TRACE, "query_counts": {"size1": 4, "size2": None}}),
+                      ParseError, "trace field 'size2' has the wrong type: None"),
+    "count_is_negative": (json.dumps({**TRACE, "query_counts": {"other": -1}}),
+                          ParseError, "trace field 'other' is -1, below 0"),
     "n_is_a_string": (json.dumps({**TRACE, "n": "2"}),
                       ParseError, "trace field 'n' has the wrong type: '2'"),
     "iterations_relabelled": (json.dumps(

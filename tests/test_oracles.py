@@ -31,7 +31,7 @@ from pairsub import (
     k_wise_upper_estimate,
     post_hoc_bound,
 )
-from pairsub import bounds
+from pairsub import bounds, oracles
 from pairsub.errors import PairsubError
 from pairsub.oracles import argmax, fold_k_wise, fold_lower, fold_upper
 from pairsub.validation import values_close
@@ -538,6 +538,94 @@ class TestMaxUpper:
         with pytest.raises(error) as raised:
             cache.max_upper()
         assert (type(raised.value), str(raised.value)) == (error, message)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_max_upper_stays_the_argmax_value_step_after_step(self, seed):
+        """Over random pick orders that empty the cache, max_upper is argmax's
+        value over upper, or its error, after every step; upper is the eager
+        fold_upper table; and reading upper or lower between steps moves no
+        later max_upper, as a second cache that never reads them shows."""
+        rng = random.Random(seed)
+        for _ in range(60):
+            oracle = _random_pair_oracle(rng, rng.randint(1, 9))
+            m = oracle.ground_size
+            tracked = rng.sample(range(m), rng.randint(0, m))
+            read, unread = EstimateCache(oracle, tracked), EstimateCache(oracle, tracked)
+            ids, eager = list(range(m)), list(read.base)
+            for x_i in [*rng.sample(range(m), m), None]:
+                if rng.random() < 0.5:
+                    read.upper, read.lower
+                expected = _outcome(lambda: (None, argmax(ids, list(read.upper.values()))[1]))
+                assert _hexed(read.upper.values()) == _hexed(eager)
+                assert list(read.upper) == ids
+                for cache in (read, unread, read):
+                    assert _outcome(lambda: (None, cache.max_upper())) == expected
+                if x_i is None:
+                    break
+                if rng.random() < 0.5:
+                    read.upper, read.lower
+                for cache in (read, unread):
+                    cache.condition_on(x_i, oracle)
+                j = ids.index(x_i)
+                del ids[j], eager[j]
+                eager = fold_upper(eager, [oracle.evaluate([x, x_i]) for x in ids], read.base[x_i])
+            assert expected == (InvalidArgument, "no candidates remain")
+
+    def test_a_nan_singleton_ranks_until_it_is_picked(self):
+        """A remaining NaN singleton makes max_upper raise naming it, whether
+        it is picked before or after the ids it would lose to; once picked,
+        the heap answers for the rest."""
+        values = {0: 1.0, 1: math.nan, 2: 3.0}
+        oracle = SetFunctionOracle(
+            3, lambda s: values[min(s)] if len(s) == 1 else math.inf, budget=2)
+        for order, maxima in [([1, 2, 0], [None, 3.0, 1.0]), ([2, 0, 1], [None, None, None])]:
+            cache = EstimateCache(oracle, [])
+            for x_i, best in zip(order, maxima):
+                if best is None:
+                    with pytest.raises(NonFiniteValue, match="^candidate 1 has nan, which "):
+                        cache.max_upper()
+                else:
+                    assert cache.max_upper() == best
+                cache.condition_on(x_i, oracle)
+
+    @pytest.mark.parametrize("nan_first", [False, True], ids=["finite", "nan_picked_first"])
+    def test_max_upper_folds_only_the_ids_that_reach_the_top(self, monkeypatch, nan_first):
+        """On a modular function no estimate falls, so each max_upper after a
+        pick folds only the new top, and never reads the whole table through
+        argmax.  A NaN singleton, once picked, leaves the heap to answer."""
+        folded, ranked = [], []
+        refreshed = EstimateCache._refreshed
+        monkeypatch.setattr(EstimateCache, "_refreshed",
+                            lambda cache, x: folded.append(x) or refreshed(cache, x))
+        monkeypatch.setattr(oracles, "argmax", lambda ids, values: ranked.append(ids) or argmax(
+            ids, values))
+        weights = [math.nan if nan_first and x == 29 else float(x) for x in range(30)]
+        oracle = SetFunctionOracle(30, lambda s: sum(weights[x] for x in s), budget=2)
+        cache = EstimateCache(oracle, [])
+        for k, x_i in enumerate(range(29, 19, -1)):
+            del folded[:], ranked[:]
+            if nan_first and k == 0:
+                with pytest.raises(NonFiniteValue, match="^candidate 29 has nan"):
+                    cache.max_upper()
+                assert ranked
+            else:
+                assert cache.max_upper() == weights[x_i]
+                assert (folded, ranked) == ([x_i] if k else [], [])
+            cache.condition_on(x_i, oracle)
+
+def _random_pair_oracle(rng, m):
+    """A budget-2 oracle whose singletons and pairs are drawn as _random_table
+    draws them, with a NaN one time in twenty; in one oracle of ten every
+    singleton is -inf."""
+    def draw():
+        if rng.random() < 0.05:
+            return math.nan
+        return rng.choice(_SPECIAL) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0)
+    every_minus_inf = rng.random() < 0.1
+    values = {frozenset([x]): -math.inf if every_minus_inf else draw() for x in range(m)}
+    values.update({frozenset([x, y]): draw() for x in range(m) for y in range(x + 1, m)})
+    return SetFunctionOracle(m, values.__getitem__, budget=2)
 
 
 class TestPositionalLower:
